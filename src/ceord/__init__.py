@@ -56,6 +56,7 @@ from .mcsim import (
     SampleBatch,
     decomposition_check,
     empirical_distortion,
+    empirical_profile,
     sample,
 )
 

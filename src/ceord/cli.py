@@ -249,17 +249,18 @@ def cmd_bt_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = _model(args)
+    seed = _seed(args)
     lam = rdcore.solve_lambda_q(model, args.k, args.dk)
     profile = rdcore.distortion_profile(model, args.k, args.dk)
+    measured = mcsim.empirical_profile(model, args.k, lam, args.n, seed)
     header = ["j", "analytic", "empirical", "stderr", "sigmas", "pass"]
     data = []
     ok_all = True
-    for j, analytic in zip(range(args.k, model.ell + 1), profile):
-        emp = mcsim.empirical_distortion(model, args.k, lam, j, args.n, args.seed)
+    for emp, analytic in zip(measured, profile):
         sigmas = abs(emp.distortion - analytic) / emp.stderr
         ok = sigmas <= 3.0
         ok_all = ok_all and ok
-        data.append([j, analytic, emp.distortion, emp.stderr, sigmas, ok])
+        data.append([emp.j, analytic, emp.distortion, emp.stderr, sigmas, ok])
     _emit(
         args,
         {
@@ -268,7 +269,7 @@ def cmd_simulate(args) -> int:
             "d_k": args.dk,
             "lambda_q": lam,
             "n": args.n,
-            "seed": args.seed,
+            "seed": seed,
             "all_pass": ok_all,
             "rows": [dict(zip(header, r)) for r in data],
         },
@@ -282,7 +283,7 @@ def cmd_decomp_check(args) -> int:
     j = args.j if args.j is not None else model.ell
     bound = min(model.s.lambda1(j), model.s.lambda2)
     lam_w = args.lambda_w if args.lambda_w is not None else 0.5 * bound
-    rep = mcsim.decomposition_check(model, j, lam_w, args.lambda_q, args.n, args.seed)
+    rep = mcsim.decomposition_check(model, j, lam_w, args.lambda_q, args.n, _seed(args))
     ok = rep.sigma_ok and rep.delta_diag_ok
     _emit(
         args,
@@ -296,6 +297,17 @@ def cmd_decomp_check(args) -> int:
     return 0 if ok else EXIT_STATISTICAL
 
 
+def _seed(args) -> int:
+    """--seed if given, else the CEO_RD_SEED environment variable, else 0."""
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get("CEO_RD_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError(f"CEO_RD_SEED must be an integer, got {raw!r}") from None
+
+
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma-x", type=float, required=True)
     p.add_argument("--rho-x", type=float, default=0.0)
@@ -306,11 +318,7 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None)
     p.add_argument("--bits", action="store_true", help="report rates in bits")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=int(os.environ.get("CEO_RD_SEED", "0")),
-    )
+    p.add_argument("--seed", type=int, default=None, help="default: $CEO_RD_SEED or 0")
 
 
 def build_parser() -> argparse.ArgumentParser:

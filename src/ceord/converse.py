@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import rdcore
 from .spectra import DomainError, SourceModel, d_min
@@ -253,6 +252,9 @@ def solve_numeric(
     budget and delta to its caps.  The reduced function is scanned on a
     grid and polished with a bounded scalar minimizer.
     """
+    # scipy.optimize takes most of a second to import; only this oracle needs it
+    from scipy.optimize import minimize_scalar
+
     _check_case(model, k, j, case)
     rdcore._check_dk(model, k, d_k)
     lx1, ls1 = model.x.lambda1(k), model.s.lambda1(k)

@@ -1,12 +1,19 @@
 """Monte Carlo validation of the closed forms.
 
-Sampling is chunked with a fixed chunk size and one counter-based stream
-per (seed, chunk index), so the output for a given (seed, n) is identical
-no matter how many chunks are evaluated in parallel.
+The draw for a given (seed, n) is an n x 3*ell array of standard normals in
+chunks of CHUNK rows, one counter-based Philox stream per (seed, chunk
+index); its column thirds drive X, Z (or U, W) and the test-channel noise Q.
+Each command makes this draw exactly once, whatever the number of rows it
+reports: chunks are drawn one after another, each is reduced to (count,
+mean, M2) moments of every reported statistic, and the moments are merged
+in chunk order (Chan, Golub & LeVeque, 1979).  The output depends only on
+(seed, n), and memory is O(CHUNK * 3 * ell) whatever n is.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,15 +59,72 @@ def _chunk_normals(seed: int, idx: int, m: int, cols: int) -> np.ndarray:
     return rng.standard_normal((m, cols))
 
 
-def _draw(n: int, seed: int, cols: int) -> np.ndarray:
-    """n x cols standard normals, deterministic per (seed, n) and chunking-safe."""
+def _chunks(n: int, seed: int, cols: int) -> Iterator[np.ndarray]:
+    """The rows of the (seed, n) draw, one chunk of at most CHUNK rows at a time."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    parts = []
     for idx, start in enumerate(range(0, n, CHUNK)):
-        m = min(CHUNK, n - start)
-        parts.append(_chunk_normals(seed, idx, m, cols))
-    return np.concatenate(parts, axis=0)
+        yield _chunk_normals(seed, idx, min(CHUNK, n - start), cols)
+
+
+def _draw(n: int, seed: int, cols: int) -> np.ndarray:
+    """n x cols standard normals, deterministic per (seed, n) and chunking-safe."""
+    return np.concatenate(list(_chunks(n, seed, cols)), axis=0)
+
+
+Moments = tuple[int, np.ndarray, np.ndarray]  # (count, mean, M2), entrywise
+
+
+def _moments(p: np.ndarray) -> Moments:
+    """Moments of each row of p (one statistic per row, one sample per column)."""
+    mean = p.mean(axis=1)
+    return p.shape[1], mean, ((p - mean[:, None]) ** 2).sum(axis=1)
+
+
+def _product_moments(e: np.ndarray) -> Moments:
+    """Moments of the products e[a] * e[b] of the rows of e, as matrices.
+
+    Samples run along the columns.  M2 is sum(p^2) - count * mean^2 within
+    the chunk: for zero-mean jointly Gaussian rows Var(p) >= E[p]^2, so the
+    subtraction loses at most one bit.
+    """
+    m = e.shape[1]
+    mean = e @ e.T / m
+    sq = e * e
+    return m, mean, sq @ sq.T - m * mean**2
+
+
+def _merge(a: Moments, b: Moments) -> Moments:
+    """Pairwise update of two moment triples (Chan, Golub & LeVeque, 1979)."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (nb / n), m2_a + m2_b + delta**2 * (na * nb / n)
+
+
+def _stream(
+    n: int, seed: int, cols: int, reduce: Callable[[np.ndarray], Moments]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Means, with standard errors, of the statistics that reduce reads off the draw.
+
+    reduce maps one chunk of the (seed, n) draw (m x cols) to the moments of
+    its m samples; only one chunk is held at a time, and the chunks are
+    merged in chunk order.
+    """
+    if n < 2:
+        raise DomainError(f"n must be >= 2 for a standard error, got {n}")
+    total = None
+    for g in _chunks(n, seed, cols):
+        part = reduce(g)
+        total = part if total is None else _merge(total, part)
+    count, mean, m2 = total
+    return mean, np.sqrt(m2 / (count - 1) / count)
+
+
+def _check_lambda_q(lambda_q: float) -> None:
+    if not (lambda_q > 0 and math.isfinite(lambda_q)):
+        raise DomainError(f"lambda_q must be positive and finite, got {lambda_q}")
 
 
 def _factor(spec: SymmetricSpec, j: int) -> np.ndarray:
@@ -96,28 +160,89 @@ def sample(model: SourceModel, n: int, seed: int) -> SampleBatch:
     return SampleBatch(n=n, seed=seed, x=x, z=z, s=x + z)
 
 
+def _empirical(
+    model: SourceModel, lambda_q: float, js: Sequence[int], n: int, seed: int
+) -> list[EmpiricalRD]:
+    """Measured MMSE distortion at each sub-dimension in js, from one pass.
+
+    Reconstruction uses the exact conditional mean given the j noisy channel
+    outputs V = S + Q; the estimate averages the per-sample squared error
+    across the j components, with its standard error.
+    """
+    _check_lambda_q(lambda_q)
+    ell = model.ell
+    # X, V and the errors are linear in one row of the draw, so they are
+    # built once as coefficient rows over its 3*ell columns
+    unit = np.eye(3 * ell)
+    x = _factor(model.x, ell) @ unit[:ell]
+    z = _factor(model.z, ell) @ unit[ell : 2 * ell]
+    v = x + z + np.sqrt(lambda_q) * unit[2 * ell :]
+    errors = []
+    for j in js:
+        # (Gamma_S + lq I)^{-1} Gamma_X: est.T @ v[:j] is the conditional mean of X
+        gsq = dense(model.s, j) + lambda_q * np.eye(j)
+        est = np.linalg.solve(gsq, dense(model.x, j))
+        errors.append(x[:j] - est.T @ v[:j])
+
+    def reduce(g: np.ndarray) -> Moments:
+        return _moments(np.stack([np.mean((e @ g.T) ** 2, axis=0) for e in errors]))
+
+    mean, se = _stream(n, seed, 3 * ell, reduce)
+    return [
+        EmpiricalRD(lambda_q=lambda_q, j=j, n=n, distortion=float(d), stderr=float(e))
+        for j, d, e in zip(js, mean, se)
+    ]
+
+
+def empirical_profile(
+    model: SourceModel, k: int, lambda_q: float, n: int, seed: int
+) -> list[EmpiricalRD]:
+    """Measured MMSE distortion for every j = k..ell from one shared draw."""
+    if not 1 <= k <= model.ell:
+        raise DomainError(f"k={k} out of range [1, {model.ell}]")
+    return _empirical(model, lambda_q, range(k, model.ell + 1), n, seed)
+
+
 def empirical_distortion(
     model: SourceModel, k: int, lambda_q: float, j: int, n: int, seed: int
 ) -> EmpiricalRD:
-    """Measured MMSE distortion under the test channel at sub-dimension j.
-
-    Reconstruction uses the exact conditional mean given the j noisy channel
-    outputs; the estimate averages the per-sample squared error across the j
-    components, with its standard error.
-    """
+    """Measured MMSE distortion at sub-dimension j; the j row of empirical_profile."""
     if not k <= j <= model.ell:
         raise DomainError(f"j={j} out of range [{k}, {model.ell}]")
-    batch = sample(model, n, seed)
-    q = _draw(n, seed, 3 * model.ell)[:, 2 * model.ell : 2 * model.ell + j]
-    v = batch.s[:, :j] + np.sqrt(lambda_q) * q
-    gx = dense(model.x, j)
-    gs = dense(model.s, j) + lambda_q * np.eye(j)
-    xhat = v @ np.linalg.solve(gs, gx)  # (Gamma_S + lq I)^{-1} Gamma_X, symmetric
-    err = batch.x[:, :j] - xhat
-    per_sample = np.mean(err**2, axis=1)
-    d = float(np.mean(per_sample))
-    se = float(np.std(per_sample, ddof=1) / np.sqrt(n))
-    return EmpiricalRD(lambda_q=lambda_q, j=j, n=n, distortion=d, stderr=se)
+    return _empirical(model, lambda_q, [j], n, seed)[0]
+
+
+def _decomposition_moments(
+    model: SourceModel, j: int, lambda_w: float, lambda_q: float, n: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Second-moment matrices, with standard errors, of the two residuals.
+
+    Returns (E[eu eu^T], its SE, E[es es^T], its SE) where eu is the error of
+    the U-estimate induced by the S-estimate and es the residual of S given
+    (U, decoder output); j x j each.
+    """
+    _check_lambda_q(lambda_q)
+    ell = model.ell
+    gs = dense(model.s, j)
+    gu = gs - lambda_w * np.eye(j)
+    # spectral square root of Gamma_U (symmetric family shifted by -lambda_w)
+    ev = eigenvalues(model.s, j)
+    lams = np.full(j, ev.lambda2 - lambda_w)
+    lams[0] = ev.lambda1 - lambda_w
+    fu = basis(j) * np.sqrt(lams)
+    # coefficient rows over one row of the draw, as in _empirical
+    unit = np.eye(3 * ell)
+    u = fu @ unit[:j]
+    s = u + np.sqrt(lambda_w) * unit[ell : ell + j]
+    v = s + np.sqrt(lambda_q) * unit[2 * ell : 2 * ell + j]
+    # the S-estimate (Gamma_S + lq I)^{-1} Gamma_S, then the U-estimate from it
+    to_u = np.linalg.solve(gs + lambda_q * np.eye(j), gs) @ np.linalg.solve(gs, gu)
+    eu = u - to_u.T @ v
+    es = s - (u + lambda_w / (lambda_w + lambda_q) * (v - u))
+    residuals = np.vstack([eu, es])
+
+    mean, se = _stream(n, seed, 3 * ell, lambda g: _product_moments(residuals @ g.T))
+    return mean[:j, :j], se[:j, :j], mean[j:, j:], se[j:, j:]
 
 
 def decomposition_check(
@@ -140,43 +265,23 @@ def decomposition_check(
         raise DomainError(
             f"lambda_w={lambda_w:.6g} must lie in (0, {bound:.6g}) for j={j}"
         )
-    gs = dense(model.s, j)
-    gu = gs - lambda_w * np.eye(j)
-    # spectral square root of Gamma_U (symmetric family shifted by -lambda_w)
-    ev = eigenvalues(model.s, j)
-    lams = np.full(j, ev.lambda2 - lambda_w)
-    lams[0] = ev.lambda1 - lambda_w
-    fu = basis(j) * np.sqrt(lams)
-
-    g = _draw(n, seed, 3 * model.ell)
-    u = g[:, :j] @ fu.T
-    w = np.sqrt(lambda_w) * g[:, model.ell : model.ell + j]
-    s = u + w
-    v = s + np.sqrt(lambda_q) * g[:, 2 * model.ell : 2 * model.ell + j]
-
-    gsq = gs + lambda_q * np.eye(j)
-    shat = v @ np.linalg.solve(gsq, gs)
-    d_analytic = gs - gs @ np.linalg.solve(gsq, gs)
+    sigma_emp, sigma_se, delta_emp, delta_se = _decomposition_moments(
+        model, j, lambda_w, lambda_q, n, seed
+    )
 
     # (a) error covariance of the induced U-estimate vs its closed-form image
-    uhat = shat @ np.linalg.solve(gs, gu)
-    eu = u - uhat
-    sigma_pred = (
-        np.linalg.solve(gs, gu).T @ d_analytic @ np.linalg.solve(gs, gu)
-        + gu
-        - gu @ np.linalg.solve(gs, gu)
-    )
-    sigma_emp, sigma_se = _cov_with_se(eu)
-    sigma_dev = np.abs(sigma_emp - sigma_pred) / sigma_se
-    sigma_max = float(sigma_dev.max())
+    gs = dense(model.s, j)
+    gu = gs - lambda_w * np.eye(j)
+    gsq = gs + lambda_q * np.eye(j)
+    d_analytic = gs - gs @ np.linalg.solve(gsq, gs)
+    b = np.linalg.solve(gs, gu)
+    sigma_pred = b.T @ d_analytic @ b + gu - gu @ b
+    sigma_max = float((np.abs(sigma_emp - sigma_pred) / sigma_se).max())
 
-    # (b) residual of S given (U, decoder output) has diagonal covariance
-    stilde = u + lambda_w / (lambda_w + lambda_q) * (v - u)
-    es = s - stilde
-    delta_emp, delta_se = _cov_with_se(es)
+    # (b) residual of S given (U, decoder output) has diagonal covariance;
+    # at j = 1 there is no off-diagonal entry to test
     off = ~np.eye(j, dtype=bool)
-    delta_dev = np.abs(delta_emp[off]) / delta_se[off]
-    delta_max = float(delta_dev.max())
+    delta_max = float((np.abs(delta_emp[off]) / delta_se[off]).max(initial=0.0))
 
     return DecompositionReport(
         lambda_w=lambda_w,

@@ -252,6 +252,43 @@ class TestSimulate:
         assert json.loads(out_env)["rows"] == json.loads(out_seeded)["rows"]
 
 
+class TestMonteCarloDomain:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", *M0, "--k", "2", "--dk", "0.75", "--n", "1"],
+            ["decomp-check", *M0, "--lambda-q", "2.0", "--n", "1"],
+            ["decomp-check", *M0, "--lambda-q", "0"],
+        ],
+        ids=["simulate-n1", "decomp-n1", "decomp-lambda-q0"],
+    )
+    def test_degenerate_exit2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "NaN" not in out
+        assert err.startswith("error: ")
+
+    def test_decomp_single_component(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "decomp-check", *M0, "--lambda-q", "2.0", "--j", "1", "--n", "20000"
+        )
+        assert code in (0, 4)
+        assert doc["delta_offdiag_max_sigmas"] == 0.0
+        assert math.isfinite(doc["sigma_max_sigmas"])
+
+    def test_bad_seed_env_exit2(self, capsys, monkeypatch):
+        monkeypatch.setenv("CEO_RD_SEED", "abc")
+        argv = ["simulate", *M0, "--k", "2", "--dk", "0.75", "--n", "100"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "CEO_RD_SEED" in err
+        # an explicit --seed wins, and commands without randomness ignore it
+        code, _, _ = run(capsys, *argv, "--seed", "1")
+        assert code in (0, 4)
+        code, _, _ = run(capsys, "point", *M0, "--k", "2", "--dk", "0.75")
+        assert code == 0
+
+
 class TestDecompCheck:
     def test_default_lambda_w(self, capsys):
         code, doc, _ = run_json(

@@ -1,15 +1,30 @@
+import json
+
 import numpy as np
 import pytest
 
 from ceord import (
     DomainError,
+    basis,
     decomposition_check,
     dense,
+    eigenvalues,
     empirical_distortion,
+    empirical_profile,
     sample,
     solve_lambda_q,
 )
-from ceord.mcsim import CHUNK, _cov_with_se, _draw
+from ceord import mcsim
+from ceord.cli import main
+from ceord.mcsim import (
+    CHUNK,
+    _cov_with_se,
+    _decomposition_moments,
+    _draw,
+    _merge,
+    _moments,
+    _product_moments,
+)
 from ceord.rdcore import distortion_at_lambda
 
 from helpers import m0, make_model
@@ -119,3 +134,136 @@ class TestDecomposition:
         b = decomposition_check(m, 2, 0.5, 2.0, 20_000, 3)
         assert a.sigma_max_sigmas == b.sigma_max_sigmas
         assert a.delta_offdiag_max_sigmas == b.delta_offdiag_max_sigmas
+
+
+# three chunks, the last one ragged
+N_STREAM = 2 * CHUNK + 17
+
+
+def _one_shot_distortion(model, lam, j, n, seed):
+    """The whole-array estimate: draw everything, then reduce once."""
+    batch = sample(model, n, seed)
+    q = _draw(n, seed, 3 * model.ell)[:, 2 * model.ell : 2 * model.ell + j]
+    v = batch.s[:, :j] + np.sqrt(lam) * q
+    gs = dense(model.s, j) + lam * np.eye(j)
+    err = batch.x[:, :j] - v @ np.linalg.solve(gs, dense(model.x, j))
+    per_sample = np.mean(err**2, axis=1)
+    return per_sample.mean(), per_sample.std(ddof=1) / np.sqrt(n)
+
+
+def _one_shot_residuals(model, j, lw, lq, n, seed):
+    """eu and es of decomposition_check computed on the whole draw at once."""
+    ell = model.ell
+    gs = dense(model.s, j)
+    gu = gs - lw * np.eye(j)
+    ev = eigenvalues(model.s, j)
+    lams = np.full(j, ev.lambda2 - lw)
+    lams[0] = ev.lambda1 - lw
+    fu = basis(j) * np.sqrt(lams)
+    g = _draw(n, seed, 3 * ell)
+    u = g[:, :j] @ fu.T
+    s = u + np.sqrt(lw) * g[:, ell : ell + j]
+    v = s + np.sqrt(lq) * g[:, 2 * ell : 2 * ell + j]
+    shat = v @ np.linalg.solve(gs + lq * np.eye(j), gs)
+    eu = u - shat @ np.linalg.solve(gs, gu)
+    es = s - (u + lw / (lw + lq) * (v - u))
+    return eu, es
+
+
+class TestStreaming:
+    def test_profile_matches_one_shot_oracle(self):
+        m = make_model(1, 0.4, 2, -0.1, 4)
+        k = 2
+        lam = solve_lambda_q(m, k, 0.7)
+        rows = empirical_profile(m, k, lam, N_STREAM, 21)
+        assert [r.j for r in rows] == [2, 3, 4]
+        for row in rows:
+            got = [row.distortion, row.stderr]
+            want = _one_shot_distortion(m, lam, row.j, N_STREAM, 21)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            single = empirical_distortion(m, k, lam, row.j, N_STREAM, 21)
+            np.testing.assert_allclose(
+                [single.distortion, single.stderr], got, rtol=1e-12, atol=0
+            )
+
+    def test_decomposition_matches_one_shot_oracle(self):
+        m = make_model(1, -0.3, 1, -0.1, 3)
+        j, lq, seed = 3, 1.3, 23
+        lw = 0.5 * min(m.s.lambda1(j), m.s.lambda2)
+        eu, es = _one_shot_residuals(m, j, lw, lq, N_STREAM, seed)
+        sig, sig_se = _cov_with_se(eu)
+        dlt, dlt_se = _cov_with_se(es)
+        got = _decomposition_moments(m, j, lw, lq, N_STREAM, seed)
+        for streamed, oracle in zip(got, (sig, sig_se, dlt, dlt_se)):
+            np.testing.assert_allclose(streamed, oracle, rtol=1e-10, atol=0)
+        gs = dense(m.s, j)
+        gu = gs - lw * np.eye(j)
+        a = np.linalg.solve(gs, gu)
+        d_s = gs - gs @ np.linalg.solve(gs + lq * np.eye(j), gs)
+        pred = a.T @ d_s @ a + gu - gu @ a
+        off = ~np.eye(j, dtype=bool)
+        rep = decomposition_check(m, j, lw, lq, N_STREAM, seed)
+        assert rep.sigma_max_sigmas == pytest.approx(
+            float((np.abs(sig - pred) / sig_se).max()), rel=1e-10
+        )
+        assert rep.delta_offdiag_max_sigmas == pytest.approx(
+            float((np.abs(dlt[off]) / dlt_se[off]).max()), rel=1e-10
+        )
+
+    def test_merge_equals_whole_array_moments(self):
+        p = np.random.default_rng(4).standard_normal((2, 3007)) * [[1.0], [1e3]] + 5.0
+        total = None
+        for part in np.array_split(p, [1000, 2500], axis=1):
+            total = _moments(part) if total is None else _merge(total, _moments(part))
+        count, mean, m2 = total
+        assert count == p.shape[1]
+        np.testing.assert_allclose(mean, np.mean(p, axis=1), rtol=1e-13)
+        np.testing.assert_allclose(
+            np.sqrt(m2 / (count - 1)), np.std(p, axis=1, ddof=1), rtol=1e-13
+        )
+
+    def test_product_moments(self):
+        e = np.random.default_rng(5).standard_normal((3, 500))
+        count, mean, m2 = _product_moments(e)
+        prod = e[:, None, :] * e[None, :, :]
+        assert count == 500
+        np.testing.assert_allclose(mean, prod.mean(axis=2), rtol=1e-12)
+        dev = prod - prod.mean(axis=2, keepdims=True)
+        np.testing.assert_allclose(m2, (dev**2).sum(axis=2), rtol=1e-12)
+
+    def test_one_draw_per_command(self, monkeypatch, capsys):
+        calls = []
+        draw = mcsim._chunk_normals
+
+        def counting(seed, idx, m, cols):
+            calls.append(idx)
+            return draw(seed, idx, m, cols)
+
+        monkeypatch.setattr(mcsim, "_chunk_normals", counting)
+        argv = ["--gamma-x", "1", "--rho-x", "0.4", "--gamma-z", "2", "--rho-z", "-0.1"]
+        argv += ["--ell", "4", "--n", str(N_STREAM), "--seed", "2"]
+        code = main(["simulate", *argv, "--k", "2", "--dk", "0.7"])
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert code in (0, 4) and len(rows) == 3
+        assert calls == [0, 1, 2]  # ceil(n / CHUNK) chunks for all three j-rows
+        calls.clear()
+        code = main(["decomp-check", *argv, "--lambda-q", "1.0"])
+        capsys.readouterr()
+        assert code in (0, 4)
+        assert calls == [0, 1, 2]
+
+
+class TestDegenerateInputs:
+    def test_rejects_single_sample(self):
+        lam = solve_lambda_q(m0(), 2, 0.75)
+        with pytest.raises(DomainError, match="n must be >= 2"):
+            empirical_profile(m0(), 2, lam, 1, 0)
+        with pytest.raises(DomainError, match="n must be >= 2"):
+            decomposition_check(m0(), 2, 0.5, lam, 1, 0)
+
+    @pytest.mark.parametrize("lq", [0.0, -1.0, float("inf"), float("nan")])
+    def test_rejects_bad_lambda_q(self, lq):
+        with pytest.raises(DomainError, match="lambda_q"):
+            empirical_distortion(m0(), 2, lq, 2, 100, 0)
+        with pytest.raises(DomainError, match="lambda_q"):
+            decomposition_check(m0(), 2, 0.5, lq, 100, 0)
