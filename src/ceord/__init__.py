@@ -3,6 +3,7 @@ symmetrically correlated Gaussian sources."""
 
 from .spectra import (
     DomainError,
+    InconsistencyError,
     ModelError,
     SourceModel,
     SpectralView,

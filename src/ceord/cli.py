@@ -17,7 +17,7 @@ from dataclasses import asdict
 from typing import Any, Optional
 
 from . import bergertung, converse, mcsim, rdcore, spectra
-from .spectra import DomainError, ModelError
+from .spectra import DomainError, InconsistencyError, ModelError
 
 SCHEMA_VERSION = 1
 
@@ -26,17 +26,6 @@ EXIT_INCONSISTENT = 3
 EXIT_STATISTICAL = 4
 
 LN2 = math.log(2.0)
-
-
-def _round17(obj: Any) -> Any:
-    """Normalize floats to 17 significant digits for the JSON interface."""
-    if isinstance(obj, float):
-        return float(f"{obj:.17g}")
-    if isinstance(obj, dict):
-        return {k: _round17(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round17(v) for v in obj]
-    return obj
 
 
 def _csv_cell(v: Any) -> str:
@@ -61,7 +50,7 @@ def _emit(args, payload: dict, rows: Optional[tuple[list[str], list[list]]] = No
         text = buf.getvalue()
     else:
         payload = {"schema_version": SCHEMA_VERSION, **payload}
-        text = json.dumps(_round17(payload), indent=2) + "\n"
+        text = json.dumps(payload, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -91,24 +80,10 @@ def _model_dict(model: spectra.SourceModel) -> dict:
     }
 
 
-def _conditions_dict(rep: rdcore.ConditionReport) -> dict:
-    return {
-        "mu": rep.mu,
-        "nu": rep.nu,
-        "nu_kj": list(rep.nu_kj),
-        "cond1": rep.cond1,
-        "cond2": rep.cond2,
-        "cond3": list(rep.cond3),
-        "cond4": list(rep.cond4),
-        "roots": list(rep.roots) if rep.roots is not None else None,
-        "regime": rep.regime,
-    }
-
-
 def cmd_point(args) -> int:
     model = _model(args)
     pt = bergertung.achievable_point(model, args.k, args.dk)
-    rep = rdcore.check_conditions(model, args.k, args.dk)
+    rep = rdcore.conditions_at_lambda(model, args.k, pt.lambda_q)
     _emit(
         args,
         {
@@ -119,7 +94,7 @@ def cmd_point(args) -> int:
             "rate": _rate(args, pt.rate),
             "rate_units": "bits" if args.bits else "nats",
             "profile": {str(j): d for j, d in zip(range(args.k, model.ell + 1), pt.profile)},
-            "conditions": _conditions_dict(rep),
+            "conditions": asdict(rep),
         },
     )
     return 0
@@ -140,7 +115,7 @@ def cmd_sweep(args) -> int:
             d = args.dk_min + (args.dk_max - args.dk_min) * i / (args.steps - 1)
         try:
             pt = bergertung.achievable_point(model, ks, d)
-            rep = rdcore.check_conditions(model, ks, d)
+            rep = rdcore.conditions_at_lambda(model, ks, pt.lambda_q)
         except DomainError as e:
             print(f"warning: skipping d_k={d:.12g}: {e}", file=sys.stderr)
             continue
@@ -179,7 +154,7 @@ def cmd_conditions(args) -> int:
             "model": _model_dict(model),
             "k": args.k,
             "d_k": args.dk,
-            "conditions": _conditions_dict(rep),
+            "conditions": asdict(rep),
         },
     )
     return 0
@@ -191,7 +166,7 @@ def cmd_verify(args) -> int:
     case = converse.select_case(model, j)
     cert = converse.verify_kkt(model, args.k, j, args.dk, case, tol=args.tol)
     point, opt = converse.solve_numeric(model, args.k, j, args.dk, case)
-    rbar = rdcore.rate_bar(model, args.k, args.dk)
+    rbar = rdcore.rate_at_lambda(model, args.k, cert.lambda_q)
     gap = opt - rbar
     conditions_fail = not cert.multipliers.nonnegative
     if conditions_fail:
@@ -251,7 +226,7 @@ def cmd_simulate(args) -> int:
     model = _model(args)
     seed = _seed(args)
     lam = rdcore.solve_lambda_q(model, args.k, args.dk)
-    profile = rdcore.distortion_profile(model, args.k, args.dk)
+    profile = rdcore.profile_at_lambda(model, args.k, lam)
     measured = mcsim.empirical_profile(model, args.k, lam, args.n, seed)
     header = ["j", "analytic", "empirical", "stderr", "sigmas", "pass"]
     data = []
@@ -321,6 +296,40 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="default: $CEO_RD_SEED or 0")
 
 
+_K = {"--k": dict(type=int, required=True)}
+_DK = {"--dk": dict(type=float, required=True)}
+_J = {"--j": dict(type=int, default=None)}
+_N = {"--n": dict(type=int, default=1000000)}
+
+# subcommand: (handler, the flags it adds after the shared model flags)
+_COMMANDS = {
+    "point": (cmd_point, {**_K, **_DK}),
+    "sweep": (
+        cmd_sweep,
+        {
+            **_K,
+            "--dk-min": dict(type=float, required=True),
+            "--dk-max": dict(type=float, required=True),
+            "--steps": dict(type=int, required=True),
+        },
+    ),
+    "region": (cmd_region, {**_K, **_DK}),
+    "conditions": (cmd_conditions, {**_K, **_DK}),
+    "verify": (cmd_verify, {**_K, **_DK, **_J}),
+    "bt-check": (cmd_bt_check, {**_K, **_DK}),
+    "simulate": (cmd_simulate, {**_K, **_DK, **_N}),
+    "decomp-check": (
+        cmd_decomp_check,
+        {
+            **_J,
+            "--lambda-w": dict(type=float, default=None),
+            "--lambda-q": dict(type=float, required=True),
+            **_N,
+        },
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ceord",
@@ -333,73 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON object of parameters, applied before flag parsing",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **extra):
+    for name, (fn, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         _add_model_args(p)
-        for flag, kw in extra.items():
+        for flag, kw in flags.items():
             p.add_argument(flag, **kw)
         p.set_defaults(func=fn)
-        return p
-
-    add(
-        "point",
-        cmd_point,
-        **{"--k": dict(type=int, required=True), "--dk": dict(type=float, required=True)},
-    )
-    add(
-        "sweep",
-        cmd_sweep,
-        **{
-            "--k": dict(type=int, required=True),
-            "--dk-min": dict(type=float, required=True),
-            "--dk-max": dict(type=float, required=True),
-            "--steps": dict(type=int, required=True),
-        },
-    )
-    add(
-        "region",
-        cmd_region,
-        **{"--k": dict(type=int, required=True), "--dk": dict(type=float, required=True)},
-    )
-    add(
-        "conditions",
-        cmd_conditions,
-        **{"--k": dict(type=int, required=True), "--dk": dict(type=float, required=True)},
-    )
-    add(
-        "verify",
-        cmd_verify,
-        **{
-            "--k": dict(type=int, required=True),
-            "--dk": dict(type=float, required=True),
-            "--j": dict(type=int, default=None),
-        },
-    )
-    add(
-        "bt-check",
-        cmd_bt_check,
-        **{"--k": dict(type=int, required=True), "--dk": dict(type=float, required=True)},
-    )
-    add(
-        "simulate",
-        cmd_simulate,
-        **{
-            "--k": dict(type=int, required=True),
-            "--dk": dict(type=float, required=True),
-            "--n": dict(type=int, default=1000000),
-        },
-    )
-    add(
-        "decomp-check",
-        cmd_decomp_check,
-        **{
-            "--j": dict(type=int, default=None),
-            "--lambda-w": dict(type=float, default=None),
-            "--lambda-q": dict(type=float, required=True),
-            "--n": dict(type=int, default=1000000),
-        },
-    )
     return parser
 
 
@@ -408,9 +356,13 @@ def _apply_params_json(argv: list[str]) -> list[str]:
     if "--params-json" not in argv:
         return argv
     idx = argv.index("--params-json")
-    blob = argv[idx + 1]
+    try:
+        params = json.loads(argv[idx + 1])
+    except (IndexError, json.JSONDecodeError) as e:
+        raise DomainError(f"--params-json needs a JSON object: {e}") from None
+    if not isinstance(params, dict):
+        raise DomainError(f"--params-json needs a JSON object, got {argv[idx + 1]}")
     rest = argv[:idx] + argv[idx + 2 :]
-    params = json.loads(blob)
     extra: list[str] = []
     for key, val in params.items():
         flag = "--" + key.replace("_", "-")
@@ -424,14 +376,16 @@ def _apply_params_json(argv: list[str]) -> list[str]:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _apply_params_json(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        argv = _apply_params_json(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (DomainError, ModelError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
+    except InconsistencyError as e:
+        print(f"internal inconsistency: {e}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import rdcore
-from .spectra import DomainError, SourceModel, d_min
+from .spectra import DomainError, InconsistencyError, SourceModel, d_min
 
 CASE_P = "P"
 CASE_PHAT = "P-hat"
@@ -45,6 +45,7 @@ class Multipliers:
 @dataclass(frozen=True)
 class KKTCertificate:
     case: str
+    lambda_q: float  # the test-channel noise variance the candidate is built from
     point: FeasiblePoint
     multipliers: Multipliers
     residuals: dict[str, float]
@@ -116,7 +117,12 @@ def candidate_minimizer(
 ) -> FeasiblePoint:
     """The closed-form candidate: harmonic means of eigenvalues with lambda_q."""
     _check_case(model, k, j, case)
-    lam = rdcore.solve_lambda_q(model, k, d_k)
+    return _candidate(model, k, j, rdcore.solve_lambda_q(model, k, d_k), case)
+
+
+def _candidate(
+    model: SourceModel, k: int, j: int, lam: float, case: str
+) -> FeasiblePoint:
     d1 = _harmonic(model.s.lambda1(k), lam)
     d2 = _harmonic(model.s.lambda2, lam)
     delta = d2 if case == CASE_P else _harmonic(model.s.lambda1(j), lam)
@@ -141,7 +147,12 @@ def kkt_multipliers(
     negative b-values are returned as-is and signal that the matching
     condition fails rather than raising.
     """
-    p = candidate_minimizer(model, k, j, d_k, case)
+    return _multipliers(model, k, candidate_minimizer(model, k, j, d_k, case), case)
+
+
+def _multipliers(
+    model: SourceModel, k: int, p: FeasiblePoint, case: str
+) -> Multipliers:
     lx1, ls1 = model.x.lambda1(k), model.s.lambda1(k)
     lx2, ls2 = model.x.lambda2, model.s.lambda2
     a1_coef = lx1**2 / ls1**2
@@ -182,8 +193,10 @@ def verify_kkt(
     slackness products, and primal feasibility; the certificate is valid iff
     every residual is within tol and all multipliers are nonnegative.
     """
-    p = candidate_minimizer(model, k, j, d_k, case)
-    m = kkt_multipliers(model, k, j, d_k, case)
+    _check_case(model, k, j, case)
+    lam = rdcore.solve_lambda_q(model, k, d_k)
+    p = _candidate(model, k, j, lam, case)
+    m = _multipliers(model, k, p, case)
     lx1, ls1 = model.x.lambda1(k), model.s.lambda1(k)
     lx2, ls2 = model.x.lambda2, model.s.lambda2
     ls1j = model.s.lambda1(j)
@@ -233,6 +246,7 @@ def verify_kkt(
     objective = _eta(model, k, lw, p)
     return KKTCertificate(
         case=case,
+        lambda_q=lam,
         point=p,
         multipliers=m,
         residuals=residuals,
@@ -263,7 +277,8 @@ def solve_numeric(
     a1_coef = lx1**2 / ls1**2
     a2_coef = (k - 1) * lx2**2 / ls2**2
     budget = k * d_k - _distortion_lhs(model, k, 0.0, 0.0)
-    assert budget > 0  # d_k > d_min guarantees room
+    if not budget > 0:  # d_k > d_min guarantees room
+        raise InconsistencyError(f"no distortion budget at d_k={d_k!r}: {budget!r}")
 
     def expand(d1: float) -> Optional[FeasiblePoint]:
         if d1 <= 0 or d1 > ls1 or a1_coef * d1 > budget:

@@ -11,13 +11,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .spectra import DomainError, SourceModel, d_min
+from .spectra import DomainError, InconsistencyError, SourceModel, d_min
 
 # Inputs closer than this to an interval endpoint are rejected, not clamped:
 # lambda_q diverges at one end and vanishes at the other.
 ENDPOINT_SLACK = 1e-12
-
-_BISECT_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -54,6 +52,8 @@ class ConditionReport:
 def _check_dk(model: SourceModel, k: int, d_k: float) -> float:
     if not 1 <= k <= model.ell:
         raise DomainError(f"k={k} out of range [1, {model.ell}]")
+    if not math.isfinite(d_k):
+        raise DomainError(f"d_k must be finite, got {d_k}")
     lo = d_min(model, k)
     hi = model.x.gamma
     if d_k <= lo + ENDPOINT_SLACK:
@@ -75,33 +75,37 @@ def distortion_at_lambda(model: SourceModel, k: int, j: int, lam: float) -> floa
 def solve_lambda_q(model: SourceModel, k: int, d_k: float) -> float:
     """Unique positive lambda_q with distortion_at_lambda(k, k, .) = d_k.
 
-    Bracketed bisection: the map is monotone and smooth, so doubling the
-    upper end until it crosses d_k and bisecting is unconditionally safe.
+    Per mode lx(lz + lam)/(ls + lam) = lx - lx^2/(ls + lam), so the equation
+    is f(lam) = p/(ls1 + lam) + q/(ls2 + lam) = c with p = lx1^2,
+    q = (k-1) lx2^2, c = k (gamma_x - d_k): a quadratic whose constant term
+    ls1 ls2 (c - f(0)) = -k ls1 ls2 (d_k - d_min) <= 0 leaves one positive
+    root.  It is taken in cancellation-free form, then one Newton step.
     """
-    _check_dk(model, k, d_k)
-    hi = 1.0
-    while distortion_at_lambda(model, k, k, hi) < d_k:
-        hi *= 2.0
-        if hi > 1e300:  # pragma: no cover - d_k < gamma_x rules this out
-            raise DomainError("bracket expansion failed")
-    lo = 0.0
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if distortion_at_lambda(model, k, k, mid) < d_k:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * hi:
-            break
-    return 0.5 * (lo + hi)
+    lo = _check_dk(model, k, d_k)
+    ls1, ls2 = model.s.lambda1(k), model.s.lambda2
+    p = model.x.lambda1(k) ** 2
+    q = (k - 1) * model.x.lambda2**2
+    c = k * (model.x.gamma - d_k)
+    b = c * (ls1 + ls2) - p - q
+    c0 = -k * ls1 * ls2 * (d_k - lo)
+    root = math.sqrt(b * b - 4.0 * c * c0)
+    lam = (root - b) / (2.0 * c) if b < 0 else -2.0 * c0 / (b + root)
+    if not lam > 0:
+        raise DomainError(f"d_k={d_k:.17g} is within rounding of d_min^({k})")
+    # Newton on f(lam) - c, summed where it is small: near gamma_x both f and
+    # c are small, near d_min the distortion residual is.
+    if c < k * (d_k - lo):
+        res = p / (ls1 + lam) + q / (ls2 + lam) - c
+    else:
+        res = k * (d_k - distortion_at_lambda(model, k, k, lam))
+    lam += res / (p / (ls1 + lam) ** 2 + q / (ls2 + lam) ** 2)
+    return float(lam)  # d_k may be a numpy scalar
 
 
 def rate_at_lambda(model: SourceModel, k: int, lam: float) -> float:
-    """Per-encoder rate in nats for a given test-channel noise variance."""
+    """Per-encoder rate in nats, log det(I + Gamma_S/lam)/(2k), at noise lam."""
     ls1, ls2 = model.s.lambda1(k), model.s.lambda2
-    return (math.log(ls1 + lam) + (k - 1) * math.log(ls2 + lam) - k * math.log(lam)) / (
-        2 * k
-    )
+    return (math.log1p(ls1 / lam) + (k - 1) * math.log1p(ls2 / lam)) / (2 * k)
 
 
 def rate_bar(model: SourceModel, k: int, d_k: float) -> float:
@@ -109,12 +113,16 @@ def rate_bar(model: SourceModel, k: int, d_k: float) -> float:
     return rate_at_lambda(model, k, solve_lambda_q(model, k, d_k))
 
 
-def distortion_profile(model: SourceModel, k: int, d_k: float) -> tuple[float, ...]:
-    """Distortions d_j, j = k..ell, induced by the level-k test channel."""
-    lam = solve_lambda_q(model, k, d_k)
+def profile_at_lambda(model: SourceModel, k: int, lam: float) -> tuple[float, ...]:
+    """Distortions d_j, j = k..ell, of the test channel with noise variance lam."""
     return tuple(
         distortion_at_lambda(model, k, j, lam) for j in range(k, model.ell + 1)
     )
+
+
+def distortion_profile(model: SourceModel, k: int, d_k: float) -> tuple[float, ...]:
+    """Distortions d_j, j = k..ell, induced by the level-k test channel."""
+    return profile_at_lambda(model, k, solve_lambda_q(model, k, d_k))
 
 
 def _shrink(lam_s: float, lam_q: float) -> float:
@@ -130,7 +138,13 @@ def mu_nu(
     mu compares the repeated-mode MMSE shrinkage against the leading-mode
     one; nu is its reciprocal; nu_kj generalizes nu to sub-dimension j.
     """
-    lam = solve_lambda_q(model, k, d_k)
+    return mu_nu_at_lambda(model, k, solve_lambda_q(model, k, d_k), cross_check)
+
+
+def mu_nu_at_lambda(
+    model: SourceModel, k: int, lam: float, cross_check: bool = False
+) -> tuple[float, float, tuple[Optional[float], ...]]:
+    """mu_nu for a given test-channel noise variance."""
     ls1, ls2 = model.s.lambda1(k), model.s.lambda2
     if ls1 <= 0:
         raise DomainError("mu undefined: leading observation eigenvalue is 0")
@@ -141,7 +155,8 @@ def mu_nu(
     if cross_check:
         # Verbatim Schur-complement form; agreement guards the simplification.
         mu_raw = (ls2 - ls2 * ls2 / (ls2 + lam)) / (ls1 - ls1 * ls1 / (ls1 + lam))
-        assert abs(mu - mu_raw) <= 1e-12 * max(1.0, abs(mu))
+        if not abs(mu - mu_raw) <= 1e-12 * max(1.0, abs(mu)):
+            raise InconsistencyError(f"mu={mu!r} but its Schur form gives {mu_raw!r}")
     nu_kj = []
     for j in range(k, model.ell + 1):
         ls1j = model.s.lambda1(j)
@@ -228,7 +243,12 @@ def check_conditions(model: SourceModel, k: int, d_k: float) -> ConditionReport:
     Branches whose sign hypothesis on rho_s does not apply are reported as
     None rather than False; exact zeros count as satisfied.
     """
-    mu, nu, nu_kj = mu_nu(model, k, d_k)
+    return conditions_at_lambda(model, k, solve_lambda_q(model, k, d_k))
+
+
+def conditions_at_lambda(model: SourceModel, k: int, lam: float) -> ConditionReport:
+    """check_conditions for a given test-channel noise variance."""
+    mu, nu, nu_kj = mu_nu_at_lambda(model, k, lam)
     rho_s = model.s.rho
     cond1 = _cond1_value(model, k, mu) >= 0 if rho_s >= 0 else None
     if rho_s <= 0:

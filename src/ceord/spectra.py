@@ -12,6 +12,7 @@ column is the normalized all-ones vector.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,10 @@ class ModelError(ValueError):
 
 class DomainError(ValueError):
     """A quantity was requested outside its valid open interval."""
+
+
+class InconsistencyError(RuntimeError):
+    """Two routes to the same quantity disagree (an internal fault, not bad input)."""
 
 
 @dataclass(frozen=True)
@@ -81,9 +86,11 @@ def _check_psd(spec: SymmetricSpec, name: str) -> None:
 def validate(x: SymmetricSpec, z: SymmetricSpec) -> SourceModel:
     """Check both specs and derive the observation spec entrywise.
 
-    Rejects gamma_x <= 0 (the target must be random) and any family whose
-    closed-form eigenvalues go negative.
+    Rejects non-finite gamma or rho, gamma_x <= 0 (the target must be
+    random) and any family whose closed-form eigenvalues go negative.
     """
+    if not all(map(math.isfinite, (x.gamma, x.rho, z.gamma, z.rho))):
+        raise ModelError(f"gamma and rho must be finite, got x={x}, z={z}")
     if x.ell != z.ell:
         raise ModelError(f"dimension mismatch: x.ell={x.ell}, z.ell={z.ell}")
     if x.ell < 2:

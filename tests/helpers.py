@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ceord import SymmetricSpec, d_min, validate
+from ceord.rdcore import distortion_at_lambda
 
 
 def make_model(gx, rx, gz, rz, ell):
@@ -53,3 +54,19 @@ def trace_profile_oracle(model, k, lam):
         gs = dense(model.s, j) + lam * np.eye(j)
         out.append(float(np.trace(gx - gx @ np.linalg.solve(gs, gx))) / j)
     return out
+
+
+def bisect_lambda_oracle(model, k, d_k):
+    """lambda_q by bisection on the increasing map lambda -> d_k(lambda)."""
+    lo, hi = 0.0, 1.0
+    while distortion_at_lambda(model, k, k, hi) < d_k:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if distortion_at_lambda(model, k, k, mid) < d_k:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-15 * hi:
+            break
+    return 0.5 * (lo + hi)

@@ -2,18 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ceord import (
     DomainError,
     RegionCheck,
+    SymmetricSpec,
     TestChannel,
     achievable_point,
     check_symmetric_rate,
+    d_min,
     dense,
     rate_bar,
     solve_lambda_q,
     subset_mutual_info,
+    validate,
 )
+from ceord.rdcore import distortion_at_lambda
 
 from helpers import m0, make_model, random_dk, random_model
 
@@ -36,17 +42,27 @@ class TestSubsetMutualInfo:
     def test_entropy_difference_oracle(self):
         # independent route: h(V_B | V_rest) - h(V_B | S_B, V_rest)
         rng = np.random.default_rng(20)
+
+        def check(m, k, bs, lam):
+            cov = dense(m.s, k) + lam * np.eye(k)
+            full = np.linalg.slogdet(cov)[1]
+            for b in bs:
+                rest = np.linalg.slogdet(cov[b:, b:])[1] if b < k else 0.0
+                want = 0.5 * (full - rest) - 0.5 * b * math.log(lam)
+                got = subset_mutual_info(m, TestChannel(lam), b, k)
+                assert got == pytest.approx(want, abs=1e-9)
+
         for _ in range(100):
             m = random_model(rng, ell=5)
             k = int(rng.integers(1, 6))
             b = int(rng.integers(1, k + 1))
-            lam = float(rng.uniform(0.05, 10.0))
-            cov = dense(m.s, k) + lam * np.eye(k)
-            full = np.linalg.slogdet(cov)[1]
-            rest = np.linalg.slogdet(cov[b:, b:])[1] if b < k else 0.0
-            want = 0.5 * (full - rest) - 0.5 * b * math.log(lam)
-            got = subset_mutual_info(m, TestChannel(lam), b, k)
-            assert got == pytest.approx(want, abs=1e-9)
+            check(m, k, [b], float(rng.uniform(0.05, 10.0)))
+        # frontier-wide sizes, every subset size
+        for ell in (64, 256):
+            for _ in range(2):
+                m = random_model(rng, ell=ell)
+                for k in (1, ell // 4, ell // 2, ell):
+                    check(m, k, range(1, k + 1), float(rng.uniform(0.05, 10.0)))
 
     def test_monotone_in_b(self):
         m = make_model(1, 0.4, 1, 0.1, 5)
@@ -117,3 +133,45 @@ class TestAchievablePoint:
         pt = achievable_point(m, 2, 1.2)
         assert pt.lambda_q == pytest.approx(solve_lambda_q(m, 2, 1.2), rel=1e-12)
         assert isinstance(check_symmetric_rate(m, 2, 1.2), RegionCheck)
+
+
+@st.composite
+def operating_points(draw):
+    """A valid model with ell <= 256, correlations up to both PSD boundaries,
+    a cooperation level k and a d_k strictly inside (d_min^(k), gamma_x)."""
+    ell = draw(st.integers(2, 256))
+    lo = -1.0 / (ell - 1)
+    rho = st.one_of(st.sampled_from([lo, 0.0, 1.0]), st.floats(lo, 1.0))
+    gx = draw(st.floats(0.1, 10.0))
+    gz = draw(st.one_of(st.just(0.0), st.floats(0.01, 10.0)))
+    m = validate(SymmetricSpec(gx, draw(rho), ell), SymmetricSpec(gz, draw(rho), ell))
+    k = draw(st.integers(1, ell))
+    t = draw(st.floats(1e-9, 1.0 - 1e-9))
+    dm = d_min(m, k)
+    d = dm + t * (gx - dm)
+    assume(dm + 1e-9 < d < gx - 1e-9)
+    return m, k, d
+
+
+class TestClosedFormProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(operating_points())
+    def test_lambda_resubstitution(self, point):
+        m, k, d = point
+        lam = solve_lambda_q(m, k, d)
+        assert lam > 0
+        assert abs(distortion_at_lambda(m, k, k, lam) - d) <= 1e-12 * d
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(operating_points())
+    def test_region_check(self, point):
+        m, k, d = point
+        rc = check_symmetric_rate(m, k, d)
+        assert rc.ok
+        b, required, _ = rc.constraints[-1]
+        assert b == k
+        assert required == pytest.approx(k * rc.rate, rel=1e-12)
+        vals = [0.0] + [req for _, req, _ in rc.constraints]
+        incs = [y - x for x, y in zip(vals, vals[1:])]
+        slack = 1e-12 * required
+        assert all(x <= y + slack for x, y in zip(incs, incs[1:]))

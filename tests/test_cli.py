@@ -5,7 +5,10 @@ import math
 
 import pytest
 
+from ceord import bergertung, rdcore
 from ceord.cli import main
+
+from helpers import make_model
 
 M0 = ["--gamma-x", "1", "--gamma-z", "1", "--ell", "3"]
 
@@ -72,6 +75,92 @@ class TestPoint:
         )
         code, doc, _ = run_json(capsys, "point", "--params-json", blob)
         assert code == 0 and doc["lambda_q"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "tail, message",
+        [(["{bad"], "Expecting"), ([], "needs a JSON object"), (["[1]"], "got [1]")],
+        ids=["malformed", "missing-value", "not-an-object"],
+    )
+    def test_params_json_errors_exit2(self, capsys, tail, message):
+        argv = ["point", *M0, "--k", "2", "--dk", "0.75", "--params-json", *tail]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_values_equal_library_exactly(self, capsys):
+        m = make_model(1.3, 0.37, 0.7, -0.004, 200)
+        argv = ["--gamma-x", "1.3", "--rho-x", "0.37", "--gamma-z", "0.7", "--rho-z", "-0.004"]
+        _, doc, _ = run_json(capsys, "point", *argv, "--ell", "200", "--k", "61", "--dk", "0.4")
+        assert doc["lambda_q"] == rdcore.solve_lambda_q(m, 61, 0.4)
+        assert doc["rate"] == rdcore.rate_bar(m, 61, 0.4)
+
+    def test_region_failure_exit3(self, capsys, monkeypatch):
+        monkeypatch.setattr(bergertung, "subset_mutual_info", lambda *a: 1e6)
+        code, out, err = run(capsys, "point", *M0, "--k", "2", "--dk", "0.75")
+        assert code == 3 and out == ""
+        assert "outside the rate region" in err
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "cmd, flag, value",
+        [
+            ("point", "--dk", "nan"),
+            ("point", "--gamma-z", "nan"),
+            ("point", "--gamma-z", "inf"),
+            ("point", "--gamma-x", "inf"),
+            ("point", "--rho-z", "nan"),
+            ("point", "--rho-x", "nan"),
+            ("bt-check", "--rho-z", "nan"),
+        ],
+    )
+    def test_exit2_without_nan(self, capsys, cmd, flag, value):
+        base = {"--gamma-x": "1", "--gamma-z": "1", "--ell": "3", "--k": "2", "--dk": "0.75"}
+        base[flag] = value
+        argv = [cmd] + [t for kv in base.items() for t in kv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "NaN" not in out
+        assert err.startswith("error: ") and "finite" in err
+
+
+class TestOneSolvePerOperatingPoint:
+    ARGV = ["--gamma-x", "1", "--rho-x", "0.3", "--gamma-z", "0.5", "--rho-z", "-0.1", "--ell", "6"]
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = rdcore.solve_lambda_q
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(rdcore, "solve_lambda_q", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "cmd, extra",
+        [
+            ("point", []),
+            ("region", []),
+            ("conditions", []),
+            ("verify", []),
+            ("verify", ["--j", "5"]),
+            ("bt-check", []),
+            ("simulate", ["--n", "2000", "--seed", "1"]),
+        ],
+    )
+    def test_frontier_command_solves_once(self, capsys, solves, cmd, extra):
+        code, _, _ = run(capsys, cmd, *self.ARGV, "--k", "4", "--dk", "0.6", *extra)
+        assert code in (0, 4)
+        assert len(solves) == 1
+
+    def test_sweep_solves_once_per_step(self, capsys, solves):
+        span = ["--dk-min", "0.5", "--dk-max", "0.9", "--steps", "7"]
+        code, doc, _ = run_json(capsys, "sweep", *self.ARGV, "--k", "4", *span)
+        assert code == 0 and len(doc["rows"]) == 7
+        assert len(solves) == 7
 
 
 class TestSweep:

@@ -18,7 +18,14 @@ from ceord import (
 )
 from ceord.rdcore import distortion_at_lambda, rate_at_lambda
 
-from helpers import m0, make_model, random_dk, random_model, trace_profile_oracle
+from helpers import (
+    bisect_lambda_oracle,
+    m0,
+    make_model,
+    random_dk,
+    random_model,
+    trace_profile_oracle,
+)
 
 
 class TestSolveLambdaQ:
@@ -57,6 +64,52 @@ class TestSolveLambdaQ:
         grid = np.linspace(lo + 0.01, 1 - 0.01, 50)
         lams = [solve_lambda_q(m, 2, d) for d in grid]
         assert all(a < b for a, b in zip(lams, lams[1:]))
+
+    def test_matches_bisection_oracle(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            m = random_model(rng, ell=int(rng.integers(2, 257)))
+            k = int(rng.integers(1, m.ell + 1))
+            d = random_dk(rng, m, k, lo_frac=1e-6, hi_frac=1 - 1e-6)
+            want = bisect_lambda_oracle(m, k, d)
+            assert solve_lambda_q(m, k, d) == pytest.approx(want, rel=1e-12)
+
+    # Each case zeroes the constant term of the quadratic, so the wrong
+    # root there is 0; resubstitution shows the positive one is returned.
+    @pytest.mark.parametrize(
+        "params, k",
+        [
+            ((1.0, 0.4, 2.0, -0.1, 4), 1),  # k = 1: no repeated mode
+            ((1.0, 1.0, 1.0, 0.2, 4), 3),  # lambda_x2 = 0
+            ((1.0, 1.0, 1.0, 1.0, 3), 2),  # lambda_s2 = 0 (rho_s = 1)
+            ((1.0, -1 / 3, 1.0, 0.1, 4), 4),  # lambda_x1 = 0 at k = ell
+            ((0.5, -1.0, 0.5, -1.0, 2), 2),  # lambda_s1 = lambda_x1 = 0
+        ],
+        ids=["k1", "x2zero", "s2zero", "x1zero", "s1zero"],
+    )
+    def test_degenerate_spectra_resubstitute(self, params, k):
+        m = make_model(*params)
+        lo = d_min(m, k)
+        for t in (1e-6, 0.3, 0.7, 1 - 1e-6):
+            d = lo + t * (m.x.gamma - lo)
+            lam = solve_lambda_q(m, k, d)
+            assert lam > 0
+            assert distortion_at_lambda(m, k, k, lam) == pytest.approx(d, rel=1e-12)
+            assert lam == pytest.approx(bisect_lambda_oracle(m, k, d), rel=1e-9)
+
+    def test_noiseless_floor(self):
+        # d_min = 0 and d_k below the resolution of gamma_x: c = k gamma_x
+        # carries no trace of d_k, the distance to d_min must
+        m = make_model(1e6, 0.5, 0.0, 0.0, 3)
+        for d in (1e-11, 1e-9, 1e-6):
+            lam = solve_lambda_q(m, 2, d)
+            assert distortion_at_lambda(m, 2, 2, lam) == pytest.approx(d, rel=1e-12)
+            assert lam == pytest.approx(bisect_lambda_oracle(m, 2, d), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dk_rejected(self, d):
+        with pytest.raises(DomainError, match="finite"):
+            solve_lambda_q(m0(), 2, d)
 
 
 class TestRateBar:
@@ -276,7 +329,7 @@ class TestDegenerate:
             degenerate_rate_s1zero(m, 0.2)
 
     def test_s2zero_matches_general_solver_exactly(self):
-        # the general bisection route also covers the rank-one spectrum
+        # the general closed-form solve also covers the rank-one spectrum
         m = make_model(1, 1.0, 1, 1.0, 3)
         for d in (0.55, 0.75, 0.95):
             rate, d3 = degenerate_rate_s2zero(m, 2, 3, d)
