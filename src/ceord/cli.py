@@ -40,7 +40,7 @@ def _csv_cell(v: Any) -> str:
 
 def _emit(args, payload: dict, rows: Optional[tuple[list[str], list[list]]] = None):
     """Write JSON (always possible) or CSV (when the command is tabular)."""
-    if args.format == "csv" and rows is not None:
+    if rows is not None and args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         header, data = rows
@@ -289,21 +289,21 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma-z", type=float, required=True)
     p.add_argument("--rho-z", type=float, default=0.0)
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None)
-    p.add_argument("--bits", action="store_true", help="report rates in bits")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=None, help="default: $CEO_RD_SEED or 0")
 
 
 _K = {"--k": dict(type=int, required=True)}
 _DK = {"--dk": dict(type=float, required=True)}
 _J = {"--j": dict(type=int, default=None)}
 _N = {"--n": dict(type=int, default=1000000)}
+_TOL = {"--tol": dict(type=float, default=1e-9)}
+_SEED = {"--seed": dict(type=int, default=None, help="default: $CEO_RD_SEED or 0")}
+_FORMAT = {"--format": dict(choices=["json", "csv"], default="json")}
+_BITS = {"--bits": dict(action="store_true", help="report rates in bits")}
 
 # subcommand: (handler, the flags it adds after the shared model flags)
 _COMMANDS = {
-    "point": (cmd_point, {**_K, **_DK}),
+    "point": (cmd_point, {**_K, **_DK, **_BITS}),
     "sweep": (
         cmd_sweep,
         {
@@ -311,20 +311,21 @@ _COMMANDS = {
             "--dk-min": dict(type=float, required=True),
             "--dk-max": dict(type=float, required=True),
             "--steps": dict(type=int, required=True),
+            **_FORMAT, **_BITS,
         },
     ),
-    "region": (cmd_region, {**_K, **_DK}),
-    "conditions": (cmd_conditions, {**_K, **_DK}),
-    "verify": (cmd_verify, {**_K, **_DK, **_J}),
-    "bt-check": (cmd_bt_check, {**_K, **_DK}),
-    "simulate": (cmd_simulate, {**_K, **_DK, **_N}),
+    "region": (cmd_region, {**_K, **_DK, **_FORMAT, **_BITS}),
+    "conditions": (cmd_conditions, {**_K, **_DK, **_BITS}),
+    "verify": (cmd_verify, {**_K, **_DK, **_J, **_TOL, **_BITS}),
+    "bt-check": (cmd_bt_check, {**_K, **_DK, **_FORMAT, **_BITS}),
+    "simulate": (cmd_simulate, {**_K, **_DK, **_N, **_SEED, **_FORMAT}),
     "decomp-check": (
         cmd_decomp_check,
         {
             **_J,
             "--lambda-w": dict(type=float, default=None),
             "--lambda-q": dict(type=float, required=True),
-            **_N,
+            **_N, **_SEED,
         },
     ),
 }

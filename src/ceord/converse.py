@@ -193,6 +193,8 @@ def verify_kkt(
     slackness products, and primal feasibility; the certificate is valid iff
     every residual is within tol and all multipliers are nonnegative.
     """
+    if not (tol > 0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     _check_case(model, k, j, case)
     lam = rdcore.solve_lambda_q(model, k, d_k)
     p = _candidate(model, k, j, lam, case)

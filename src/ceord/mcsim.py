@@ -8,6 +8,10 @@ reports: chunks are drawn one after another, each is reduced to (count,
 mean, M2) moments of every reported statistic, and the moments are merged
 in chunk order (Chan, Golub & LeVeque, 1979).  The output depends only on
 (seed, n), and memory is O(CHUNK * 3 * ell) whatever n is.
+
+Every covariance, estimator and error covariance here has one eigenvalue on
+the all-ones vector and one on its complement, so the estimators are built
+in closed form, a2*v + (a1 - a2)*mean(v): no dense covariance, no solve.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .spectra import DomainError, SourceModel, SymmetricSpec, basis, dense, eigenvalues
+from .spectra import DomainError, SourceModel, basis
 
 CHUNK = 1 << 16
 
@@ -63,6 +67,8 @@ def _chunks(n: int, seed: int, cols: int) -> Iterator[np.ndarray]:
     """The rows of the (seed, n) draw, one chunk of at most CHUNK rows at a time."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     for idx, start in enumerate(range(0, n, CHUNK)):
         yield _chunk_normals(seed, idx, min(CHUNK, n - start), cols)
 
@@ -127,11 +133,10 @@ def _check_lambda_q(lambda_q: float) -> None:
         raise DomainError(f"lambda_q must be positive and finite, got {lambda_q}")
 
 
-def _factor(spec: SymmetricSpec, j: int) -> np.ndarray:
-    """Matrix F with F F^T equal to the dense covariance (spectral square root)."""
-    ev = eigenvalues(spec, j)
-    lams = np.full(j, max(ev.lambda2, 0.0))
-    lams[0] = max(ev.lambda1, 0.0)
+def _factor(l1: float, l2: float, j: int) -> np.ndarray:
+    """Spectral square root of the j x j covariance with eigenvalues l1, l2."""
+    lams = np.full(j, max(l2, 0.0))
+    lams[0] = max(l1, 0.0)
     return basis(j) * np.sqrt(lams)
 
 
@@ -155,8 +160,8 @@ def sample(model: SourceModel, n: int, seed: int) -> SampleBatch:
     """Draw n i.i.d. realizations of (X, Z, S = X + Z)."""
     ell = model.ell
     g = _draw(n, seed, 3 * ell)
-    x = g[:, :ell] @ _factor(model.x, ell).T
-    z = g[:, ell : 2 * ell] @ _factor(model.z, ell).T
+    x = g[:, :ell] @ _factor(model.x.lambda1(ell), model.x.lambda2, ell).T
+    z = g[:, ell : 2 * ell] @ _factor(model.z.lambda1(ell), model.z.lambda2, ell).T
     return SampleBatch(n=n, seed=seed, x=x, z=z, s=x + z)
 
 
@@ -174,15 +179,15 @@ def _empirical(
     # X, V and the errors are linear in one row of the draw, so they are
     # built once as coefficient rows over its 3*ell columns
     unit = np.eye(3 * ell)
-    x = _factor(model.x, ell) @ unit[:ell]
-    z = _factor(model.z, ell) @ unit[ell : 2 * ell]
+    x = _factor(model.x.lambda1(ell), model.x.lambda2, ell) @ unit[:ell]
+    z = _factor(model.z.lambda1(ell), model.z.lambda2, ell) @ unit[ell : 2 * ell]
     v = x + z + np.sqrt(lambda_q) * unit[2 * ell :]
     errors = []
     for j in js:
-        # (Gamma_S + lq I)^{-1} Gamma_X: est.T @ v[:j] is the conditional mean of X
-        gsq = dense(model.s, j) + lambda_q * np.eye(j)
-        est = np.linalg.solve(gsq, dense(model.x, j))
-        errors.append(x[:j] - est.T @ v[:j])
+        # the conditional mean of X is (Gamma_S + lq I)^{-1} Gamma_X v, per mode
+        a1 = model.x.lambda1(j) / (model.s.lambda1(j) + lambda_q)
+        a2 = model.x.lambda2 / (model.s.lambda2 + lambda_q)
+        errors.append(x[:j] - a2 * v[:j] - (a1 - a2) * v[:j].mean(axis=0))
 
     def reduce(g: np.ndarray) -> Moments:
         return _moments(np.stack([np.mean((e @ g.T) ** 2, axis=0) for e in errors]))
@@ -223,21 +228,17 @@ def _decomposition_moments(
     """
     _check_lambda_q(lambda_q)
     ell = model.ell
-    gs = dense(model.s, j)
-    gu = gs - lambda_w * np.eye(j)
-    # spectral square root of Gamma_U (symmetric family shifted by -lambda_w)
-    ev = eigenvalues(model.s, j)
-    lams = np.full(j, ev.lambda2 - lambda_w)
-    lams[0] = ev.lambda1 - lambda_w
-    fu = basis(j) * np.sqrt(lams)
-    # coefficient rows over one row of the draw, as in _empirical
+    ls1, ls2 = model.s.lambda1(j), model.s.lambda2
+    # coefficient rows as in _empirical, with Gamma_U = Gamma_S - lambda_w I
     unit = np.eye(3 * ell)
-    u = fu @ unit[:j]
+    u = _factor(ls1 - lambda_w, ls2 - lambda_w, j) @ unit[:j]
     s = u + np.sqrt(lambda_w) * unit[ell : ell + j]
     v = s + np.sqrt(lambda_q) * unit[2 * ell : 2 * ell + j]
-    # the S-estimate (Gamma_S + lq I)^{-1} Gamma_S, then the U-estimate from it
-    to_u = np.linalg.solve(gs + lambda_q * np.eye(j), gs) @ np.linalg.solve(gs, gu)
-    eu = u - to_u.T @ v
+    # the S-estimate, then the U-estimate from it: (Gamma_S + lq I)^{-1} Gamma_U,
+    # per mode (s - lw)/(s + lq)
+    b1 = (ls1 - lambda_w) / (ls1 + lambda_q)
+    b2 = (ls2 - lambda_w) / (ls2 + lambda_q)
+    eu = u - b2 * v - (b1 - b2) * v.mean(axis=0)
     es = s - (u + lambda_w / (lambda_w + lambda_q) * (v - u))
     residuals = np.vstack([eu, es])
 
@@ -260,7 +261,8 @@ def decomposition_check(
     within 5 standard errors, and (b) that the residual covariance of S
     given (U, decoder output) is diagonal, off-diagonals within 5 SE of 0.
     """
-    bound = min(model.s.lambda1(j), model.s.lambda2)
+    ls1, ls2 = model.s.lambda1(j), model.s.lambda2
+    bound = min(ls1, ls2)
     if not 0 < lambda_w < bound:
         raise DomainError(
             f"lambda_w={lambda_w:.6g} must lie in (0, {bound:.6g}) for j={j}"
@@ -270,12 +272,10 @@ def decomposition_check(
     )
 
     # (a) error covariance of the induced U-estimate vs its closed-form image
-    gs = dense(model.s, j)
-    gu = gs - lambda_w * np.eye(j)
-    gsq = gs + lambda_q * np.eye(j)
-    d_analytic = gs - gs @ np.linalg.solve(gsq, gs)
-    b = np.linalg.solve(gs, gu)
-    sigma_pred = b.T @ d_analytic @ b + gu - gu @ b
+    # (converse.sigma_identity): per mode (s - lw)(lw + lq)/(s + lq)
+    p1 = (ls1 - lambda_w) * (lambda_w + lambda_q) / (ls1 + lambda_q)
+    p2 = (ls2 - lambda_w) * (lambda_w + lambda_q) / (ls2 + lambda_q)
+    sigma_pred = p2 * np.eye(j) + (p1 - p2) / j
     sigma_max = float((np.abs(sigma_emp - sigma_pred) / sigma_se).max())
 
     # (b) residual of S given (U, decoder output) has diagonal covariance;

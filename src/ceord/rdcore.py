@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .spectra import DomainError, InconsistencyError, SourceModel, d_min
+from .spectra import DomainError, SourceModel, d_min
 
 # Inputs closer than this to an interval endpoint are rejected, not clamped:
 # lambda_q diverges at one end and vanishes at the other.
@@ -131,34 +131,30 @@ def _shrink(lam_s: float, lam_q: float) -> float:
 
 
 def mu_nu(
-    model: SourceModel, k: int, d_k: float, cross_check: bool = False
-) -> tuple[float, float, tuple[Optional[float], ...]]:
+    model: SourceModel, k: int, d_k: float
+) -> tuple[Optional[float], Optional[float], tuple[Optional[float], ...]]:
     """The spectral shrinkage ratios (mu, nu, nu_kj for j = k..ell).
 
     mu compares the repeated-mode MMSE shrinkage against the leading-mode
     one; nu is its reciprocal; nu_kj generalizes nu to sub-dimension j.
+    A ratio whose denominator eigenvalue is 0 is None: mu when
+    lambda_s1(k) = 0, nu and every nu_kj when lambda_s2 = 0.
     """
-    return mu_nu_at_lambda(model, k, solve_lambda_q(model, k, d_k), cross_check)
+    return mu_nu_at_lambda(model, k, solve_lambda_q(model, k, d_k))
 
 
 def mu_nu_at_lambda(
-    model: SourceModel, k: int, lam: float, cross_check: bool = False
-) -> tuple[float, float, tuple[Optional[float], ...]]:
+    model: SourceModel, k: int, lam: float
+) -> tuple[Optional[float], Optional[float], tuple[Optional[float], ...]]:
     """mu_nu for a given test-channel noise variance."""
     ls1, ls2 = model.s.lambda1(k), model.s.lambda2
-    if ls1 <= 0:
-        raise DomainError("mu undefined: leading observation eigenvalue is 0")
+    mu = _shrink(ls2, lam) / _shrink(ls1, lam) if ls1 > 0 else None
+    js = range(k, model.ell + 1)
     if ls2 <= 0:
-        raise DomainError("nu undefined: repeated observation eigenvalue is 0")
-    mu = _shrink(ls2, lam) / _shrink(ls1, lam)
+        return mu, None, tuple(None for _ in js)
     nu = _shrink(ls1, lam) / _shrink(ls2, lam)
-    if cross_check:
-        # Verbatim Schur-complement form; agreement guards the simplification.
-        mu_raw = (ls2 - ls2 * ls2 / (ls2 + lam)) / (ls1 - ls1 * ls1 / (ls1 + lam))
-        if not abs(mu - mu_raw) <= 1e-12 * max(1.0, abs(mu)):
-            raise InconsistencyError(f"mu={mu!r} but its Schur form gives {mu_raw!r}")
     nu_kj = []
-    for j in range(k, model.ell + 1):
+    for j in js:
         ls1j = model.s.lambda1(j)
         nu_kj.append(_shrink(ls1j, lam) / _shrink(ls2, lam) if ls1j > 0 else 0.0)
     return mu, nu, tuple(nu_kj)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from ceord import bergertung, rdcore
+from ceord import bergertung, cli, rdcore
 from ceord.cli import main
 
 from helpers import make_model
@@ -122,6 +122,92 @@ class TestNonFiniteInputs:
         assert code == 2
         assert "NaN" not in out
         assert err.startswith("error: ") and "finite" in err
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize(
+        "flag, commands",
+        [
+            ("--tol", {"verify"}),
+            ("--seed", {"simulate", "decomp-check"}),
+            ("--format", {"sweep", "region", "bt-check", "simulate"}),
+            ("--bits", {"point", "sweep", "region", "conditions", "verify", "bt-check"}),
+        ],
+    )
+    def test_option_only_where_read(self, flag, commands):
+        have = {name for name, (_, flags) in cli._COMMANDS.items() if flag in flags}
+        assert have == commands
+
+    @pytest.mark.parametrize(
+        "cmd, extra",
+        [
+            ("point", ["--format", "csv"]),
+            ("conditions", ["--format", "csv"]),
+            ("point", ["--seed", "1"]),
+            ("verify", ["--seed", "1"]),
+            ("point", ["--tol", "1e-6"]),
+            ("simulate", ["--bits"]),
+            ("decomp-check", ["--bits"]),
+            ("decomp-check", ["--format", "csv"]),
+        ],
+    )
+    def test_unread_option_rejected(self, capsys, cmd, extra):
+        tail = ["--k", "2", "--dk", "0.75"]
+        if cmd == "decomp-check":
+            tail = ["--lambda-q", "2.0"]
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, *M0, *tail, *extra])
+        cap = capsys.readouterr()
+        assert exc.value.code == 2 and cap.out == ""
+        assert "unrecognized arguments: " + " ".join(extra) in cap.err
+
+
+class TestInvalidOptions:
+    VERIFY = ["verify", *M0, "--k", "2", "--dk", "0.75"]
+    SIMULATE = ["simulate", *M0, "--k", "2", "--dk", "0.75", "--n", "100"]
+    DECOMP = ["decomp-check", *M0, "--lambda-q", "2", "--n", "100"]
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_bad_tol_exit2(self, capsys, tol):
+        code, out, err = run(capsys, *self.VERIFY, "--tol", tol)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "tol" in err
+
+    @pytest.mark.parametrize("argv", [SIMULATE, DECOMP], ids=["simulate", "decomp"])
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_negative_seed_exit2(self, capsys, monkeypatch, argv, via_env):
+        if via_env:
+            monkeypatch.setenv("CEO_RD_SEED", "-3")
+        else:
+            argv = [*argv, "--seed", "-1"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "seed" in err
+
+
+class TestCorrelationBoundaries:
+    # rho_s = 1 (lambda_s2 = 0) and rho_s = -1/(ell-1) with k = ell (lambda_s1(k) = 0)
+    S2ZERO = [*M0, "--rho-x", "1", "--rho-z", "1", "--k", "2", "--dk", "0.75"]
+    S1ZERO = [*M0, "--rho-x", "-0.5", "--rho-z", "-0.5", "--k", "3", "--dk", "0.7"]
+
+    @pytest.mark.parametrize("cmd", ["point", "conditions"])
+    @pytest.mark.parametrize(
+        "argv, undefined",
+        [(S2ZERO, {"nu": None, "nu_kj": [None, None]}), (S1ZERO, {"mu": None})],
+        ids=["rho_s-one", "rho_s-min"],
+    )
+    def test_undefined_ratios_are_null(self, capsys, cmd, argv, undefined):
+        code, out, _ = run(capsys, cmd, *argv)
+        assert code == 0
+        assert "NaN" not in out and "Infinity" not in out
+        cond = json.loads(out)["conditions"]
+        assert {key: cond[key] for key in undefined} == undefined
+
+    def test_point_rate_matches_s2zero_closed_form(self, capsys):
+        _, doc, _ = run_json(capsys, "point", *self.S2ZERO)
+        m = make_model(1, 1, 1, 1, 3)
+        rate, _ = rdcore.degenerate_rate_s2zero(m, 2, 2, 0.75)
+        assert doc["rate"] == pytest.approx(rate, rel=1e-10)
 
 
 class TestOneSolvePerOperatingPoint:

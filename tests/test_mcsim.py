@@ -171,12 +171,17 @@ def _one_shot_residuals(model, j, lw, lq, n, seed):
 
 
 class TestStreaming:
-    def test_profile_matches_one_shot_oracle(self):
-        m = make_model(1, 0.4, 2, -0.1, 4)
+    @pytest.mark.parametrize(
+        "params",
+        [(1, 0.4, 2, -0.1, 4), (1, 1.0, 2, -0.1, 4), (1, -0.2, 0.2, -0.15, 5)],
+        ids=["rho_s-positive", "rho_x-one", "rho_s-negative"],
+    )
+    def test_profile_matches_one_shot_oracle(self, params):
+        m = make_model(*params)
         k = 2
         lam = solve_lambda_q(m, k, 0.7)
         rows = empirical_profile(m, k, lam, N_STREAM, 21)
-        assert [r.j for r in rows] == [2, 3, 4]
+        assert [r.j for r in rows] == list(range(k, m.ell + 1))
         for row in rows:
             got = [row.distortion, row.stderr]
             want = _one_shot_distortion(m, lam, row.j, N_STREAM, 21)
@@ -186,9 +191,19 @@ class TestStreaming:
                 [single.distortion, single.stderr], got, rtol=1e-12, atol=0
             )
 
-    def test_decomposition_matches_one_shot_oracle(self):
-        m = make_model(1, -0.3, 1, -0.1, 3)
-        j, lq, seed = 3, 1.3, 23
+    @pytest.mark.parametrize(
+        "params, j",
+        [
+            ((1, -0.3, 1, -0.1, 3), 3),
+            ((1, -0.3, 1, -0.1, 3), 1),
+            ((1, 0.4, 2, -0.1, 4), 4),
+            ((1, 0.4, 2, -0.1, 4), 1),
+        ],
+        ids=["rho_s-neg-j=ell", "rho_s-neg-j=1", "rho_s-pos-j=ell", "rho_s-pos-j=1"],
+    )
+    def test_decomposition_matches_one_shot_oracle(self, params, j):
+        m = make_model(*params)
+        lq, seed = 1.3, 23
         lw = 0.5 * min(m.s.lambda1(j), m.s.lambda2)
         eu, es = _one_shot_residuals(m, j, lw, lq, N_STREAM, seed)
         sig, sig_se = _cov_with_se(eu)
@@ -207,7 +222,7 @@ class TestStreaming:
             float((np.abs(sig - pred) / sig_se).max()), rel=1e-10
         )
         assert rep.delta_offdiag_max_sigmas == pytest.approx(
-            float((np.abs(dlt[off]) / dlt_se[off]).max()), rel=1e-10
+            float((np.abs(dlt[off]) / dlt_se[off]).max(initial=0.0)), rel=1e-10
         )
 
     def test_merge_equals_whole_array_moments(self):

@@ -187,13 +187,19 @@ class TestMuNu:
         assert mu == 0.0
 
     def test_schur_form_agreement(self):
-        m = make_model(1, 0.5, 1, 0, 3)
-        mu_nu(m, 3, 0.6, cross_check=True)
+        # mu against its verbatim Schur-complement form
+        cases = [(make_model(1, 0.5, 1, 0, 3), 3, 0.6)]
         rng = np.random.default_rng(8)
         for _ in range(50):
             mm = random_model(rng)
             k = int(rng.integers(1, mm.ell + 1))
-            mu_nu(mm, k, random_dk(rng, mm, k), cross_check=True)
+            cases.append((mm, k, random_dk(rng, mm, k)))
+        for m, k, d in cases:
+            lam = solve_lambda_q(m, k, d)
+            ls1, ls2 = m.s.lambda1(k), m.s.lambda2
+            mu_raw = (ls2 - ls2 * ls2 / (ls2 + lam)) / (ls1 - ls1 * ls1 / (ls1 + lam))
+            mu = mu_nu(m, k, d)[0]
+            assert abs(mu - mu_raw) <= 1e-12 * max(1.0, abs(mu))
 
     def test_reciprocity(self):
         rng = np.random.default_rng(9)
