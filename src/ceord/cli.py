@@ -52,7 +52,11 @@ def _emit(args, payload: dict, rows: Optional[tuple[list[str], list[list]]] = No
         payload = {"schema_version": SCHEMA_VERSION, **payload}
         text = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8", newline="")
+        except OSError as e:
+            raise DomainError(f"cannot write --out {args.out!r}: {e.strerror}") from None
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -101,8 +105,14 @@ def cmd_point(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.steps < 1:
+        raise DomainError(f"--steps must be >= 1, got {args.steps}")
+    if not (math.isfinite(args.dk_min) and math.isfinite(args.dk_max)):
+        raise DomainError(f"--dk-min/--dk-max must be finite, got {args.dk_min}, {args.dk_max}")
     model = _model(args)
     ks = args.k
+    if not 1 <= ks <= model.ell:
+        raise DomainError(f"k={ks} out of range [1, {model.ell}]")
     header = ["d_k", "lambda_q", "rate"] + [
         f"d_{j}" for j in range(ks, model.ell + 1)
     ] + ["cond1", "cond2"]
@@ -331,7 +341,19 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_command_args(p: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    fn, flags = _COMMANDS[command]
+    _add_model_args(p)
+    for flag, kw in flags.items():
+        p.add_argument(flag, **kw)
+    p.set_defaults(func=fn)
+    return p
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The full ``ceord`` parser, or with ``command`` that subparser alone."""
+    if command is not None:
+        return _add_command_args(argparse.ArgumentParser(prog=f"ceord {command}"), command)
     parser = argparse.ArgumentParser(
         prog="ceord",
         description=__doc__,
@@ -343,12 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON object of parameters, applied before flag parsing",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, flags) in _COMMANDS.items():
-        p = sub.add_parser(name)
-        _add_model_args(p)
-        for flag, kw in flags.items():
-            p.add_argument(flag, **kw)
-        p.set_defaults(func=fn)
+    for name in _COMMANDS:
+        _add_command_args(sub.add_parser(name), name)
     return parser
 
 
@@ -379,7 +397,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_params_json(argv)
-        args = build_parser().parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+            if extra:
+                # the full parser reports these, with its own usage line
+                build_parser().error("unrecognized arguments: " + " ".join(extra))
+        else:
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except (DomainError, ModelError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -261,6 +261,8 @@ def decomposition_check(
     within 5 standard errors, and (b) that the residual covariance of S
     given (U, decoder output) is diagonal, off-diagonals within 5 SE of 0.
     """
+    if not 1 <= j <= model.ell:
+        raise DomainError(f"j={j} out of range [1, {model.ell}]")
     ls1, ls2 = model.s.lambda1(j), model.s.lambda2
     bound = min(ls1, ls2)
     if not 0 < lambda_w < bound:

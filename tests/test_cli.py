@@ -1,14 +1,24 @@
+import argparse
+import contextlib
 import csv
 import io
 import json
 import math
+import string
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ceord import bergertung, cli, rdcore
 from ceord.cli import main
 
-from helpers import make_model
+from helpers import make_model, reference_parser
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 M0 = ["--gamma-x", "1", "--gamma-z", "1", "--ell", "3"]
 
@@ -496,3 +506,171 @@ class TestDecompCheck:
         )
         assert code == 2
         assert "lambda_w" in err
+
+
+class TestPerCommandParser:
+    POINT = ["point", *M0, "--k", "2", "--dk", "0.75"]
+
+    @pytest.mark.parametrize("cmd", [None, *cli._COMMANDS])
+    def test_help_matches_reference(self, cmd):
+        parser, subparsers = reference_parser()
+        ref = parser if cmd is None else subparsers[cmd]
+        assert cli.build_parser(cmd).format_help() == ref.format_help()
+
+    @pytest.mark.parametrize("workload", ["frontier-small", "frontier-wide"])
+    def test_namespace_matches_reference(self, workload):
+        parser, _ = reference_parser()
+        for spec in workloads.generate(workload, 7)[:150]:
+            argv = workloads.argv(spec)
+            want = vars(parser.parse_args(argv))
+            assert want.pop("command") == argv[0] and want.pop("params_json") is None
+            got, extra = cli.build_parser(argv[0]).parse_known_args(argv[1:])
+            assert extra == [] and vars(got) == want
+
+    @pytest.mark.parametrize(
+        "extra", [["--bogus"], ["--tol", "1e-6", "x"], ["--", "--k", "3"]]
+    )
+    def test_unrecognized_arguments_match_reference(self, capsys, extra):
+        argv = [*self.POINT, *extra]
+        with pytest.raises(SystemExit) as want:
+            reference_parser()[0].parse_args(argv)
+        ref = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        cap = capsys.readouterr()
+        assert got.value.code == want.value.code == 2
+        assert cap.out == ref.out == ""
+        assert cap.err == ref.err and "unrecognized arguments" in cap.err
+
+    def test_builds_only_the_commands_parser(self, capsys, monkeypatch):
+        calls = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        code, _, _ = run(capsys, *self.POINT)
+        assert code == 0
+        # -h, the six model flags, and point's own flags
+        assert len(calls) == 1 + 6 + len(cli._COMMANDS["point"][1])
+
+
+def _not_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _floats(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds).map(repr)
+
+
+def _ints(**bounds):
+    return st.integers(**bounds).map(str)
+
+
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf"])
+_NOT_A_NUMBER = st.text(string.ascii_letters, min_size=1, max_size=8).filter(_not_float)
+_BAD_RHO = _NON_FINITE | _NOT_A_NUMBER | _floats(min_value=1.01) | _floats(max_value=-0.51)
+
+# Invalid values for each flag, against the bases below (ell = 3, k = 2,
+# d_min = 0.5, gamma_x = 1, lambda_w bound 2).
+BAD_VALUES = {
+    "--gamma-x": _NON_FINITE | _NOT_A_NUMBER | _floats(max_value=0.0),
+    "--gamma-z": _NON_FINITE | _NOT_A_NUMBER | _floats(max_value=-1e-9),
+    "--rho-x": _BAD_RHO,
+    "--rho-z": _BAD_RHO,
+    "--ell": _NOT_A_NUMBER | _ints(max_value=1) | st.just("2.5"),
+    "--k": _NOT_A_NUMBER | _ints(max_value=0) | _ints(min_value=4),
+    "--dk": _NON_FINITE | _NOT_A_NUMBER | _floats(max_value=0.5) | _floats(min_value=1.0),
+    "--dk-min": _NON_FINITE | _NOT_A_NUMBER,
+    "--dk-max": _NON_FINITE | _NOT_A_NUMBER,
+    "--steps": _NOT_A_NUMBER | _ints(max_value=0),
+    "--j": _NOT_A_NUMBER | _ints(max_value=0) | _ints(min_value=4),
+    "--tol": _NON_FINITE | _NOT_A_NUMBER | _floats(max_value=0.0),
+    "--n": _NOT_A_NUMBER | _ints(max_value=1),
+    "--seed": _NOT_A_NUMBER | _ints(max_value=-1),
+    "--format": st.text(string.ascii_letters, min_size=1).filter(lambda f: f not in ("json", "csv")),
+    "--lambda-w": _NON_FINITE | _NOT_A_NUMBER | _floats(max_value=0.0) | _floats(min_value=2.0),
+    "--lambda-q": _NON_FINITE | _NOT_A_NUMBER | _floats(max_value=0.0),
+}
+
+_MODEL = {"--gamma-x": "1", "--rho-x": "0", "--gamma-z": "1", "--rho-z": "0", "--ell": "3"}
+_POINT = {**_MODEL, "--k": "2", "--dk": "0.75"}
+VALID_BASES = {
+    "point": _POINT,
+    "region": {**_POINT, "--format": "json"},
+    "conditions": _POINT,
+    "verify": {**_POINT, "--j": "2", "--tol": "1e-9"},
+    "bt-check": {**_POINT, "--format": "json"},
+    "sweep": {**_MODEL, "--k": "2", "--dk-min": "0.6", "--dk-max": "0.9", "--steps": "3"},
+    "simulate": {**_POINT, "--n": "100", "--seed": "1", "--format": "json"},
+    "decomp-check": {
+        **_MODEL, "--j": "3", "--lambda-w": "1", "--lambda-q": "2", "--n": "100", "--seed": "1"
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def unwritable(tmp_path_factory):
+    """Two --out targets open() refuses: a file in a missing directory, a directory."""
+    root = tmp_path_factory.mktemp("out")
+    return [str(root / "missing" / "x.json"), str(root)]
+
+
+class TestExitCodeContract:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_one_bad_value_exits_2_with_empty_stdout(self, unwritable, data):
+        cmd = data.draw(st.sampled_from(sorted(VALID_BASES)), label="command")
+        flag = data.draw(st.sampled_from([*VALID_BASES[cmd], "--out"]), label="flag")
+        bad = st.sampled_from(unwritable) if flag == "--out" else BAD_VALUES[flag]
+        flags = {**VALID_BASES[cmd], flag: data.draw(bad, label="value")}
+        # "--flag=value", so that a negative value is not read as an option
+        argv = [cmd] + [f"{f}={v}" for f, v in flags.items()]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+        assert code == 2, err.getvalue()
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("j", ["0", "-1", "4", "7"])
+    def test_decomp_check_j_out_of_range(self, capsys, j):
+        code, out, err = run(capsys, "decomp-check", *M0, "--lambda-q", "2", "--n", "100", "--j", j)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and f"j={j} out of range [1, 3]" in err
+
+    @pytest.mark.parametrize(
+        "span, message",
+        [
+            (["--dk-min", "0.6", "--dk-max", "0.9", "--steps", "0"], "--steps"),
+            (["--dk-min", "0.6", "--dk-max", "0.9", "--steps", "-2"], "--steps"),
+            (["--dk-min", "nan", "--dk-max", "0.9", "--steps", "3"], "finite"),
+            (["--dk-min", "0.6", "--dk-max", "inf", "--steps", "3"], "finite"),
+        ],
+    )
+    def test_sweep_empty_or_non_finite_range(self, capsys, span, message):
+        code, out, err = run(capsys, "sweep", *M0, "--k", "2", *span)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("k", ["0", "4"])
+    def test_sweep_k_out_of_range(self, capsys, k):
+        span = ["--dk-min", "0.6", "--dk-max", "0.9", "--steps", "3"]
+        code, out, err = run(capsys, "sweep", *M0, "--k", k, *span)
+        assert code == 2 and out == ""
+        assert f"k={k} out of range" in err
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "point", *M0, "--k", "2", "--dk", "0.75", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(target) in err
+        assert not target.parent.exists()
