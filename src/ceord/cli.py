@@ -118,6 +118,7 @@ def cmd_sweep(args) -> int:
     ] + ["cond1", "cond2"]
     data = []
     records = []
+    skipped = []
     for i in range(args.steps):
         if args.steps == 1:
             d = args.dk_min
@@ -127,11 +128,15 @@ def cmd_sweep(args) -> int:
             pt = bergertung.achievable_point(model, ks, d)
             rep = rdcore.conditions_at_lambda(model, ks, pt.lambda_q)
         except DomainError as e:
-            print(f"warning: skipping d_k={d:.12g}: {e}", file=sys.stderr)
+            skipped.append(f"d_k={d:.12g}: {e}")
             continue
         row = [d, pt.lambda_q, _rate(args, pt.rate), *pt.profile, rep.cond1, rep.cond2]
         data.append(row)
         records.append(dict(zip(header, row)))
+    if not data:
+        raise DomainError(f"no sweep point lies in (d_min, gamma_x); first skipped {skipped[0]}")
+    for reason in skipped:
+        print(f"warning: skipping {reason}", file=sys.stderr)
     _emit(args, {"model": _model_dict(model), "k": ks, "rows": records}, (header, data))
     return 0
 

@@ -265,12 +265,11 @@ def solve_numeric(
 
     The objective never benefits from slack in d2 or delta, so the problem
     collapses to one dimension: for each d1, push d2 to the distortion
-    budget and delta to its caps.  The reduced function is scanned on a
-    grid and polished with a bounded scalar minimizer.
+    budget and delta to its caps.  A partial minimum of a jointly convex
+    program is convex, so the reduced function is unimodal in d1 and one
+    golden-section search finds its minimum (Kiefer, 1953).  The search
+    never reads lambda_q or the candidate it is checked against.
     """
-    # scipy.optimize takes most of a second to import; only this oracle needs it
-    from scipy.optimize import minimize_scalar
-
     _check_case(model, k, j, case)
     rdcore._check_dk(model, k, d_k)
     lx1, ls1 = model.x.lambda1(k), model.s.lambda1(k)
@@ -302,23 +301,24 @@ def solve_numeric(
         return _eta(model, k, lw, p)
 
     hi = ls1 if a1_coef == 0 else min(ls1, budget / a1_coef)
-    grid = np.linspace(hi * 1e-9, hi * (1.0 - 1e-12), 257)
-    vals = [reduced(t) for t in grid]
-    best = int(np.argmin(vals))
-    lo_b = grid[max(0, best - 1)]
-    hi_b = grid[min(len(grid) - 1, best + 1)]
-    res = minimize_scalar(
-        reduced,
-        bounds=(lo_b, hi_b),
-        method="bounded",
-        options={"xatol": 1e-13 * hi, "maxiter": 500},
-    )
-    d1_best, f_best = res.x, res.fun
-    # endpoints of the bracket can beat a flat interior estimate
-    for t in (lo_b, hi_b, hi):
-        ft = reduced(t)
-        if ft < f_best:
-            d1_best, f_best = t, ft
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = hi * 1e-9, hi * (1.0 - 1e-12)
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = reduced(c), reduced(d)
+    while b - a > 1e-13 * hi:
+        if fc <= fd:  # the minimum lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = reduced(c)
+        else:  # the minimum lies in [c, b]
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = reduced(d)
+    d1_best, f_best = (c, fc) if fc <= fd else (d, fd)
+    # the search never evaluates the top of the box, where the minimum may sit
+    f_hi = reduced(hi)
+    if f_hi < f_best:
+        d1_best, f_best = hi, f_hi
     return expand(d1_best), f_best
 
 

@@ -272,6 +272,9 @@ def decomposition_check(
     sigma_emp, sigma_se, delta_emp, delta_se = _decomposition_moments(
         model, j, lambda_w, lambda_q, n, seed
     )
+    off = ~np.eye(j, dtype=bool)
+    if not (sigma_se.all() and delta_se[off].all()):
+        raise DomainError(f"lambda_q={lambda_q:.6g} is too small: a z-score's standard error is 0")
 
     # (a) error covariance of the induced U-estimate vs its closed-form image
     # (converse.sigma_identity): per mode (s - lw)(lw + lq)/(s + lq)
@@ -282,7 +285,6 @@ def decomposition_check(
 
     # (b) residual of S given (U, decoder output) has diagonal covariance;
     # at j = 1 there is no off-diagonal entry to test
-    off = ~np.eye(j, dtype=bool)
     delta_max = float((np.abs(delta_emp[off]) / delta_se[off]).max(initial=0.0))
 
     return DecompositionReport(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceord import bergertung, cli, rdcore
+from ceord import bergertung, cli, converse, rdcore
 from ceord.cli import main
 
 from helpers import make_model, reference_parser
@@ -213,6 +213,21 @@ class TestCorrelationBoundaries:
         cond = json.loads(out)["conditions"]
         assert {key: cond[key] for key in undefined} == undefined
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(S2ZERO, "case P needs"), (S1ZERO, "case P-hat needs")],
+        ids=["rho_s-one", "rho_s-min"],
+    )
+    def test_verify_exits_2_naming_the_case(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message} ")
+
+    def test_verify_noiseless_model_is_valid(self, capsys):
+        argv = ["--gamma-x", "1", "--gamma-z", "0", "--ell", "3", "--k", "2", "--dk", "0.75"]
+        code, doc, _ = run_json(capsys, "verify", *argv)
+        assert code == 0 and doc["status"] == "valid"
+
     def test_point_rate_matches_s2zero_closed_form(self, capsys):
         _, doc, _ = run_json(capsys, "point", *self.S2ZERO)
         m = make_model(1, 1, 1, 1, 3)
@@ -394,6 +409,23 @@ class TestVerify:
     def test_j_defaults_to_k(self, capsys):
         _, doc, _ = run_json(capsys, "verify", *M0, "--k", "2", "--dk", "0.75")
         assert doc["j"] == 2
+
+    def test_oracle_evaluations_bounded(self, capsys, monkeypatch):
+        calls = []
+        eta = converse._eta
+
+        def counted(*args):
+            calls.append(args)
+            return eta(*args)
+
+        monkeypatch.setattr(converse, "_eta", counted)
+        code, _, _ = run(capsys, "verify", *M0, "--k", "2", "--dk", "0.75")
+        assert code == 0
+        # golden-section search shrinks its bracket by 1/phi per evaluation,
+        # from about hi to 1e-13 * hi; beyond that, its two first probes, the
+        # probe at hi and the certificate's own objective
+        iterations = math.ceil(math.log(1e13) / math.log((1 + math.sqrt(5)) / 2))
+        assert len(calls) <= iterations + 5
 
 
 class TestBTCheck:
@@ -647,6 +679,13 @@ class TestExitCodeContract:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and f"j={j} out of range [1, 3]" in err
 
+    @pytest.mark.parametrize("lambda_q, n", [("5e-324", "100"), ("1e-300", "1000"), ("1e-200", "1000")])
+    def test_decomp_check_tiny_lambda_q(self, capsys, lambda_q, n):
+        # a standard error underflows to 0 and a z-score would be NaN or Infinity
+        code, out, err = run(capsys, "decomp-check", *M0, f"--lambda-q={lambda_q}", "--n", n)
+        assert code == 2 and out == ""
+        assert err.startswith("error: lambda_q=") and "NaN" not in err and "Infinity" not in err
+
     @pytest.mark.parametrize(
         "span, message",
         [
@@ -654,6 +693,7 @@ class TestExitCodeContract:
             (["--dk-min", "0.6", "--dk-max", "0.9", "--steps", "-2"], "--steps"),
             (["--dk-min", "nan", "--dk-max", "0.9", "--steps", "3"], "finite"),
             (["--dk-min", "0.6", "--dk-max", "inf", "--steps", "3"], "finite"),
+            (["--dk-min", "0.2", "--dk-max", "0.4", "--steps", "3"], "no sweep point"),
         ],
     )
     def test_sweep_empty_or_non_finite_range(self, capsys, span, message):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ceord import (
     CASE_P,
@@ -25,7 +27,8 @@ from ceord import (
     solve_numeric,
     verify_kkt,
 )
-from ceord.converse import _distortion_lhs
+from ceord.converse import _delta_cap, _distortion_lhs, _eta
+from ceord.rdcore import rate_at_lambda
 
 from helpers import m0, make_model, random_dk, random_model
 
@@ -234,6 +237,124 @@ class TestSolveNumeric:
                 obj = objective_eta_hat(m, k, j, cand)
             _, f = solve_numeric(m, k, j, d, case)
             assert f <= obj + 1e-8
+
+
+def reference_reduced(m, k, j, d, case):
+    """The oracle's reduced objective in d1, rebuilt from the program's pieces.
+
+    For each d1, d2 takes the rest of the distortion budget and delta the
+    smaller of its caps; infeasible d1 map to +inf.  Returns the function and
+    the top of its box, hi.
+    """
+    lx1, ls1 = m.x.lambda1(k), m.s.lambda1(k)
+    lx2, ls2 = m.x.lambda2, m.s.lambda2
+    lw = ls2 if case == CASE_P else m.s.lambda1(j)
+    a1 = lx1**2 / ls1**2
+    a2 = (k - 1) * lx2**2 / ls2**2
+    budget = k * d - _distortion_lhs(m, k, 0.0, 0.0)
+
+    def reduced(d1):
+        d2 = min(ls2, (budget - a1 * d1) / a2) if a2 > 0 else ls2
+        if d1 <= 0 or d1 > ls1 or a1 * d1 > budget or d2 <= 0:
+            return math.inf
+        cap2 = d2 if case == CASE_P else _delta_cap(d2, lw, ls2)
+        delta = min(_delta_cap(d1, lw, ls1), cap2)
+        return _eta(m, k, lw, FeasiblePoint(d1, d2, delta)) if delta > 0 else math.inf
+
+    return reduced, (ls1 if a1 == 0 else min(ls1, budget / a1))
+
+
+def reference_solve_numeric(m, k, j, d, case):
+    """The former oracle's optimum: a 257-point grid, then scipy's bounded
+    Brent search on the bracket around the best grid point, then the bracket
+    ends and hi."""
+    minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+    reduced, hi = reference_reduced(m, k, j, d, case)
+    grid = np.linspace(hi * 1e-9, hi * (1.0 - 1e-12), 257)
+    best = int(np.argmin([reduced(t) for t in grid]))
+    lo_b, hi_b = grid[max(0, best - 1)], grid[min(len(grid) - 1, best + 1)]
+    res = minimize_scalar(
+        reduced, bounds=(lo_b, hi_b), method="bounded",
+        options={"xatol": 1e-13 * hi, "maxiter": 500},
+    )
+    return min([res.fun] + [reduced(t) for t in (lo_b, hi_b, hi)])
+
+
+@st.composite
+def oracle_instances(draw):
+    """A random model with rho_s of either sign, and (k, j, d_k) inside it."""
+    ell = draw(st.integers(2, 8), label="ell")
+    # rho_s >= 0 gives program P at every j, rho_s < 0 program P-hat
+    bound = 0.95 if draw(st.booleans(), label="rho_s >= 0") else -0.95 / (ell - 1)
+    gx = draw(st.floats(0.3, 3.0), label="gamma_x")
+    gz = draw(st.floats(0.05, 3.0), label="gamma_z")
+    rx = bound * draw(st.floats(0.0, 1.0), label="rho_x / bound")
+    rz = bound * draw(st.floats(0.0, 1.0), label="rho_z / bound")
+    m = make_model(gx, rx, gz, rz, ell)
+    k = draw(st.integers(1, ell), label="k")
+    j = draw(st.integers(k, ell), label="j")
+    lo = d_min(m, k)
+    d = lo + draw(st.floats(0.05, 0.95), label="d_k fraction") * (m.x.gamma - lo)
+    return m, k, j, d
+
+
+class TestGoldenSectionOracle:
+    def test_reduced_objective_is_convex(self):
+        # the premise of the golden-section search: no negative second
+        # difference of the reduced objective on a fine grid
+        rng = np.random.default_rng(42)
+        for i in range(100):
+            m = random_model(rng, rho_s_sign="+-"[i % 2])
+            k = int(rng.integers(1, m.ell + 1))
+            d = random_dk(rng, m, k, lo_frac=0.01, hi_frac=0.99)
+            j = int(rng.integers(k, m.ell + 1))
+            reduced, hi = reference_reduced(m, k, j, d, select_case(m, j))
+            f = np.array([reduced(t) for t in np.linspace(hi * 1e-9, hi * (1 - 1e-12), 401)])
+            assert np.isfinite(f).all()
+            assert (f[:-2] - 2 * f[1:-1] + f[2:]).min() >= 0.0
+
+    def test_matches_reduced_objective(self):
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            m = random_model(rng)
+            k = int(rng.integers(1, m.ell + 1))
+            d = random_dk(rng, m, k)
+            j = int(rng.integers(k, m.ell + 1))
+            case = select_case(m, j)
+            pt, f = solve_numeric(m, k, j, d, case)
+            reduced, _ = reference_reduced(m, k, j, d, case)
+            assert f == reduced(pt.d1)
+
+    def test_never_above_reference_on_criterion_4_instances(self):
+        # the instances of acceptance criterion 4 (same generator and seed)
+        rng = np.random.default_rng(104)
+        checked = 0
+        while checked < 200:
+            m = random_model(rng, ell=int(rng.integers(2, 6)))
+            k = int(rng.integers(1, m.ell + 1))
+            d = random_dk(rng, m, k, lo_frac=0.1, hi_frac=0.9)
+            j = int(rng.integers(k, m.ell + 1))
+            case = select_case(m, j)
+            mult = kkt_multipliers(m, k, j, d, case)
+            if min(mult.b1, mult.b2) < 1e-8:
+                continue
+            _, f = solve_numeric(m, k, j, d, case)
+            assert f <= reference_solve_numeric(m, k, j, d, case) + 1e-12
+            checked += 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(instance=oracle_instances())
+    def test_agrees_with_certificate(self, instance):
+        m, k, j, d = instance
+        case = select_case(m, j)
+        cert = verify_kkt(m, k, j, d, case)
+        pt, f = solve_numeric(m, k, j, d, case)
+        # the candidate is feasible; where the minimum sits at the top of the
+        # box the search stops 1e-12 * hi short of it
+        assert f <= cert.objective + 1e-11
+        if min(cert.multipliers.b1, cert.multipliers.b2) >= 1e-8:
+            assert abs(f - rate_at_lambda(m, k, cert.lambda_q)) <= 1e-6
+            assert abs(pt.delta - cert.point.delta) <= 1e-5
 
 
 class TestDjLowerBound:

@@ -1,10 +1,14 @@
 """Checks on the library source itself."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "ceord").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "ceord").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
@@ -33,3 +37,38 @@ def test_mcsim_has_no_dense_algebra():
         if isinstance(node, ast.Attribute) and node.attr == "linalg"
     ]
     assert not linalg, f"mcsim.py: np.linalg at line(s) {linalg}"
+
+
+def test_library_does_not_import_scipy():
+    # numpy is the only runtime dependency; scipy belongs to the test references
+    found = []
+    for path in SRC:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert not found, f"scipy imported at {found}"
+
+
+def test_verify_leaves_scipy_unloaded():
+    # a fresh interpreter, so that no other test has imported scipy already
+    script = (
+        "import sys; from ceord.cli import main; "
+        "rc = main(['verify', '--gamma-x', '1', '--gamma-z', '1', '--ell', '3', "
+        "'--k', '2', '--dk', '0.75']); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr); "
+        "sys.exit(rc)"
+    )
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"status": "valid"' in proc.stdout
+    assert proc.stderr.strip() == "[]"
