@@ -1,11 +1,13 @@
 """Converse machinery: convex programs, KKT certificates, and matrix bounds.
 
-The lower-bound argument reduces to a three-variable convex program over
+The lower-bound argument reduces to one three-variable convex program over
 (d1, d2, delta): per-mode distortion surrogates for the observations plus a
-per-encoder residual.  Two variants exist depending on which observation
-eigenvalue is smaller ("P" when the repeated eigenvalue is the bottleneck,
-"P-hat" when the leading one is).  The closed-form candidate minimizer and
-its multipliers are checked against an independent numerical minimizer.
+per-encoder residual, with the fictitious residual noise lambda_W taken at
+the smaller observation eigenvalue, min(lambda_s1(j), lambda_s2).  The
+paper's programs P and P-hat are this program at lambda_W = lambda_s2 and
+at lambda_W = lambda_s1(j); the case label only names which one is the
+minimum.  The closed-form candidate minimizer and its multipliers are
+checked against an independent numerical minimizer.
 """
 from __future__ import annotations
 
@@ -78,7 +80,7 @@ def _check_case(model: SourceModel, k: int, j: int, case: str) -> None:
 
 
 def _lw(model: SourceModel, j: int, case: str) -> float:
-    """The residual-noise level the program is taken at (limit value)."""
+    """The residual-noise level, at its limit min(lambda_s1(j), lambda_s2)."""
     return model.s.lambda2 if case == CASE_P else model.s.lambda1(j)
 
 
@@ -125,8 +127,7 @@ def _candidate(
 ) -> FeasiblePoint:
     d1 = _harmonic(model.s.lambda1(k), lam)
     d2 = _harmonic(model.s.lambda2, lam)
-    delta = d2 if case == CASE_P else _harmonic(model.s.lambda1(j), lam)
-    return FeasiblePoint(d1=d1, d2=d2, delta=delta)
+    return FeasiblePoint(d1=d1, d2=d2, delta=_harmonic(_lw(model, j, case), lam))
 
 
 def _distortion_lhs(model: SourceModel, k: int, d1: float, d2: float) -> float:
@@ -147,12 +148,10 @@ def kkt_multipliers(
     negative b-values are returned as-is and signal that the matching
     condition fails rather than raising.
     """
-    return _multipliers(model, k, candidate_minimizer(model, k, j, d_k, case), case)
+    return _multipliers(model, k, candidate_minimizer(model, k, j, d_k, case))
 
 
-def _multipliers(
-    model: SourceModel, k: int, p: FeasiblePoint, case: str
-) -> Multipliers:
+def _multipliers(model: SourceModel, k: int, p: FeasiblePoint) -> Multipliers:
     lx1, ls1 = model.x.lambda1(k), model.s.lambda1(k)
     lx2, ls2 = model.x.lambda2, model.s.lambda2
     a1_coef = lx1**2 / ls1**2
@@ -160,23 +159,24 @@ def _multipliers(
     c = (p.d1 + (k - 1) * p.d2) / (
         a1_coef * p.d1**2 + (k - 1) * a2_coef * p.d2**2
     ) / (2 * k)
-    if case == CASE_P:
-        b1 = (p.d2 - p.d1 + 2 * k * c * a1_coef * p.d1**2) / (2 * k * p.d2**2)
-        b2 = (k - 1) * c * a2_coef
-    else:
-        b1 = (p.delta - p.d1 + 2 * k * c * a1_coef * p.d1**2) / (2 * k * p.delta**2)
-        b2 = (
-            (k - 1) * (p.delta - p.d2) + 2 * k * (k - 1) * c * a2_coef * p.d2**2
-        ) / (2 * k * p.delta**2)
-    return Multipliers(a1=0.0, a2=0.0, b1=b1, b2=b2, c=c)
+
+    def b(mult: int, d: float, coef: float) -> float:
+        return mult * (p.delta - d + 2 * k * c * coef * d**2) / (2 * k * p.delta**2)
+
+    return Multipliers(
+        a1=0.0, a2=0.0, b1=b(1, p.d1, a1_coef), b2=b(k - 1, p.d2, a2_coef), c=c
+    )
 
 
 def _delta_cap(d: float, lw: float, ls: float) -> float:
-    """Upper bound on delta from the estimator-composition constraint."""
-    inv = 1.0 / d + 1.0 / lw - 1.0 / ls
-    if inv <= 0:
+    """Upper bound on delta from the estimator-composition constraint.
+
+    (1/d + 1/lw - 1/ls)^-1, written so that it is exactly d when lw == ls.
+    """
+    den = 1.0 + d * (1.0 / lw - 1.0 / ls)
+    if den <= 0:
         return math.inf
-    return 1.0 / inv
+    return d / den
 
 
 def verify_kkt(
@@ -198,33 +198,26 @@ def verify_kkt(
     _check_case(model, k, j, case)
     lam = rdcore.solve_lambda_q(model, k, d_k)
     p = _candidate(model, k, j, lam, case)
-    m = _multipliers(model, k, p, case)
+    m = _multipliers(model, k, p)
     lx1, ls1 = model.x.lambda1(k), model.s.lambda1(k)
     lx2, ls2 = model.x.lambda2, model.s.lambda2
-    ls1j = model.s.lambda1(j)
     lw = _lw(model, j, case)
     a1_coef = lx1**2 / ls1**2
     a2_coef = lx2**2 / ls2**2
 
     cap1 = _delta_cap(p.d1, lw, ls1)
-    cap2 = p.d2 if case == CASE_P else _delta_cap(p.d2, lw, ls2)
+    cap2 = _delta_cap(p.d2, lw, ls2)
 
-    # Stationarity in d1: shared shape across both cases, lw differing.
-    stat_d1 = (
-        (lw - ls1) / (2 * k * ((ls1 - lw) * p.d1 + ls1 * lw))
-        + m.a1
-        - m.b1 * (1.0 + p.d1 / lw - p.d1 / ls1) ** -2
-        + m.c * a1_coef
-    )
-    if case == CASE_P:
-        stat_d2 = m.a2 - m.b2 + m.c * (k - 1) * a2_coef
-    else:
-        stat_d2 = (
-            (k - 1) * (lw - ls2) / (2 * k * ((ls2 - lw) * p.d2 + ls2 * lw))
-            + m.a2
-            - m.b2 * (1.0 + p.d2 / lw - p.d2 / ls2) ** -2
-            + m.c * (k - 1) * a2_coef
+    def stationarity(mult, d, ls, a, b, coef):  # in d1 (mult 1) or d2 (mult k-1)
+        return (
+            mult * (lw - ls) / (2 * k * ((ls - lw) * d + ls * lw))
+            + a
+            - b * (1.0 + d * (1.0 / lw - 1.0 / ls)) ** -2
+            + m.c * mult * coef
         )
+
+    stat_d1 = stationarity(1, p.d1, ls1, m.a1, m.b1, a1_coef)
+    stat_d2 = stationarity(k - 1, p.d2, ls2, m.a2, m.b2, a2_coef)
     stat_delta = -1.0 / (2 * p.delta) + m.b1 + m.b2
 
     residuals = {
@@ -290,8 +283,7 @@ def solve_numeric(
             d2 = ls2
         if d2 <= 0:
             return None
-        cap2 = d2 if case == CASE_P else _delta_cap(d2, lw, ls2)
-        delta = min(_delta_cap(d1, lw, ls1), cap2)
+        delta = min(_delta_cap(d1, lw, ls1), _delta_cap(d2, lw, ls2))
         return FeasiblePoint(d1=d1, d2=d2, delta=delta)
 
     def reduced(d1: float) -> float:
@@ -301,6 +293,8 @@ def solve_numeric(
         return _eta(model, k, lw, p)
 
     hi = ls1 if a1_coef == 0 else min(ls1, budget / a1_coef)
+    if a1_coef * hi > budget:  # rounded up past the budget: keep the probe feasible
+        hi = math.nextafter(hi, 0.0)
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = hi * 1e-9, hi * (1.0 - 1e-12)
     c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
@@ -329,20 +323,15 @@ def dj_lower_bound(
     _check_case(model, k, j, case)
     if delta <= 0:
         raise DomainError(f"delta must be > 0, got {delta}")
-    lx1, lz1, ls1 = model.x.lambda1(j), model.z.lambda1(j), model.s.lambda1(j)
+    lx1, ls1 = model.x.lambda1(j), model.s.lambda1(j)
     lx2, ls2 = model.x.lambda2, model.s.lambda2
-    if case == CASE_P:
-        inv = 1.0 / delta + 1.0 / ls1 - 1.0 / ls2
-        if inv <= 0:
-            raise DomainError("nonpositive inner inverse in lower bound")
-        t1 = lx1**2 / ls1**2 / inv + lx1 - lx1**2 / ls1
-        t2 = lx2**2 / ls2**2 * delta + lx2 - lx2**2 / ls2
-    else:
-        inv = 1.0 / delta + 1.0 / ls2 - 1.0 / ls1
-        if inv <= 0:
-            raise DomainError("nonpositive inner inverse in lower bound")
-        t1 = lx1**2 / ls1**2 * delta + lx1 - lx1**2 / ls1
-        t2 = lx2**2 / ls2**2 / inv + lx2 - lx2**2 / ls2
+    lw = _lw(model, j, case)
+    # per mode, the d that delta caps: (1/delta + 1/ls - 1/lw)^-1
+    e1, e2 = _delta_cap(delta, ls1, lw), _delta_cap(delta, ls2, lw)
+    if math.isinf(e1) or math.isinf(e2):
+        raise DomainError("nonpositive inner inverse in lower bound")
+    t1 = lx1**2 / ls1**2 * e1 + lx1 - lx1**2 / ls1
+    t2 = lx2**2 / ls2**2 * e2 + lx2 - lx2**2 / ls2
     return t1 / j + (j - 1) * t2 / j
 
 

@@ -160,16 +160,22 @@ def mu_nu_at_lambda(
     return mu, nu, tuple(nu_kj)
 
 
-def _cond1_value(model: SourceModel, k: int, mu: float) -> float:
+def _quadratic(
+    model: SourceModel, k: int, branch: str
+) -> tuple[float, float, float, float]:
+    """(A, C, num, den): the matching condition A t(t - 1) + C >= 0 in t = mu
+    (cond1) or t = nu (cond2), and the limit num/den of t at maximal distortion.
+    """
     lx1, lx2 = model.x.lambda1(k), model.x.lambda2
     ls1, ls2 = model.s.lambda1(k), model.s.lambda2
-    return (k - 1) * lx2**2 * ls1**2 * mu * (mu - 1.0) + k * lx1**2 * ls2**2
+    if branch == "mu":
+        return (k - 1) * lx2**2 * ls1**2, k * lx1**2 * ls2**2, ls2, ls1
+    return lx1**2 * ls2**2, k * lx2**2 * ls1**2, ls1, ls2
 
 
-def _cond2_value(model: SourceModel, k: int, nu: float) -> float:
-    lx1, lx2 = model.x.lambda1(k), model.x.lambda2
-    ls1, ls2 = model.s.lambda1(k), model.s.lambda2
-    return lx1**2 * ls2**2 * nu * (nu - 1.0) + k * lx2**2 * ls1**2
+def _quadratic_value(model: SourceModel, k: int, branch: str, t: float) -> float:
+    a, c, _, _ = _quadratic(model, k, branch)
+    return a * t * (t - 1.0) + c
 
 
 def _cond3_value(model: SourceModel, k: int, nu: float, nu_kj: float) -> float:
@@ -191,38 +197,22 @@ def _cond4_value(model: SourceModel, k: int, nu: float, nu_kj: float) -> float:
 def classify_regime(model: SourceModel, k: int) -> RegimeReport:
     """Case split on where the matching condition can hold over the d-range.
 
-    For rho_s >= 0 the condition is a quadratic in mu; if its discriminant is
-    nonpositive it holds for every distortion ("always").  Otherwise the two
-    roots in [0, 1] are compared against the limiting value of mu at maximal
-    distortion.  Mirrored in nu for rho_s <= 0.
+    The condition is a quadratic A t(t - 1) + C in t = mu for rho_s >= 0
+    and t = nu for rho_s < 0; if its discriminant is nonpositive it holds
+    for every distortion ("always").  Otherwise the two roots in [0, 1] are
+    compared against the limiting value of t at maximal distortion.
     """
     if not 1 <= k <= model.ell:
         raise DomainError(f"k={k} out of range [1, {model.ell}]")
-    ls1, ls2 = model.s.lambda1(k), model.s.lambda2
-    lx1, lx2 = model.x.lambda1(k), model.x.lambda2
-    if model.s.rho >= 0:
-        branch = "mu"
-        if ls2 <= 0 or ls1 == ls2:
-            # ratio pinned at 0 or 1; condition holds over the full range
-            return RegimeReport(branch, "always", None)
-        lhs = (k - 1) * lx2**2 * ls1**2
-        rhs = 4 * k * lx1**2 * ls2**2
-        if lhs <= rhs:
-            return RegimeReport(branch, "always", None)
-        disc = math.sqrt(1.0 - rhs / lhs)
-        r1, r2 = 0.5 - 0.5 * disc, 0.5 + 0.5 * disc
-        ratio = ls2 / ls1
-    else:
-        branch = "nu"
-        if ls1 <= 0 or ls1 == ls2:
-            return RegimeReport(branch, "always", None)
-        lhs = lx1**2 * ls2**2
-        rhs = 4 * k * lx2**2 * ls1**2
-        if lhs <= rhs:
-            return RegimeReport(branch, "always", None)
-        disc = math.sqrt(1.0 - rhs / lhs)
-        r1, r2 = 0.5 - 0.5 * disc, 0.5 + 0.5 * disc
-        ratio = ls1 / ls2
+    branch = "mu" if model.s.rho >= 0 else "nu"
+    lhs, c, num, den = _quadratic(model, k, branch)
+    rhs = 4 * c
+    # a ratio pinned at 0 or 1, or no real roots: holds over the full range
+    if num <= 0 or num == den or lhs <= rhs:
+        return RegimeReport(branch, "always", None)
+    disc = math.sqrt(1.0 - rhs / lhs)
+    r1, r2 = 0.5 - 0.5 * disc, 0.5 + 0.5 * disc
+    ratio = num / den
     if rhs == 0.0:
         # roots degenerate to (0, 1): vanishing leading signal eigenvalue
         return RegimeReport(branch, "degenerate-x", (r1, r2))
@@ -246,9 +236,9 @@ def conditions_at_lambda(model: SourceModel, k: int, lam: float) -> ConditionRep
     """check_conditions for a given test-channel noise variance."""
     mu, nu, nu_kj = mu_nu_at_lambda(model, k, lam)
     rho_s = model.s.rho
-    cond1 = _cond1_value(model, k, mu) >= 0 if rho_s >= 0 else None
+    cond1 = _quadratic_value(model, k, "mu", mu) >= 0 if rho_s >= 0 else None
     if rho_s <= 0:
-        cond2 = _cond2_value(model, k, nu) >= 0
+        cond2 = _quadratic_value(model, k, "nu", nu) >= 0
         cond3 = tuple(
             _cond3_value(model, k, nu, v) >= 0 if v is not None else None
             for v in nu_kj

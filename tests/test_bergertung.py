@@ -14,6 +14,7 @@ from ceord import (
     check_symmetric_rate,
     d_min,
     dense,
+    distortion_profile,
     rate_bar,
     solve_lambda_q,
     subset_mutual_info,
@@ -175,3 +176,17 @@ class TestClosedFormProperties:
         incs = [y - x for x, y in zip(vals, vals[1:])]
         slack = 1e-12 * required
         assert all(x <= y + slack for x, y in zip(incs, incs[1:]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(operating_points())
+    def test_profile_non_increasing_in_j(self, point):
+        m, k, d = point
+        prof = distortion_profile(m, k, d)
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(prof, prof[1:]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(operating_points(), st.floats(1e-3, 0.5))
+    def test_rate_strictly_decreasing_in_dk(self, point, s):
+        m, k, d = point
+        # a larger distortion, at least 5e-10 below gamma_x
+        assert rate_bar(m, k, d) > rate_bar(m, k, d + s * (m.x.gamma - d))

@@ -264,6 +264,80 @@ def reference_reduced(m, k, j, d, case):
     return reduced, (ls1 if a1 == 0 else min(ls1, budget / a1))
 
 
+def reference_two_branch(m, k, j, d, case):
+    """The former per-case formulas, P and P-hat written out separately.
+
+    Returns b1, b2, the d2 stationarity residual and the second delta cap
+    at the candidate, and the lower bound on d_j as a function of delta.
+    """
+    lx1, ls1 = m.x.lambda1(k), m.s.lambda1(k)
+    lx2, ls2 = m.x.lambda2, m.s.lambda2
+    p = candidate_minimizer(m, k, j, d, case)
+    c = kkt_multipliers(m, k, j, d, case).c
+    a1 = lx1**2 / ls1**2
+    a2 = lx2**2 / ls2**2
+    lw = ls2 if case == CASE_P else m.s.lambda1(j)
+    if case == CASE_P:
+        b1 = (p.d2 - p.d1 + 2 * k * c * a1 * p.d1**2) / (2 * k * p.d2**2)
+        b2 = (k - 1) * c * a2
+        terms = (-b2, c * (k - 1) * a2)
+        cap2 = p.d2
+    else:
+        b1 = (p.delta - p.d1 + 2 * k * c * a1 * p.d1**2) / (2 * k * p.delta**2)
+        b2 = (
+            (k - 1) * (p.delta - p.d2) + 2 * k * (k - 1) * c * a2 * p.d2**2
+        ) / (2 * k * p.delta**2)
+        terms = (
+            (k - 1) * (lw - ls2) / (2 * k * ((ls2 - lw) * p.d2 + ls2 * lw)),
+            -b2 * (1.0 + p.d2 / lw - p.d2 / ls2) ** -2,
+            c * (k - 1) * a2,
+        )
+        cap2 = 1.0 / (1.0 / p.d2 + 1.0 / lw - 1.0 / ls2)
+
+    def dj(delta):
+        lx1j, ls1j = m.x.lambda1(j), m.s.lambda1(j)
+        if case == CASE_P:
+            inv = 1.0 / delta + 1.0 / ls1j - 1.0 / ls2
+            t1 = lx1j**2 / ls1j**2 / inv + lx1j - lx1j**2 / ls1j
+            t2 = lx2**2 / ls2**2 * delta + lx2 - lx2**2 / ls2
+        else:
+            inv = 1.0 / delta + 1.0 / ls2 - 1.0 / ls1j
+            t1 = lx1j**2 / ls1j**2 * delta + lx1j - lx1j**2 / ls1j
+            t2 = lx2**2 / ls2**2 / inv + lx2 - lx2**2 / ls2
+        return t1 / j + (j - 1) * t2 / j
+
+    return dict(b1=b1, b2=b2, stat_d2=sum(terms), terms=terms, cap2=cap2, dj=dj)
+
+
+class TestOneProgram:
+    """The library's one program at lambda_W = min(lambda_s1(j), lambda_s2)
+    against the former per-case formulas."""
+
+    @pytest.mark.parametrize("sign, case", [("+", CASE_P), ("-", CASE_PHAT)], ids=["P", "P-hat"])
+    def test_matches_two_branch_reference(self, sign, case):
+        rng = np.random.default_rng(44 if case == CASE_P else 45)
+        for _ in range(500):
+            m = random_model(rng, rho_s_sign=sign)
+            k = int(rng.integers(1, m.ell + 1))
+            d = random_dk(rng, m, k, lo_frac=0.01, hi_frac=0.99)
+            j = int(rng.integers(k, m.ell + 1))
+            assert select_case(m, j) == case
+            ref = reference_two_branch(m, k, j, d, case)
+            cert = verify_kkt(m, k, j, d, case)
+            lw = m.s.lambda2 if case == CASE_P else m.s.lambda1(j)
+            assert lw == min(m.s.lambda1(j), m.s.lambda2)
+            mult = cert.multipliers
+            assert mult.b1 == pytest.approx(ref["b1"], rel=1e-13, abs=0)
+            assert mult.b2 == pytest.approx(ref["b2"], rel=1e-13, abs=0)
+            cap2 = _delta_cap(cert.point.d2, lw, m.s.lambda2)
+            assert cap2 == pytest.approx(ref["cap2"], rel=1e-13, abs=0)
+            scale = max(abs(t) for t in ref["terms"])
+            assert abs(cert.residuals["stationarity_d2"] - ref["stat_d2"]) <= 1e-14 * scale
+            for delta in (cert.point.delta, 0.5 * cert.point.delta):
+                got = dj_lower_bound(m, k, j, delta, case)
+                assert got == pytest.approx(ref["dj"](delta), rel=1e-13, abs=0)
+
+
 def reference_solve_numeric(m, k, j, d, case):
     """The former oracle's optimum: a 257-point grid, then scipy's bounded
     Brent search on the bracket around the best grid point, then the bracket
@@ -341,6 +415,18 @@ class TestGoldenSectionOracle:
             _, f = solve_numeric(m, k, j, d, case)
             assert f <= reference_solve_numeric(m, k, j, d, case) + 1e-12
             checked += 1
+
+    def test_top_of_box_probe_at_k1(self):
+        # at k = 1 the minimum sits at hi = budget / a1, where a1 * hi may
+        # round above the budget; the probe must still be feasible there
+        rng = np.random.default_rng(11)
+        for i in range(1000):
+            m = random_model(rng, rho_s_sign="+-"[i % 2])
+            d = random_dk(rng, m, 1, lo_frac=0.01, hi_frac=0.99)
+            j = int(rng.integers(1, m.ell + 1))
+            case = select_case(m, j)
+            _, f = solve_numeric(m, 1, j, d, case)
+            assert f <= verify_kkt(m, 1, j, d, case).objective + 1e-13
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(instance=oracle_instances())

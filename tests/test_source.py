@@ -72,3 +72,29 @@ def test_verify_leaves_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
     assert '"status": "valid"' in proc.stdout
     assert proc.stderr.strip() == "[]"
+
+
+def test_converse_branches_on_case_only_in_case_helpers():
+    # one program at lambda_W = min(lambda_s1(j), lambda_s2): the case label
+    # is validated and picks lambda_W, and no formula branches on it
+    path = next(p for p in SRC if p.name == "converse.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = {"select_case", "_check_case", "_lw"}
+    found = []
+    for top in tree.body:
+        if getattr(top, "name", None) in allowed:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+            elif isinstance(node, ast.Match):
+                operands = [node.subject]
+            else:
+                continue
+            if any(
+                isinstance(n, ast.Name) and n.id in {"case", "CASE_P", "CASE_PHAT"}
+                for op in operands
+                for n in ast.walk(op)
+            ):
+                found.append(f"{getattr(top, 'name', '<module>')}:{node.lineno}")
+    assert not found, f"case compared outside {sorted(allowed)} at {found}"
