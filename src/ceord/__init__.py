@@ -45,7 +45,6 @@ from .converse import (
     dj_lower_bound,
     kkt_multipliers,
     objective_eta,
-    objective_eta_hat,
     select_case,
     sigma_identity,
     solve_numeric,

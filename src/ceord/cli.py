@@ -178,9 +178,8 @@ def cmd_conditions(args) -> int:
 def cmd_verify(args) -> int:
     model = _model(args)
     j = args.j if args.j is not None else args.k
-    case = converse.select_case(model, j)
-    cert = converse.verify_kkt(model, args.k, j, args.dk, case, tol=args.tol)
-    point, opt = converse.solve_numeric(model, args.k, j, args.dk, case)
+    cert = converse.verify_kkt(model, args.k, j, args.dk, tol=args.tol)
+    point, opt = converse.solve_numeric(model, args.k, j, args.dk)
     rbar = rdcore.rate_at_lambda(model, args.k, cert.lambda_q)
     gap = opt - rbar
     conditions_fail = not cert.multipliers.nonnegative
@@ -197,7 +196,7 @@ def cmd_verify(args) -> int:
             "k": args.k,
             "j": j,
             "d_k": args.dk,
-            "case": case,
+            "case": cert.case,
             "status": status,
             "certificate_valid": cert.valid,
             "violations": list(cert.violations),
@@ -375,27 +374,38 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _params_json_index(argv: list[str]) -> Optional[int]:
+    """Where the full parser would read --params-json: the flag or any prefix
+    argparse expands to it, with or without "=VALUE"."""
+    for i, token in enumerate(argv):
+        if token.startswith("--p") and "--params-json".startswith(token.split("=", 1)[0]):
+            return i
+    return None
+
+
 def _apply_params_json(argv: list[str]) -> list[str]:
-    """Expand --params-json into equivalent flags (scripting convenience)."""
-    if "--params-json" not in argv:
-        return argv
-    idx = argv.index("--params-json")
-    try:
-        params = json.loads(argv[idx + 1])
-    except (IndexError, json.JSONDecodeError) as e:
-        raise DomainError(f"--params-json needs a JSON object: {e}") from None
-    if not isinstance(params, dict):
-        raise DomainError(f"--params-json needs a JSON object, got {argv[idx + 1]}")
-    rest = argv[:idx] + argv[idx + 2 :]
+    """Expand each --params-json into equivalent flags (scripting convenience)."""
     extra: list[str] = []
-    for key, val in params.items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(val, bool):
-            if val:
-                extra.append(flag)
-        else:
-            extra.extend([flag, str(val)])
-    return rest + extra
+    while True:
+        idx = _params_json_index(argv)
+        if idx is None:
+            return argv + extra
+        attached = "=" in argv[idx]
+        raw = argv[idx].split("=", 1)[1:] if attached else argv[idx + 1 : idx + 2]
+        try:
+            params = json.loads(raw[0])
+        except (IndexError, json.JSONDecodeError) as e:
+            raise DomainError(f"--params-json needs a JSON object: {e}") from None
+        if not isinstance(params, dict):
+            raise DomainError(f"--params-json needs a JSON object, got {raw[0]}")
+        argv = argv[:idx] + argv[idx + (1 if attached else 2) :]
+        for key, val in params.items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(val, bool):
+                if val:
+                    extra.append(flag)
+            else:
+                extra.extend([flag, str(val)])
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -5,8 +5,9 @@ The lower-bound argument reduces to one three-variable convex program over
 per-encoder residual, with the fictitious residual noise lambda_W taken at
 the smaller observation eigenvalue, min(lambda_s1(j), lambda_s2).  The
 paper's programs P and P-hat are this program at lambda_W = lambda_s2 and
-at lambda_W = lambda_s1(j); the case label only names which one is the
-minimum.  The closed-form candidate minimizer and its multipliers are
+at lambda_W = lambda_s1(j).  Every entry point derives lambda_W from
+(model, k, j); the case label on the certificate only names which one is
+the minimum.  The closed-form candidate minimizer and its multipliers are
 checked against an independent numerical minimizer.
 """
 from __future__ import annotations
@@ -46,7 +47,7 @@ class Multipliers:
 
 @dataclass(frozen=True)
 class KKTCertificate:
-    case: str
+    case: str  # select_case(model, j), reported only
     lambda_q: float  # the test-channel noise variance the candidate is built from
     point: FeasiblePoint
     multipliers: Multipliers
@@ -57,31 +58,24 @@ class KKTCertificate:
 
 
 def select_case(model: SourceModel, j: int) -> str:
-    """Pick the program variant from the spectrum ordering at sub-dimension j."""
+    """Name the program variant from the spectrum ordering at sub-dimension j."""
     return CASE_P if model.s.lambda1(j) >= model.s.lambda2 else CASE_PHAT
 
 
-def _check_case(model: SourceModel, k: int, j: int, case: str) -> None:
+def _lw(model: SourceModel, k: int, j: int) -> float:
+    """The residual-noise level lambda_W = min(lambda_s1(j), lambda_s2) > 0."""
     if not 1 <= k <= j <= model.ell:
         raise DomainError(f"need 1 <= k <= j <= ell, got k={k}, j={j}")
     ls1j, ls2 = model.s.lambda1(j), model.s.lambda2
-    if case == CASE_P:
-        if not (ls1j >= ls2 > 0):
-            raise DomainError(
-                f"case P needs lambda_s1(j) >= lambda_s2 > 0, got {ls1j:.6g}, {ls2:.6g}"
-            )
-    elif case == CASE_PHAT:
-        if not (ls2 >= ls1j > 0):
-            raise DomainError(
-                f"case P-hat needs lambda_s2 >= lambda_s1(j) > 0, got {ls2:.6g}, {ls1j:.6g}"
-            )
-    else:
-        raise DomainError(f"unknown case {case!r}")
-
-
-def _lw(model: SourceModel, j: int, case: str) -> float:
-    """The residual-noise level, at its limit min(lambda_s1(j), lambda_s2)."""
-    return model.s.lambda2 if case == CASE_P else model.s.lambda1(j)
+    if ls1j >= ls2 and not ls2 > 0:
+        raise DomainError(
+            f"case P needs lambda_s1(j) >= lambda_s2 > 0, got {ls1j:.6g}, {ls2:.6g}"
+        )
+    if ls2 > ls1j and not ls1j > 0:
+        raise DomainError(
+            f"case P-hat needs lambda_s2 >= lambda_s1(j) > 0, got {ls2:.6g}, {ls1j:.6g}"
+        )
+    return min(ls1j, ls2)
 
 
 def _eta(model: SourceModel, k: int, lw: float, p: FeasiblePoint) -> float:
@@ -96,59 +90,46 @@ def _eta(model: SourceModel, k: int, lw: float, p: FeasiblePoint) -> float:
     return val
 
 
-def objective_eta(model: SourceModel, k: int, point: FeasiblePoint) -> float:
-    """Objective of program P (residual level at the repeated eigenvalue)."""
-    return _eta(model, k, model.s.lambda2, point)
-
-
-def objective_eta_hat(
-    model: SourceModel, k: int, j: int, point: FeasiblePoint
-) -> float:
-    """Objective of program P-hat (residual level at the leading eigenvalue)."""
-    if model.s.lambda1(j) <= 0:
-        raise DomainError("P-hat objective needs lambda_s1(j) > 0")
-    return _eta(model, k, model.s.lambda1(j), point)
+def objective_eta(model: SourceModel, k: int, j: int, point: FeasiblePoint) -> float:
+    """Objective of the converse program at sub-dimension j."""
+    return _eta(model, k, _lw(model, k, j), point)
 
 
 def _harmonic(a: float, b: float) -> float:
     return 1.0 / (1.0 / a + 1.0 / b)
 
 
-def candidate_minimizer(
-    model: SourceModel, k: int, j: int, d_k: float, case: str
-) -> FeasiblePoint:
+def candidate_minimizer(model: SourceModel, k: int, j: int, d_k: float) -> FeasiblePoint:
     """The closed-form candidate: harmonic means of eigenvalues with lambda_q."""
-    _check_case(model, k, j, case)
-    return _candidate(model, k, j, rdcore.solve_lambda_q(model, k, d_k), case)
+    lw = _lw(model, k, j)
+    return _candidate(model, k, lw, rdcore.solve_lambda_q(model, k, d_k))
 
 
-def _candidate(
-    model: SourceModel, k: int, j: int, lam: float, case: str
-) -> FeasiblePoint:
+def _candidate(model: SourceModel, k: int, lw: float, lam: float) -> FeasiblePoint:
     d1 = _harmonic(model.s.lambda1(k), lam)
     d2 = _harmonic(model.s.lambda2, lam)
-    return FeasiblePoint(d1=d1, d2=d2, delta=_harmonic(_lw(model, j, case), lam))
+    return FeasiblePoint(d1=d1, d2=d2, delta=_harmonic(lw, lam))
 
 
 def _distortion_lhs(model: SourceModel, k: int, d1: float, d2: float) -> float:
     """Left side of the coupled distortion constraint (compared to k*d_k)."""
     lx1, ls1 = model.x.lambda1(k), model.s.lambda1(k)
     lx2, ls2 = model.x.lambda2, model.s.lambda2
-    t1 = lx1**2 / ls1**2 * d1 + lx1 - lx1**2 / ls1
-    t2 = lx2**2 / ls2**2 * d2 + lx2 - lx2**2 / ls2 if ls2 > 0 else 0.0
+    lz1, lz2 = model.z.lambda1(k), model.z.lambda2
+    # lx lz/ls, the per-mode term of d_min, is lx - lx^2/ls without the cancellation
+    t1 = lx1**2 / ls1**2 * d1 + lx1 * lz1 / ls1
+    t2 = lx2**2 / ls2**2 * d2 + lx2 * lz2 / ls2 if ls2 > 0 else 0.0
     return t1 + (k - 1) * t2
 
 
-def kkt_multipliers(
-    model: SourceModel, k: int, j: int, d_k: float, case: str
-) -> Multipliers:
+def kkt_multipliers(model: SourceModel, k: int, j: int, d_k: float) -> Multipliers:
     """Closed-form multipliers at the candidate point.
 
     The box multipliers vanish (the candidate is strictly inside the box);
     negative b-values are returned as-is and signal that the matching
     condition fails rather than raising.
     """
-    return _multipliers(model, k, candidate_minimizer(model, k, j, d_k, case))
+    return _multipliers(model, k, candidate_minimizer(model, k, j, d_k))
 
 
 def _multipliers(model: SourceModel, k: int, p: FeasiblePoint) -> Multipliers:
@@ -184,7 +165,6 @@ def verify_kkt(
     k: int,
     j: int,
     d_k: float,
-    case: str,
     tol: float = 1e-9,
 ) -> KKTCertificate:
     """Assemble and check the full KKT system at the candidate point.
@@ -195,13 +175,12 @@ def verify_kkt(
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    _check_case(model, k, j, case)
+    lw = _lw(model, k, j)
     lam = rdcore.solve_lambda_q(model, k, d_k)
-    p = _candidate(model, k, j, lam, case)
+    p = _candidate(model, k, lw, lam)
     m = _multipliers(model, k, p)
     lx1, ls1 = model.x.lambda1(k), model.s.lambda1(k)
     lx2, ls2 = model.x.lambda2, model.s.lambda2
-    lw = _lw(model, j, case)
     a1_coef = lx1**2 / ls1**2
     a2_coef = lx2**2 / ls2**2
 
@@ -209,38 +188,44 @@ def verify_kkt(
     cap2 = _delta_cap(p.d2, lw, ls2)
 
     def stationarity(mult, d, ls, a, b, coef):  # in d1 (mult 1) or d2 (mult k-1)
-        return (
-            mult * (lw - ls) / (2 * k * ((ls - lw) * d + ls * lw))
-            + a
-            - b * (1.0 + d * (1.0 / lw - 1.0 / ls)) ** -2
-            + m.c * mult * coef
+        t = (
+            mult * (lw - ls) / (2 * k * ((ls - lw) * d + ls * lw)),
+            a,
+            b * (1.0 + d * (1.0 / lw - 1.0 / ls)) ** -2,
+            m.c * mult * coef,
         )
+        return t[0] + t[1] - t[2] + t[3], max(map(abs, t))
 
-    stat_d1 = stationarity(1, p.d1, ls1, m.a1, m.b1, a1_coef)
-    stat_d2 = stationarity(k - 1, p.d2, ls2, m.a2, m.b2, a2_coef)
-    stat_delta = -1.0 / (2 * p.delta) + m.b1 + m.b2
-
-    residuals = {
-        "stationarity_d1": stat_d1,
-        "stationarity_d2": stat_d2,
-        "stationarity_delta": stat_delta,
-        "slack_d1_box": m.a1 * (p.d1 - ls1),
-        "slack_d2_box": m.a2 * (p.d2 - ls2),
-        "slack_delta_cap1": m.b1 * (p.delta - cap1),
-        "slack_delta_cap2": m.b2 * (p.delta - cap2),
-        "slack_distortion": m.c * (_distortion_lhs(model, k, p.d1, p.d2) - k * d_k),
-        "primal_d1": max(0.0, p.d1 - ls1, -p.d1),
-        "primal_d2": max(0.0, p.d2 - ls2, -p.d2),
-        "primal_delta_cap1": max(0.0, p.delta - cap1),
-        "primal_delta_cap2": max(0.0, p.delta - cap2),
-        "primal_distortion": max(0.0, _distortion_lhs(model, k, p.d1, p.d2) - k * d_k),
+    lhs, rhs = _distortion_lhs(model, k, p.d1, p.d2), k * d_k
+    # (residual, the largest |term| it sums; |m| times that of g for m * g)
+    checks = {
+        "stationarity_d1": stationarity(1, p.d1, ls1, m.a1, m.b1, a1_coef),
+        "stationarity_d2": stationarity(k - 1, p.d2, ls2, m.a2, m.b2, a2_coef),
+        "stationarity_delta": (
+            -1.0 / (2 * p.delta) + m.b1 + m.b2,
+            max(1.0 / (2 * p.delta), abs(m.b1), abs(m.b2)),
+        ),
+        "slack_d1_box": (m.a1 * (p.d1 - ls1), abs(m.a1) * max(p.d1, ls1)),
+        "slack_d2_box": (m.a2 * (p.d2 - ls2), abs(m.a2) * max(p.d2, ls2)),
+        "slack_delta_cap1": (m.b1 * (p.delta - cap1), abs(m.b1) * max(p.delta, cap1)),
+        "slack_delta_cap2": (m.b2 * (p.delta - cap2), abs(m.b2) * max(p.delta, cap2)),
+        "slack_distortion": (m.c * (lhs - rhs), abs(m.c) * max(lhs, rhs)),
+        "primal_d1": (max(0.0, p.d1 - ls1, -p.d1), max(p.d1, ls1)),
+        "primal_d2": (max(0.0, p.d2 - ls2, -p.d2), max(p.d2, ls2)),
+        "primal_delta_cap1": (max(0.0, p.delta - cap1), max(p.delta, cap1)),
+        "primal_delta_cap2": (max(0.0, p.delta - cap2), max(p.delta, cap2)),
+        "primal_distortion": (max(0.0, lhs - rhs), max(lhs, rhs)),
     }
-    violations = [name for name, r in residuals.items() if abs(r) > tol]
+    residuals = {name: r for name, (r, _) in checks.items()}
+    # judged relative to the terms, which scale like 1/d or like d
+    violations = [
+        name for name, (r, size) in checks.items() if abs(r) > tol * max(1.0, size)
+    ]
     if not m.nonnegative:
         violations.append("negative_multiplier")
     objective = _eta(model, k, lw, p)
     return KKTCertificate(
-        case=case,
+        case=select_case(model, j),
         lambda_q=lam,
         point=p,
         multipliers=m,
@@ -252,7 +237,7 @@ def verify_kkt(
 
 
 def solve_numeric(
-    model: SourceModel, k: int, j: int, d_k: float, case: str
+    model: SourceModel, k: int, j: int, d_k: float
 ) -> tuple[FeasiblePoint, float]:
     """Independent numerical minimizer for the convex programs.
 
@@ -263,11 +248,10 @@ def solve_numeric(
     golden-section search finds its minimum (Kiefer, 1953).  The search
     never reads lambda_q or the candidate it is checked against.
     """
-    _check_case(model, k, j, case)
+    lw = _lw(model, k, j)
     rdcore._check_dk(model, k, d_k)
     lx1, ls1 = model.x.lambda1(k), model.s.lambda1(k)
     lx2, ls2 = model.x.lambda2, model.s.lambda2
-    lw = _lw(model, j, case)
     a1_coef = lx1**2 / ls1**2
     a2_coef = (k - 1) * lx2**2 / ls2**2
     budget = k * d_k - _distortion_lhs(model, k, 0.0, 0.0)
@@ -316,23 +300,17 @@ def solve_numeric(
     return expand(d1_best), f_best
 
 
-def dj_lower_bound(
-    model: SourceModel, k: int, j: int, delta: float, case: str
-) -> float:
+def dj_lower_bound(model: SourceModel, k: int, j: int, delta: float) -> float:
     """Distortion lower bound at sub-dimension j, as a function of delta."""
-    _check_case(model, k, j, case)
+    lw = _lw(model, k, j)
     if delta <= 0:
         raise DomainError(f"delta must be > 0, got {delta}")
-    lx1, ls1 = model.x.lambda1(j), model.s.lambda1(j)
-    lx2, ls2 = model.x.lambda2, model.s.lambda2
-    lw = _lw(model, j, case)
     # per mode, the d that delta caps: (1/delta + 1/ls - 1/lw)^-1
-    e1, e2 = _delta_cap(delta, ls1, lw), _delta_cap(delta, ls2, lw)
+    e1 = _delta_cap(delta, model.s.lambda1(j), lw)
+    e2 = _delta_cap(delta, model.s.lambda2, lw)
     if math.isinf(e1) or math.isinf(e2):
         raise DomainError("nonpositive inner inverse in lower bound")
-    t1 = lx1**2 / ls1**2 * e1 + lx1 - lx1**2 / ls1
-    t2 = lx2**2 / ls2**2 * e2 + lx2 - lx2**2 / ls2
-    return t1 / j + (j - 1) * t2 / j
+    return _distortion_lhs(model, j, e1, e2) / j
 
 
 def sigma_identity(

@@ -13,8 +13,11 @@ from typing import Optional
 
 from .spectra import DomainError, SourceModel, d_min
 
-# Inputs closer than this to an interval endpoint are rejected, not clamped:
-# lambda_q diverges at one end and vanishes at the other.
+# d_k within this fraction of an end of (d_min, gamma_x) is rejected, not
+# clamped: lambda_q diverges at one end and vanishes at the other.  At
+# d_min = 0 (no noise) the slack is ENDPOINT_SLACK**2 * gamma_x, far above
+# underflow.  The degenerate forms take eigenvalues below ENDPOINT_SLACK *
+# gamma_s as 0.
 ENDPOINT_SLACK = 1e-12
 
 
@@ -56,14 +59,14 @@ def _check_dk(model: SourceModel, k: int, d_k: float) -> float:
         raise DomainError(f"d_k must be finite, got {d_k}")
     lo = d_min(model, k)
     hi = model.x.gamma
-    if d_k <= lo + ENDPOINT_SLACK:
+    if d_k <= lo + ENDPOINT_SLACK * max(lo, ENDPOINT_SLACK * hi):
         raise DomainError(f"d_k={d_k:.12g} must exceed d_min^({k})={lo:.12g}")
-    if d_k >= hi - ENDPOINT_SLACK:
+    if d_k >= hi * (1.0 - ENDPOINT_SLACK):
         raise DomainError(f"d_k={d_k:.12g} must be below gamma_x={hi:.12g}")
     return lo
 
 
-def distortion_at_lambda(model: SourceModel, k: int, j: int, lam: float) -> float:
+def distortion_at_lambda(model: SourceModel, j: int, lam: float) -> float:
     """d_j as a function of the test-channel noise variance (strictly increasing)."""
     lx1, lz1, ls1 = model.x.lambda1(j), model.z.lambda1(j), model.s.lambda1(j)
     lx2, lz2, ls2 = model.x.lambda2, model.z.lambda2, model.s.lambda2
@@ -73,7 +76,7 @@ def distortion_at_lambda(model: SourceModel, k: int, j: int, lam: float) -> floa
 
 
 def solve_lambda_q(model: SourceModel, k: int, d_k: float) -> float:
-    """Unique positive lambda_q with distortion_at_lambda(k, k, .) = d_k.
+    """Unique positive lambda_q with distortion_at_lambda(k, .) = d_k.
 
     Per mode lx(lz + lam)/(ls + lam) = lx - lx^2/(ls + lam), so the equation
     is f(lam) = p/(ls1 + lam) + q/(ls2 + lam) = c with p = lx1^2,
@@ -97,7 +100,7 @@ def solve_lambda_q(model: SourceModel, k: int, d_k: float) -> float:
     if c < k * (d_k - lo):
         res = p / (ls1 + lam) + q / (ls2 + lam) - c
     else:
-        res = k * (d_k - distortion_at_lambda(model, k, k, lam))
+        res = k * (d_k - distortion_at_lambda(model, k, lam))
     lam += res / (p / (ls1 + lam) ** 2 + q / (ls2 + lam) ** 2)
     return float(lam)  # d_k may be a numpy scalar
 
@@ -116,7 +119,7 @@ def rate_bar(model: SourceModel, k: int, d_k: float) -> float:
 def profile_at_lambda(model: SourceModel, k: int, lam: float) -> tuple[float, ...]:
     """Distortions d_j, j = k..ell, of the test channel with noise variance lam."""
     return tuple(
-        distortion_at_lambda(model, k, j, lam) for j in range(k, model.ell + 1)
+        distortion_at_lambda(model, j, lam) for j in range(k, model.ell + 1)
     )
 
 
@@ -269,7 +272,7 @@ def degenerate_rate_s2zero(
     model: SourceModel, k: int, j: int, d_k: float
 ) -> tuple[float, float]:
     """Closed forms at the fully correlated boundary (repeated eigenvalue 0)."""
-    if model.s.lambda2 > ENDPOINT_SLACK:
+    if model.s.lambda2 > ENDPOINT_SLACK * model.s.gamma:
         raise DomainError("requires the repeated observation eigenvalue to be 0")
     if not k <= j <= model.ell:
         raise DomainError(f"j={j} out of range [{k}, {model.ell}]")
@@ -290,7 +293,7 @@ def degenerate_rate_s1zero(model: SourceModel, d_ell: float) -> float:
     the centralized remote source coding problem.
     """
     ell = model.ell
-    if model.s.lambda1(ell) > ENDPOINT_SLACK:
+    if model.s.lambda1(ell) > ENDPOINT_SLACK * model.s.gamma:
         raise DomainError("requires the leading observation eigenvalue to be 0")
     lx2, lz2, ls2 = model.x.lambda2, model.z.lambda2, model.s.lambda2
     arg = ell * ls2 * d_ell - (ell - 1) * lx2 * lz2

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Absolute slack for eigenvalue nonnegativity so that boundary correlations
-# (rho = 1, rho = -1/(ell-1)) are admitted despite rounding.
+# Slack for eigenvalue nonnegativity, relative to the family's gamma, so that
+# boundary correlations (rho = 1, rho = -1/(ell-1)) are admitted despite
+# rounding at every scale of the model.
 PSD_SLACK = 1e-12
 
 
@@ -75,11 +76,11 @@ class SourceModel:
 def _check_psd(spec: SymmetricSpec, name: str) -> None:
     l1 = spec.lambda1(spec.ell)
     l2 = spec.lambda2
-    if l1 < -PSD_SLACK:
+    if l1 < -PSD_SLACK * spec.gamma:
         raise ModelError(
             f"{name}: leading eigenvalue (1+(ell-1)*rho)*gamma = {l1:.6g} < 0"
         )
-    if l2 < -PSD_SLACK:
+    if l2 < -PSD_SLACK * spec.gamma:
         raise ModelError(f"{name}: repeated eigenvalue (1-rho)*gamma = {l2:.6g} < 0")
 
 
@@ -150,12 +151,7 @@ def d_min(model: SourceModel, j: int) -> float:
         raise DomainError(f"j={j} must be >= 1")
     ls1 = model.s.lambda1(j)
     ls2 = model.s.lambda2
-    if ls1 <= PSD_SLACK:
-        d1 = 0.0
-    else:
-        d1 = model.x.lambda1(j) * model.z.lambda1(j) / ls1
-    if ls2 <= PSD_SLACK:
-        d2 = 0.0
-    else:
-        d2 = model.x.lambda2 * model.z.lambda2 / ls2
+    slack = PSD_SLACK * model.s.gamma
+    d1 = model.x.lambda1(j) * model.z.lambda1(j) / ls1 if ls1 > slack else 0.0
+    d2 = model.x.lambda2 * model.z.lambda2 / ls2 if ls2 > slack else 0.0
     return (d1 + (j - 1) * d2) / j

@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from ceord import (
-    CASE_P,
     candidate_minimizer,
     check_conditions,
     check_symmetric_rate,
@@ -23,7 +22,6 @@ from ceord import (
     empirical_distortion,
     kkt_multipliers,
     rate_bar,
-    select_case,
     solve_lambda_q,
     solve_numeric,
     verify_kkt,
@@ -51,7 +49,7 @@ def test_criterion_1_root_solver_fidelity(capfd):
         k = int(rng.integers(1, m.ell + 1))
         d = random_dk(rng, m, k)
         lam = solve_lambda_q(m, k, d)
-        err = abs(distortion_at_lambda(m, k, k, lam) - d) / d
+        err = abs(distortion_at_lambda(m, k, lam) - d) / d
         worst = max(worst, err)
     report(capfd, 1, worst <= 1e-12, f"resubstitution rel err {worst:.2e} <= 1e-12 on 1000 draws", time.time() - t0, 5)
 
@@ -77,8 +75,8 @@ def test_criterion_3_worked_fixture(capfd):
     lam = solve_lambda_q(m, 2, 0.75)
     rate = rate_bar(m, 2, 0.75)
     prof = distortion_profile(m, 2, 0.75)
-    mult = kkt_multipliers(m, 2, 2, 0.75, CASE_P)
-    cert = verify_kkt(m, 2, 2, 0.75, CASE_P)
+    mult = kkt_multipliers(m, 2, 2, 0.75)
+    cert = verify_kkt(m, 2, 2, 0.75)
     errs = [
         abs(lam - 2.0),
         abs(rate - 0.25 * math.log(4)),
@@ -108,12 +106,11 @@ def test_criterion_4_kkt_oracle_agreement(capfd):
         k = int(rng.integers(1, m.ell + 1))
         d = random_dk(rng, m, k, lo_frac=0.1, hi_frac=0.9)
         j = int(rng.integers(k, m.ell + 1))
-        case = select_case(m, j)
-        mult = kkt_multipliers(m, k, j, d, case)
+        mult = kkt_multipliers(m, k, j, d)
         if min(mult.b1, mult.b2) < 1e-8:
             continue
-        pt, f = solve_numeric(m, k, j, d, case)
-        cand = candidate_minimizer(m, k, j, d, case)
+        pt, f = solve_numeric(m, k, j, d)
+        cand = candidate_minimizer(m, k, j, d)
         worst_obj = max(worst_obj, abs(f - rate_bar(m, k, d)))
         worst_delta = max(worst_delta, abs(pt.delta - cand.delta))
         checked += 1
@@ -132,12 +129,12 @@ def test_criterion_5_multiplier_sign_equivalence(capfd):
         d = random_dk(rng, m, k)
         rc = check_conditions(m, k, d)
         if sign == "+":
-            mult = kkt_multipliers(m, k, k, d, CASE_P)
+            mult = kkt_multipliers(m, k, k, d)
             if (mult.b1 >= -1e-12) != rc.cond1:
                 disagreements += 1
         else:
             for j in range(k, m.ell + 1):
-                mult = kkt_multipliers(m, k, j, d, select_case(m, j))
+                mult = kkt_multipliers(m, k, j, d)
                 if (mult.b1 >= -1e-12) != rc.cond3[j - k]:
                     disagreements += 1
                 if (mult.b2 >= -1e-12) != rc.cond4[j - k]:
@@ -156,9 +153,8 @@ def test_criterion_6_lower_bound_closure(capfd):
         d = random_dk(rng, m, k)
         prof = distortion_profile(m, k, d)
         for j in range(k, m.ell + 1):
-            case = select_case(m, j)
-            p = candidate_minimizer(m, k, j, d, case)
-            got = dj_lower_bound(m, k, j, p.delta, case)
+            p = candidate_minimizer(m, k, j, d)
+            got = dj_lower_bound(m, k, j, p.delta)
             worst = max(worst, abs(got - prof[j - k]))
     report(capfd, 6, worst <= 1e-10, f"closure max dev {worst:.2e} <= 1e-10, both orderings, 200 instances", time.time() - t0, 10)
 

@@ -161,7 +161,7 @@ class TestClosedFormProperties:
         m, k, d = point
         lam = solve_lambda_q(m, k, d)
         assert lam > 0
-        assert abs(distortion_at_lambda(m, k, k, lam) - d) <= 1e-12 * d
+        assert abs(distortion_at_lambda(m, k, lam) - d) <= 1e-12 * d
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(operating_points())

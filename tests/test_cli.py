@@ -86,6 +86,21 @@ class TestPoint:
         code, doc, _ = run_json(capsys, "point", "--params-json", blob)
         assert code == 0 and doc["lambda_q"] == pytest.approx(2.0)
 
+    def test_params_json_every_spelling_the_parser_reads(self, capsys):
+        # each prefix that argparse expands to --params-json, with the value
+        # attached or separate, before the command (where the full parser
+        # reads it, and where '--params-json={...}' and '--params {...}'
+        # were once ignored) or after it
+        blob = '{"dk": 0.8}'
+        point = ["point", *M0, "--k", "2", "--dk", "0.75"]
+        for n in range(3, len("--params-json") + 1):
+            flag = "--params-json"[:n]
+            for spelling in ([f"{flag}={blob}"], [flag, blob]):
+                assert cli.build_parser().parse_args(spelling + point).params_json == blob
+                for argv in (spelling + point, point + spelling):
+                    code, doc, _ = run_json(capsys, *argv)
+                    assert code == 0 and doc["d_k"] == 0.8, argv
+
     @pytest.mark.parametrize(
         "tail, message",
         [(["{bad"], "Expecting"), ([], "needs a JSON object"), (["[1]"], "got [1]")],
@@ -405,6 +420,37 @@ class TestVerify:
         assert code == 0
         assert doc["status"] == "conditions-fail"
         assert doc["multipliers"]["b1"] < 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # m0 scaled by 10^-s: the stationarity terms are about 1/d
+            *([f"--gamma-x=1e-{s}", f"--gamma-z=1e-{s}", "--ell=3", "--k=2", f"--dk=7.5e-{s + 1}"]
+              for s in range(12)),
+            # multiplier c = 1.9e9 on the distortion constraint
+            ["--gamma-x=0.3", "--rho-x=0.6480194263666841", "--gamma-z=1000.0",
+             "--rho-z=-0.03333333333333333", "--ell=16", "--k=2",
+             "--dk=0.2998682370963948", "--j=10"],
+            # noiseless, d_k just above d_min = 0
+            ["--gamma-x=0.001", "--rho-x=-0.16666666666666666", "--gamma-z=0.0",
+             "--rho-z=-0.3333333333333333", "--ell=4", "--k=1",
+             "--dk=1.0000000000000002e-12"],
+            ["--gamma-x=1", "--gamma-z=0", "--ell=3", "--k=2", "--dk=1e-20"],
+        ],
+        ids=[*(f"m0-scaled-1e-{s}" for s in range(12)), "large-c", "noiseless-1e-12",
+             "noiseless-1e-20"],
+    )
+    def test_valid_whatever_the_size_of_the_terms(self, capsys, argv):
+        code, doc, _ = run_json(capsys, "verify", *argv)
+        assert code == 0 and doc["status"] == "valid", doc["violations"]
+
+    @pytest.mark.parametrize("cmd", ["point", "verify"])
+    def test_noiseless_dk_below_the_floor_exits_2(self, capsys, cmd):
+        # with d_min = 0 the lower slack is 1e-24 gamma_x: below it lambda_q
+        # and the squared distortions of the converse would underflow
+        argv = [cmd, "--gamma-x=1", "--gamma-z=0", "--ell=3", "--k=2", "--dk=1e-250"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "must exceed d_min" in err
 
     def test_j_defaults_to_k(self, capsys):
         _, doc, _ = run_json(capsys, "verify", *M0, "--k", "2", "--dk", "0.75")

@@ -19,7 +19,6 @@ from ceord import (
     dj_lower_bound,
     kkt_multipliers,
     objective_eta,
-    objective_eta_hat,
     rate_bar,
     select_case,
     sigma_identity,
@@ -27,6 +26,7 @@ from ceord import (
     solve_numeric,
     verify_kkt,
 )
+from ceord import converse
 from ceord.converse import _delta_cap, _distortion_lhs, _eta
 from ceord.rdcore import rate_at_lambda
 
@@ -46,20 +46,35 @@ class TestCaseSelection:
         assert select_case(make_model(1, 0.5, 1, 0.1, 3), 3) == CASE_P
         assert select_case(make_model(1, -0.3, 1, -0.1, 3), 3) == CASE_PHAT
 
-    def test_precondition_enforced(self):
-        m = make_model(1, -0.3, 1, -0.1, 3)
-        with pytest.raises(DomainError, match="case P "):
-            candidate_minimizer(m, 2, 3, 0.7, CASE_P)
-        m = make_model(1, 0.5, 1, 0.1, 3)
-        with pytest.raises(DomainError, match="P-hat"):
-            candidate_minimizer(m, 2, 3, 0.7, CASE_PHAT)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m, j: candidate_minimizer(m, 2, j, 0.75),
+            lambda m, j: kkt_multipliers(m, 2, j, 0.75),
+            lambda m, j: verify_kkt(m, 2, j, 0.75),
+            lambda m, j: solve_numeric(m, 2, j, 0.75),
+            lambda m, j: dj_lower_bound(m, 2, j, 0.5),
+            lambda m, j: objective_eta(m, 2, j, FeasiblePoint(0.5, 0.5, 0.5)),
+        ],
+        ids=["candidate", "multipliers", "verify", "numeric", "dj", "objective"],
+    )
+    @pytest.mark.parametrize(
+        "rho, j, message",
+        [(1.0, 2, "case P needs"), (1.0, 3, "case P needs"), (-0.5, 3, "case P-hat needs")],
+        ids=["rho_s-one-j2", "rho_s-one-j3", "rho_s-min-j-ell"],
+    )
+    def test_boundary_raises_naming_the_case(self, call, rho, j, message):
+        # rho_s = 1 zeroes lambda_s2; rho_s = -1/(ell-1) zeroes lambda_s1(ell)
+        m = make_model(1, rho, 1, rho, 3)
+        with pytest.raises(DomainError, match=f"^{message} "):
+            call(m, j)
 
 
 class TestObjective:
     def test_m0_value(self):
         # d1 = d2 = delta = harmonic(2, 2) = 1 reaches eta = (1/2) ln 2
         p = FeasiblePoint(1.0, 1.0, 1.0)
-        assert objective_eta(m0(), 2, p) == pytest.approx(0.5 * math.log(2), abs=1e-12)
+        assert objective_eta(m0(), 2, 2, p) == pytest.approx(0.5 * math.log(2), abs=1e-12)
 
     def test_matches_rate_bar_at_candidate(self):
         rng = np.random.default_rng(30)
@@ -68,24 +83,21 @@ class TestObjective:
             k = int(rng.integers(1, m.ell + 1))
             d = random_dk(rng, m, k)
             j = int(rng.integers(k, m.ell + 1))
-            case = select_case(m, j)
-            p = candidate_minimizer(m, k, j, d, case)
-            if case == CASE_P:
-                val = objective_eta(m, k, p)
+            p = candidate_minimizer(m, k, j, d)
+            val = objective_eta(m, k, j, p)
+            if select_case(m, j) == CASE_P:
                 # program P evaluates at lw = lambda_s2, where delta = d2 and
                 # the objective collapses to the achievable rate
                 assert val == pytest.approx(rate_bar(m, k, d), rel=1e-10)
-            else:
-                objective_eta_hat(m, k, j, p)
 
     def test_nonpositive_log_rejected(self):
         with pytest.raises(DomainError):
-            objective_eta(m0(), 2, FeasiblePoint(1.0, 1.0, 0.0))
+            objective_eta(m0(), 2, 2, FeasiblePoint(1.0, 1.0, 0.0))
 
 
 class TestCandidate:
     def test_m0_point(self):
-        p = candidate_minimizer(m0(), 2, 2, 0.75, CASE_P)
+        p = candidate_minimizer(m0(), 2, 2, 0.75)
         assert (p.d1, p.d2, p.delta) == pytest.approx((1.0, 1.0, 1.0), rel=1e-12)
 
     def test_distortion_constraint_tight(self):
@@ -95,8 +107,7 @@ class TestCandidate:
             k = int(rng.integers(1, m.ell + 1))
             d = random_dk(rng, m, k)
             j = int(rng.integers(k, m.ell + 1))
-            case = select_case(m, j)
-            p = candidate_minimizer(m, k, j, d, case)
+            p = candidate_minimizer(m, k, j, d)
             lhs = _distortion_lhs(m, k, p.d1, p.d2)
             assert lhs == pytest.approx(k * d, rel=1e-10)
 
@@ -107,8 +118,7 @@ class TestCandidate:
             k = int(rng.integers(1, m.ell + 1))
             d = random_dk(rng, m, k)
             j = int(rng.integers(k, m.ell + 1))
-            case = select_case(m, j)
-            p = candidate_minimizer(m, k, j, d, case)
+            p = candidate_minimizer(m, k, j, d)
             assert 0 < p.d1 < m.s.lambda1(k)
             assert 0 < p.d2 < m.s.lambda2
             assert 0 < p.delta
@@ -116,7 +126,7 @@ class TestCandidate:
 
 class TestMultipliers:
     def test_m0_closed_values(self):
-        mult = kkt_multipliers(m0(), 2, 2, 0.75, CASE_P)
+        mult = kkt_multipliers(m0(), 2, 2, 0.75)
         assert mult.a1 == 0.0 and mult.a2 == 0.0
         assert mult.c == pytest.approx(1.0, rel=1e-12)
         assert mult.b1 == pytest.approx(0.25, rel=1e-12)
@@ -129,7 +139,7 @@ class TestMultipliers:
             k = int(rng.integers(1, m.ell + 1))
             d = random_dk(rng, m, k)
             rc = check_conditions(m, k, d)
-            mult = kkt_multipliers(m, k, k, d, CASE_P)
+            mult = kkt_multipliers(m, k, k, d)
             assert (mult.b1 >= -1e-12) == rc.cond1
             assert mult.b2 >= -1e-12 and mult.c > 0
 
@@ -141,19 +151,19 @@ class TestMultipliers:
             d = random_dk(rng, m, k)
             rc = check_conditions(m, k, d)
             for j in range(k, m.ell + 1):
-                mult = kkt_multipliers(m, k, j, d, CASE_PHAT)
+                mult = kkt_multipliers(m, k, j, d)
                 assert (mult.b1 >= -1e-12) == rc.cond3[j - k]
                 assert (mult.b2 >= -1e-12) == rc.cond4[j - k]
 
     def test_negative_b1_on_both_ends_fixture(self):
         m, d = both_ends_bad_d()
-        mult = kkt_multipliers(m, 2, 2, d, CASE_P)
+        mult = kkt_multipliers(m, 2, 2, d)
         assert mult.b1 < 0 and not mult.nonnegative
 
 
 class TestVerifyKKT:
     def test_m0_valid(self):
-        cert = verify_kkt(m0(), 2, 2, 0.75, CASE_P)
+        cert = verify_kkt(m0(), 2, 2, 0.75)
         assert cert.valid and not cert.violations
         assert max(abs(v) for v in cert.residuals.values()) < 1e-12
         assert cert.objective == pytest.approx(0.5 * math.log(2), abs=1e-12)
@@ -166,24 +176,41 @@ class TestVerifyKKT:
             k = int(rng.integers(1, m.ell + 1))
             d = random_dk(rng, m, k, lo_frac=0.15, hi_frac=0.85)
             j = int(rng.integers(k, m.ell + 1))
-            case = select_case(m, j)
-            mult = kkt_multipliers(m, k, j, d, case)
+            mult = kkt_multipliers(m, k, j, d)
             if min(mult.b1, mult.b2) < 1e-8:
                 continue
-            cert = verify_kkt(m, k, j, d, case)
+            cert = verify_kkt(m, k, j, d)
             assert cert.valid, cert.violations
             checked += 1
 
     def test_invalid_reports_negative_multiplier(self):
         m, d = both_ends_bad_d()
-        cert = verify_kkt(m, 2, 2, d, CASE_P)
+        cert = verify_kkt(m, 2, 2, d)
         assert not cert.valid
         assert "negative_multiplier" in cert.violations
 
+    @pytest.mark.parametrize("s", range(12))
+    def test_moved_candidate_fails_at_every_scale(self, monkeypatch, s):
+        # residuals are judged relative to their terms; a d1 moved by 1e-6
+        # relative must still fail, whatever the scale of the model
+        m = make_model(10.0**-s, 0.0, 10.0**-s, 0.0, 3)
+        d = 0.75 * 10.0**-s
+        assert verify_kkt(m, 2, 2, d).valid
+        candidate = converse._candidate
+
+        def moved(*args):
+            p = candidate(*args)
+            return FeasiblePoint(p.d1 * (1 + 1e-6), p.d2, p.delta)
+
+        monkeypatch.setattr(converse, "_candidate", moved)
+        cert = verify_kkt(m, 2, 2, d)
+        assert not cert.valid
+        assert {"stationarity_d1", "slack_distortion"} <= set(cert.violations)
+
     def test_perturbed_point_fails_stationarity(self):
-        cert = verify_kkt(m0(), 2, 2, 0.75, CASE_P)
+        cert = verify_kkt(m0(), 2, 2, 0.75)
         # move d_k but keep the old candidate frozen by checking a fresh run
-        cert2 = verify_kkt(m0(), 2, 2, 0.8, CASE_P)
+        cert2 = verify_kkt(m0(), 2, 2, 0.8)
         assert cert2.valid
         assert cert.point.d1 != cert2.point.d1
 
@@ -197,28 +224,27 @@ class TestSolveNumeric:
             k = int(rng.integers(1, m.ell + 1))
             d = random_dk(rng, m, k, lo_frac=0.15, hi_frac=0.85)
             j = int(rng.integers(k, m.ell + 1))
-            case = select_case(m, j)
-            cert = verify_kkt(m, k, j, d, case)
+            cert = verify_kkt(m, k, j, d)
             if not cert.valid:
                 continue
-            pt, f = solve_numeric(m, k, j, d, case)
+            pt, f = solve_numeric(m, k, j, d)
             assert f == pytest.approx(cert.objective, abs=1e-6)
             assert pt.delta == pytest.approx(cert.point.delta, abs=1e-5)
             checked += 1
 
     def test_strict_gap_when_condition_fails(self):
         m, d = both_ends_bad_d()
-        cert = verify_kkt(m, 2, 2, d, CASE_P)
+        cert = verify_kkt(m, 2, 2, d)
         assert not cert.valid
-        _, f = solve_numeric(m, 2, 2, d, CASE_P)
+        _, f = solve_numeric(m, 2, 2, d)
         assert cert.objective - f > 0.1
 
     def test_k1(self):
         m = make_model(1, 0.4, 1, 0.2, 3)
         for d in (0.55, 0.7, 0.85):
-            cert = verify_kkt(m, 1, 1, d, CASE_P)
+            cert = verify_kkt(m, 1, 1, d)
             assert cert.valid
-            _, f = solve_numeric(m, 1, 1, d, CASE_P)
+            _, f = solve_numeric(m, 1, 1, d)
             assert f == pytest.approx(cert.objective, abs=1e-6)
 
     def test_numeric_never_above_candidate(self):
@@ -228,14 +254,8 @@ class TestSolveNumeric:
             k = int(rng.integers(1, m.ell + 1))
             d = random_dk(rng, m, k, lo_frac=0.15, hi_frac=0.85)
             j = int(rng.integers(k, m.ell + 1))
-            case = select_case(m, j)
-            cand = candidate_minimizer(m, k, j, d, case)
-            lw = m.s.lambda2 if case == CASE_P else m.s.lambda1(j)
-            if case == CASE_P:
-                obj = objective_eta(m, k, cand)
-            else:
-                obj = objective_eta_hat(m, k, j, cand)
-            _, f = solve_numeric(m, k, j, d, case)
+            obj = objective_eta(m, k, j, candidate_minimizer(m, k, j, d))
+            _, f = solve_numeric(m, k, j, d)
             assert f <= obj + 1e-8
 
 
@@ -272,8 +292,8 @@ def reference_two_branch(m, k, j, d, case):
     """
     lx1, ls1 = m.x.lambda1(k), m.s.lambda1(k)
     lx2, ls2 = m.x.lambda2, m.s.lambda2
-    p = candidate_minimizer(m, k, j, d, case)
-    c = kkt_multipliers(m, k, j, d, case).c
+    p = candidate_minimizer(m, k, j, d)
+    c = kkt_multipliers(m, k, j, d).c
     a1 = lx1**2 / ls1**2
     a2 = lx2**2 / ls2**2
     lw = ls2 if case == CASE_P else m.s.lambda1(j)
@@ -323,7 +343,7 @@ class TestOneProgram:
             j = int(rng.integers(k, m.ell + 1))
             assert select_case(m, j) == case
             ref = reference_two_branch(m, k, j, d, case)
-            cert = verify_kkt(m, k, j, d, case)
+            cert = verify_kkt(m, k, j, d)
             lw = m.s.lambda2 if case == CASE_P else m.s.lambda1(j)
             assert lw == min(m.s.lambda1(j), m.s.lambda2)
             mult = cert.multipliers
@@ -334,7 +354,7 @@ class TestOneProgram:
             scale = max(abs(t) for t in ref["terms"])
             assert abs(cert.residuals["stationarity_d2"] - ref["stat_d2"]) <= 1e-14 * scale
             for delta in (cert.point.delta, 0.5 * cert.point.delta):
-                got = dj_lower_bound(m, k, j, delta, case)
+                got = dj_lower_bound(m, k, j, delta)
                 assert got == pytest.approx(ref["dj"](delta), rel=1e-13, abs=0)
 
 
@@ -395,7 +415,7 @@ class TestGoldenSectionOracle:
             d = random_dk(rng, m, k)
             j = int(rng.integers(k, m.ell + 1))
             case = select_case(m, j)
-            pt, f = solve_numeric(m, k, j, d, case)
+            pt, f = solve_numeric(m, k, j, d)
             reduced, _ = reference_reduced(m, k, j, d, case)
             assert f == reduced(pt.d1)
 
@@ -409,10 +429,10 @@ class TestGoldenSectionOracle:
             d = random_dk(rng, m, k, lo_frac=0.1, hi_frac=0.9)
             j = int(rng.integers(k, m.ell + 1))
             case = select_case(m, j)
-            mult = kkt_multipliers(m, k, j, d, case)
+            mult = kkt_multipliers(m, k, j, d)
             if min(mult.b1, mult.b2) < 1e-8:
                 continue
-            _, f = solve_numeric(m, k, j, d, case)
+            _, f = solve_numeric(m, k, j, d)
             assert f <= reference_solve_numeric(m, k, j, d, case) + 1e-12
             checked += 1
 
@@ -424,17 +444,15 @@ class TestGoldenSectionOracle:
             m = random_model(rng, rho_s_sign="+-"[i % 2])
             d = random_dk(rng, m, 1, lo_frac=0.01, hi_frac=0.99)
             j = int(rng.integers(1, m.ell + 1))
-            case = select_case(m, j)
-            _, f = solve_numeric(m, 1, j, d, case)
-            assert f <= verify_kkt(m, 1, j, d, case).objective + 1e-13
+            _, f = solve_numeric(m, 1, j, d)
+            assert f <= verify_kkt(m, 1, j, d).objective + 1e-13
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(instance=oracle_instances())
     def test_agrees_with_certificate(self, instance):
         m, k, j, d = instance
-        case = select_case(m, j)
-        cert = verify_kkt(m, k, j, d, case)
-        pt, f = solve_numeric(m, k, j, d, case)
+        cert = verify_kkt(m, k, j, d)
+        pt, f = solve_numeric(m, k, j, d)
         # the candidate is feasible; where the minimum sits at the top of the
         # box the search stops 1e-12 * hi short of it
         assert f <= cert.objective + 1e-11
@@ -453,19 +471,18 @@ class TestDjLowerBound:
                 d = random_dk(rng, m, k)
                 prof = distortion_profile(m, k, d)
                 for j in range(k, m.ell + 1):
-                    case = select_case(m, j)
-                    p = candidate_minimizer(m, k, j, d, case)
-                    got = dj_lower_bound(m, k, j, p.delta, case)
+                    p = candidate_minimizer(m, k, j, d)
+                    got = dj_lower_bound(m, k, j, p.delta)
                     assert got == pytest.approx(prof[j - k], rel=1e-10)
 
     def test_monotone_in_delta(self):
         m = make_model(1, 0.5, 1, 0.1, 3)
-        vals = [dj_lower_bound(m, 2, 3, t, CASE_P) for t in np.linspace(0.05, 0.6, 20)]
+        vals = [dj_lower_bound(m, 2, 3, t) for t in np.linspace(0.05, 0.6, 20)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_rejects_bad_delta(self):
         with pytest.raises(DomainError):
-            dj_lower_bound(m0(), 2, 3, 0.0, CASE_P)
+            dj_lower_bound(m0(), 2, 3, 0.0)
 
 
 class TestSigmaIdentity:

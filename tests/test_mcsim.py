@@ -80,7 +80,7 @@ class TestEmpiricalDistortion:
         k, d = 2, 0.7
         lam = solve_lambda_q(m, k, d)
         for j in (2, 3):
-            want = distortion_at_lambda(m, k, j, lam)
+            want = distortion_at_lambda(m, j, lam)
             got = empirical_distortion(m, k, lam, j, 150_000, 5)
             assert abs(got.distortion - want) <= 3.0 * got.stderr
             assert got.stderr < 0.01

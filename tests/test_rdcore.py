@@ -5,6 +5,7 @@ import pytest
 
 from ceord import (
     DomainError,
+    ModelError,
     check_conditions,
     classify_regime,
     d_min,
@@ -56,7 +57,7 @@ class TestSolveLambdaQ:
             k = int(rng.integers(1, m.ell + 1))
             d = random_dk(rng, m, k)
             lam = solve_lambda_q(m, k, d)
-            assert distortion_at_lambda(m, k, k, lam) == pytest.approx(d, rel=1e-12)
+            assert distortion_at_lambda(m, k, lam) == pytest.approx(d, rel=1e-12)
 
     def test_monotone_in_d(self):
         m = make_model(1, 0.5, 1, 0, 3)
@@ -94,7 +95,7 @@ class TestSolveLambdaQ:
             d = lo + t * (m.x.gamma - lo)
             lam = solve_lambda_q(m, k, d)
             assert lam > 0
-            assert distortion_at_lambda(m, k, k, lam) == pytest.approx(d, rel=1e-12)
+            assert distortion_at_lambda(m, k, lam) == pytest.approx(d, rel=1e-12)
             assert lam == pytest.approx(bisect_lambda_oracle(m, k, d), rel=1e-9)
 
     def test_noiseless_floor(self):
@@ -103,13 +104,43 @@ class TestSolveLambdaQ:
         m = make_model(1e6, 0.5, 0.0, 0.0, 3)
         for d in (1e-11, 1e-9, 1e-6):
             lam = solve_lambda_q(m, 2, d)
-            assert distortion_at_lambda(m, 2, 2, lam) == pytest.approx(d, rel=1e-12)
+            assert distortion_at_lambda(m, 2, lam) == pytest.approx(d, rel=1e-12)
             assert lam == pytest.approx(bisect_lambda_oracle(m, 2, d), rel=1e-12)
 
     @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
     def test_non_finite_dk_rejected(self, d):
         with pytest.raises(DomainError, match="finite"):
             solve_lambda_q(m0(), 2, d)
+
+
+class TestScaleInvariance:
+    """Scaling every variance by s scales d_min and d_k by s and leaves
+    the rate unchanged; the domain checks must not depend on s."""
+
+    SCALES = [10.0**e for e in range(-30, 31)]
+
+    @staticmethod
+    def scaled(m, s):
+        return make_model(s * m.x.gamma, m.x.rho, s * m.z.gamma, m.z.rho, m.ell)
+
+    def test_dmin_and_rate(self):
+        rng = np.random.default_rng(12)
+        models = [m0(), make_model(1, 1, 1, 1, 3), make_model(1, -0.5, 1, -0.5, 3)]
+        models += [random_model(rng) for _ in range(5)]
+        for m in models:
+            k = 2
+            d = random_dk(rng, m, k)
+            for s in self.SCALES:
+                ms = self.scaled(m, s)
+                for j in range(1, m.ell + 1):
+                    assert d_min(ms, j) == pytest.approx(s * d_min(m, j), rel=1e-12, abs=0)
+                assert rate_bar(ms, k, s * d) == pytest.approx(rate_bar(m, k, d), rel=1e-12)
+
+    def test_negative_eigenvalue_rejected(self):
+        # rho_x = -1 at ell = 3: lambda_x1 = -gamma_x
+        for s in self.SCALES:
+            with pytest.raises(ModelError, match="leading eigenvalue"):
+                make_model(s, -1.0, s, 0.0, 3)
 
 
 class TestRateBar:

@@ -1,5 +1,6 @@
 """Checks on the library source itself."""
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -76,10 +77,10 @@ def test_verify_leaves_scipy_unloaded():
 
 def test_converse_branches_on_case_only_in_case_helpers():
     # one program at lambda_W = min(lambda_s1(j), lambda_s2): the case label
-    # is validated and picks lambda_W, and no formula branches on it
+    # is derived and reported, and nothing else branches on it
     path = next(p for p in SRC if p.name == "converse.py")
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    allowed = {"select_case", "_check_case", "_lw"}
+    allowed = {"select_case"}
     found = []
     for top in tree.body:
         if getattr(top, "name", None) in allowed:
@@ -98,3 +99,18 @@ def test_converse_branches_on_case_only_in_case_helpers():
             ):
                 found.append(f"{getattr(top, 'name', '<module>')}:{node.lineno}")
     assert not found, f"case compared outside {sorted(allowed)} at {found}"
+
+
+def test_converse_takes_no_case_argument():
+    # lambda_W, and with it the case, follows from (model, k, j)
+    from ceord import converse
+
+    found = [
+        name
+        for name, fn in vars(converse).items()
+        if inspect.isfunction(fn)
+        and not name.startswith("_")
+        and getattr(fn, "__module__", None) == converse.__name__
+        and "case" in inspect.signature(fn).parameters
+    ]
+    assert not found, f"public converse callables taking case: {found}"
