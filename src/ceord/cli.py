@@ -38,19 +38,33 @@ def _csv_cell(v: Any) -> str:
     return str(v)
 
 
-def _emit(args, payload: dict, rows: Optional[tuple[list[str], list[list]]] = None):
-    """Write JSON (always possible) or CSV (when the command is tabular)."""
-    if rows is not None and args.format == "csv":
+# What each cmd_* handler returns: (payload, table, exit code), the table
+# being (header, data) or None.  main builds the model once and _emit writes.
+Result = tuple[dict, Optional[tuple[list[str], list[list]]], int]
+
+
+def _emit(args, model: spectra.SourceModel, result: Result) -> int:
+    """Write a handler's result and return its exit code.
+
+    The JSON document is the schema version, the model, the payload and,
+    for a tabular command, its table as "rows"; with --format csv the table
+    alone is written as CSV.
+    """
+    payload, table, code = result
+    if table is not None and args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
-        header, data = rows
+        header, data = table
         writer.writerow(header)
         for row in data:
             writer.writerow([_csv_cell(v) for v in row])
         text = buf.getvalue()
     else:
-        payload = {"schema_version": SCHEMA_VERSION, **payload}
-        text = json.dumps(payload, indent=2) + "\n"
+        doc = {"schema_version": SCHEMA_VERSION, "model": _model_dict(model), **payload}
+        if table is not None:
+            header, data = table
+            doc["rows"] = [dict(zip(header, row)) for row in data]
+        text = json.dumps(doc, indent=2) + "\n"
     if args.out:
         try:
             fh = open(args.out, "w", encoding="utf-8", newline="")
@@ -60,6 +74,7 @@ def _emit(args, payload: dict, rows: Optional[tuple[list[str], list[list]]] = No
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return code
 
 
 def _model(args) -> spectra.SourceModel:
@@ -84,32 +99,26 @@ def _model_dict(model: spectra.SourceModel) -> dict:
     }
 
 
-def cmd_point(args) -> int:
-    model = _model(args)
+def cmd_point(args, model: spectra.SourceModel) -> Result:
     pt = bergertung.achievable_point(model, args.k, args.dk)
     rep = rdcore.conditions_at_lambda(model, args.k, pt.lambda_q)
-    _emit(
-        args,
-        {
-            "model": _model_dict(model),
-            "k": pt.k,
-            "d_k": pt.d_k,
-            "lambda_q": pt.lambda_q,
-            "rate": _rate(args, pt.rate),
-            "rate_units": "bits" if args.bits else "nats",
-            "profile": {str(j): d for j, d in zip(range(args.k, model.ell + 1), pt.profile)},
-            "conditions": asdict(rep),
-        },
-    )
-    return 0
+    payload = {
+        "k": pt.k,
+        "d_k": pt.d_k,
+        "lambda_q": pt.lambda_q,
+        "rate": _rate(args, pt.rate),
+        "rate_units": "bits" if args.bits else "nats",
+        "profile": {str(j): d for j, d in zip(range(args.k, model.ell + 1), pt.profile)},
+        "conditions": asdict(rep),
+    }
+    return payload, None, 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, model: spectra.SourceModel) -> Result:
     if args.steps < 1:
         raise DomainError(f"--steps must be >= 1, got {args.steps}")
     if not (math.isfinite(args.dk_min) and math.isfinite(args.dk_max)):
         raise DomainError(f"--dk-min/--dk-max must be finite, got {args.dk_min}, {args.dk_max}")
-    model = _model(args)
     ks = args.k
     if not 1 <= ks <= model.ell:
         raise DomainError(f"k={ks} out of range [1, {model.ell}]")
@@ -117,7 +126,6 @@ def cmd_sweep(args) -> int:
         f"d_{j}" for j in range(ks, model.ell + 1)
     ] + ["cond1", "cond2"]
     data = []
-    records = []
     skipped = []
     for i in range(args.steps):
         if args.steps == 1:
@@ -130,53 +138,27 @@ def cmd_sweep(args) -> int:
         except DomainError as e:
             skipped.append(f"d_k={d:.12g}: {e}")
             continue
-        row = [d, pt.lambda_q, _rate(args, pt.rate), *pt.profile, rep.cond1, rep.cond2]
-        data.append(row)
-        records.append(dict(zip(header, row)))
+        data.append([d, pt.lambda_q, _rate(args, pt.rate), *pt.profile, rep.cond1, rep.cond2])
     if not data:
         raise DomainError(f"no sweep point lies in (d_min, gamma_x); first skipped {skipped[0]}")
     for reason in skipped:
         print(f"warning: skipping {reason}", file=sys.stderr)
-    _emit(args, {"model": _model_dict(model), "k": ks, "rows": records}, (header, data))
-    return 0
+    return {"k": ks}, (header, data), 0
 
 
-def cmd_region(args) -> int:
-    model = _model(args)
+def cmd_region(args, model: spectra.SourceModel) -> Result:
     pt = bergertung.achievable_point(model, args.k, args.dk)
-    header = ["j", "d_j"]
     data = [[j, d] for j, d in zip(range(args.k, model.ell + 1), pt.profile)]
-    _emit(
-        args,
-        {
-            "model": _model_dict(model),
-            "k": args.k,
-            "d_k": args.dk,
-            "lambda_q": pt.lambda_q,
-            "rows": [dict(zip(header, r)) for r in data],
-        },
-        (header, data),
-    )
-    return 0
+    payload = {"k": args.k, "d_k": args.dk, "lambda_q": pt.lambda_q}
+    return payload, (["j", "d_j"], data), 0
 
 
-def cmd_conditions(args) -> int:
-    model = _model(args)
+def cmd_conditions(args, model: spectra.SourceModel) -> Result:
     rep = rdcore.check_conditions(model, args.k, args.dk)
-    _emit(
-        args,
-        {
-            "model": _model_dict(model),
-            "k": args.k,
-            "d_k": args.dk,
-            "conditions": asdict(rep),
-        },
-    )
-    return 0
+    return {"k": args.k, "d_k": args.dk, "conditions": asdict(rep)}, None, 0
 
 
-def cmd_verify(args) -> int:
-    model = _model(args)
+def cmd_verify(args, model: spectra.SourceModel) -> Result:
     j = args.j if args.j is not None else args.k
     cert = converse.verify_kkt(model, args.k, j, args.dk, tol=args.tol)
     point, opt = converse.solve_numeric(model, args.k, j, args.dk)
@@ -189,55 +171,43 @@ def cmd_verify(args) -> int:
         status = "valid"
     else:
         status = "inconsistent"
-    _emit(
-        args,
-        {
-            "model": _model_dict(model),
-            "k": args.k,
-            "j": j,
-            "d_k": args.dk,
-            "case": cert.case,
-            "status": status,
-            "certificate_valid": cert.valid,
-            "violations": list(cert.violations),
-            "point": asdict(cert.point),
-            "multipliers": asdict(cert.multipliers),
-            "residuals": cert.residuals,
-            "objective": _rate(args, cert.objective),
-            "rate_bar": _rate(args, rbar),
-            "numeric_optimum": _rate(args, opt),
-            "numeric_gap": gap,
-            "numeric_argmin": asdict(point),
-        },
-    )
-    return EXIT_INCONSISTENT if status == "inconsistent" else 0
+    payload = {
+        "k": args.k,
+        "j": j,
+        "d_k": args.dk,
+        "case": cert.case,
+        "status": status,
+        "certificate_valid": cert.valid,
+        "violations": list(cert.violations),
+        "point": asdict(cert.point),
+        "multipliers": asdict(cert.multipliers),
+        "residuals": cert.residuals,
+        "objective": _rate(args, cert.objective),
+        "rate_bar": _rate(args, rbar),
+        "numeric_optimum": _rate(args, opt),
+        "numeric_gap": gap,
+        "numeric_argmin": asdict(point),
+    }
+    return payload, None, EXIT_INCONSISTENT if status == "inconsistent" else 0
 
 
-def cmd_bt_check(args) -> int:
-    model = _model(args)
+def cmd_bt_check(args, model: spectra.SourceModel) -> Result:
     check = bergertung.check_symmetric_rate(model, args.k, args.dk)
     header = ["subset_size", "required_sum_rate", "provided_sum_rate", "satisfied"]
     data = [
         [b, _rate(args, req), _rate(args, b * check.rate), ok]
         for b, req, ok in check.constraints
     ]
-    _emit(
-        args,
-        {
-            "model": _model_dict(model),
-            "k": args.k,
-            "d_k": args.dk,
-            "rate": _rate(args, check.rate),
-            "all_satisfied": check.ok,
-            "rows": [dict(zip(header, r)) for r in data],
-        },
-        (header, data),
-    )
-    return 0
+    payload = {
+        "k": args.k,
+        "d_k": args.dk,
+        "rate": _rate(args, check.rate),
+        "all_satisfied": check.ok,
+    }
+    return payload, (header, data), 0
 
 
-def cmd_simulate(args) -> int:
-    model = _model(args)
+def cmd_simulate(args, model: spectra.SourceModel) -> Result:
     seed = _seed(args)
     lam = rdcore.solve_lambda_q(model, args.k, args.dk)
     profile = rdcore.profile_at_lambda(model, args.k, lam)
@@ -250,40 +220,24 @@ def cmd_simulate(args) -> int:
         ok = sigmas <= 3.0
         ok_all = ok_all and ok
         data.append([emp.j, analytic, emp.distortion, emp.stderr, sigmas, ok])
-    _emit(
-        args,
-        {
-            "model": _model_dict(model),
-            "k": args.k,
-            "d_k": args.dk,
-            "lambda_q": lam,
-            "n": args.n,
-            "seed": seed,
-            "all_pass": ok_all,
-            "rows": [dict(zip(header, r)) for r in data],
-        },
-        (header, data),
-    )
-    return 0 if ok_all else EXIT_STATISTICAL
+    payload = {
+        "k": args.k,
+        "d_k": args.dk,
+        "lambda_q": lam,
+        "n": args.n,
+        "seed": seed,
+        "all_pass": ok_all,
+    }
+    return payload, (header, data), 0 if ok_all else EXIT_STATISTICAL
 
 
-def cmd_decomp_check(args) -> int:
-    model = _model(args)
+def cmd_decomp_check(args, model: spectra.SourceModel) -> Result:
     j = args.j if args.j is not None else model.ell
     bound = min(model.s.lambda1(j), model.s.lambda2)
     lam_w = args.lambda_w if args.lambda_w is not None else 0.5 * bound
     rep = mcsim.decomposition_check(model, j, lam_w, args.lambda_q, args.n, _seed(args))
     ok = rep.sigma_ok and rep.delta_diag_ok
-    _emit(
-        args,
-        {
-            "model": _model_dict(model),
-            "j": j,
-            **asdict(rep),
-            "all_pass": ok,
-        },
-    )
-    return 0 if ok else EXIT_STATISTICAL
+    return {"j": j, **asdict(rep), "all_pass": ok}, None, 0 if ok else EXIT_STATISTICAL
 
 
 def _seed(args) -> int:
@@ -419,7 +373,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 build_parser().error("unrecognized arguments: " + " ".join(extra))
         else:
             args = build_parser().parse_args(argv)
-        return args.func(args)
+        model = _model(args)
+        return _emit(args, model, args.func(args, model))
     except (DomainError, ModelError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -137,16 +137,20 @@ def _multipliers(model: SourceModel, k: int, p: FeasiblePoint) -> Multipliers:
     lx2, ls2 = model.x.lambda2, model.s.lambda2
     a1_coef = lx1**2 / ls1**2
     a2_coef = lx2**2 / ls2**2
-    c = (p.d1 + (k - 1) * p.d2) / (
-        a1_coef * p.d1**2 + (k - 1) * a2_coef * p.d2**2
-    ) / (2 * k)
+    den = a1_coef * p.d1**2 + (k - 1) * a2_coef * p.d2**2
+    c = (p.d1 + (k - 1) * p.d2) / den / (2 * k)
+    # b's numerator delta - d + 2k*c*coef*d^2 cancels when delta << d; it is
+    # taken as delta + d*excess, with excess = 2k*c*coef*d - 1 in closed form
+    spread = a1_coef * p.d1 - a2_coef * p.d2
+    excess1, excess2 = (k - 1) * p.d2 * spread / den, -p.d1 * spread / den
 
-    def b(mult: int, d: float, coef: float) -> float:
-        return mult * (p.delta - d + 2 * k * c * coef * d**2) / (2 * k * p.delta**2)
+    def b(mult: int, d: float, coef: float, excess: float) -> float:
+        # at delta == d (lambda_W is this mode's eigenvalue) only one term is left
+        num = 2 * k * c * coef * d**2 if p.delta == d else p.delta + d * excess
+        return mult * num / (2 * k * p.delta**2)
 
-    return Multipliers(
-        a1=0.0, a2=0.0, b1=b(1, p.d1, a1_coef), b2=b(k - 1, p.d2, a2_coef), c=c
-    )
+    b1, b2 = b(1, p.d1, a1_coef, excess1), b(k - 1, p.d2, a2_coef, excess2)
+    return Multipliers(a1=0.0, a2=0.0, b1=b1, b2=b2, c=c)
 
 
 def _delta_cap(d: float, lw: float, ls: float) -> float:

@@ -22,6 +22,13 @@ import numpy as np
 # rounding at every scale of the model.
 PSD_SLACK = 1e-12
 
+# The variance range on which rates are computed to full precision: the
+# solver multiplies up to four eigenvalues, which must neither underflow
+# nor overflow.  gamma_x lies in [GAMMA_MIN, GAMMA_MAX]; gamma_z may be 0
+# or tiny, but not above GAMMA_MAX.
+GAMMA_MIN = 1e-60
+GAMMA_MAX = 1e60
+
 
 class ModelError(ValueError):
     """Invalid model parameters (fails positive semidefiniteness etc.)."""
@@ -88,7 +95,9 @@ def validate(x: SymmetricSpec, z: SymmetricSpec) -> SourceModel:
     """Check both specs and derive the observation spec entrywise.
 
     Rejects non-finite gamma or rho, gamma_x <= 0 (the target must be
-    random) and any family whose closed-form eigenvalues go negative.
+    random), gamma_x < GAMMA_MIN or a variance above GAMMA_MAX (outside the
+    range the solver is exact on) and any family whose closed-form
+    eigenvalues go negative.
     """
     if not all(map(math.isfinite, (x.gamma, x.rho, z.gamma, z.rho))):
         raise ModelError(f"gamma and rho must be finite, got x={x}, z={z}")
@@ -100,6 +109,11 @@ def validate(x: SymmetricSpec, z: SymmetricSpec) -> SourceModel:
         raise ModelError(f"gamma_x must be > 0, got {x.gamma}")
     if z.gamma < 0:
         raise ModelError(f"gamma_z must be >= 0, got {z.gamma}")
+    if not (GAMMA_MIN <= x.gamma <= GAMMA_MAX and z.gamma <= GAMMA_MAX):
+        raise ModelError(
+            f"need {GAMMA_MIN:g} <= gamma_x <= {GAMMA_MAX:g} and gamma_z <= {GAMMA_MAX:g},"
+            f" got gamma_x={x.gamma}, gamma_z={z.gamma}"
+        )
     _check_psd(x, "signal spec")
     _check_psd(z, "noise spec")
     gamma_s = x.gamma + z.gamma

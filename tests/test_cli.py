@@ -436,9 +436,16 @@ class TestVerify:
              "--rho-z=-0.3333333333333333", "--ell=4", "--k=1",
              "--dk=1.0000000000000002e-12"],
             ["--gamma-x=1", "--gamma-z=0", "--ell=3", "--k=2", "--dk=1e-20"],
+            # a correlation within 1e-9 of its boundary: delta << d, where the
+            # terms of the b multipliers once cancelled
+            ["--gamma-x=0.31023890465883586", "--rho-x=0.999999999", "--gamma-z=0.0",
+             "--rho-z=-0.249999999", "--ell=5", "--k=2", "--dk=0.07698264549459341"],
+            ["--gamma-x=0.6267730581981378", "--rho-x=-0.249999999",
+             "--gamma-z=0.002427458919844822", "--rho-z=-0.249999999", "--ell=5", "--k=5",
+             "--dk=0.5785833778521291"],
         ],
         ids=[*(f"m0-scaled-1e-{s}" for s in range(12)), "large-c", "noiseless-1e-12",
-             "noiseless-1e-20"],
+             "noiseless-1e-20", "near-boundary-k2", "near-boundary-k5"],
     )
     def test_valid_whatever_the_size_of_the_terms(self, capsys, argv):
         code, doc, _ = run_json(capsys, "verify", *argv)
@@ -658,8 +665,8 @@ _BAD_RHO = _NON_FINITE | _NOT_A_NUMBER | _floats(min_value=1.01) | _floats(max_v
 # Invalid values for each flag, against the bases below (ell = 3, k = 2,
 # d_min = 0.5, gamma_x = 1, lambda_w bound 2).
 BAD_VALUES = {
-    "--gamma-x": _NON_FINITE | _NOT_A_NUMBER | _floats(max_value=0.0),
-    "--gamma-z": _NON_FINITE | _NOT_A_NUMBER | _floats(max_value=-1e-9),
+    "--gamma-x": _NON_FINITE | _NOT_A_NUMBER | _floats(max_value=9e-61) | _floats(min_value=2e60),
+    "--gamma-z": _NON_FINITE | _NOT_A_NUMBER | _floats(max_value=-1e-9) | _floats(min_value=2e60),
     "--rho-x": _BAD_RHO,
     "--rho-z": _BAD_RHO,
     "--ell": _NOT_A_NUMBER | _ints(max_value=1) | st.just("2.5"),
@@ -698,6 +705,16 @@ def unwritable(tmp_path_factory):
     """Two --out targets open() refuses: a file in a missing directory, a directory."""
     root = tmp_path_factory.mktemp("out")
     return [str(root / "missing" / "x.json"), str(root)]
+
+
+class TestOut:
+    @pytest.mark.parametrize("cmd", sorted(VALID_BASES))
+    def test_file_holds_what_stdout_would(self, capsys, tmp_path, cmd):
+        argv = [cmd] + [f"{f}={v}" for f, v in VALID_BASES[cmd].items()]
+        code, out, err = run(capsys, *argv)
+        target = tmp_path / "doc"
+        assert run(capsys, *argv, f"--out={target}") == (code, "", err)
+        assert target.read_bytes() == out.encode("utf-8")
 
 
 class TestExitCodeContract:
@@ -753,6 +770,15 @@ class TestExitCodeContract:
         code, out, err = run(capsys, "sweep", *M0, "--k", k, *span)
         assert code == 2 and out == ""
         assert f"k={k} out of range" in err
+
+    @pytest.mark.parametrize("cmd", ["point", "verify", "bt-check"])
+    @pytest.mark.parametrize("s", ["1e-100", "1e100", "1e308"])
+    def test_variance_outside_the_domain(self, capsys, cmd, s):
+        # m0 scaled by s: once a traceback or a wrong "within rounding" error
+        dk = f"--dk={0.75 * float(s)!r}"
+        code, out, err = run(capsys, cmd, f"--gamma-x={s}", f"--gamma-z={s}", "--ell=3", "--k=2", dk)
+        assert code == 2 and out == ""
+        assert err.startswith("error: need 1e-60 <= gamma_x <= 1e+60")
 
     def test_unwritable_out(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"

@@ -117,20 +117,27 @@ class TestScaleInvariance:
     """Scaling every variance by s scales d_min and d_k by s and leaves
     the rate unchanged; the domain checks must not depend on s."""
 
-    SCALES = [10.0**e for e in range(-30, 31)]
+    SCALES = [float(f"1e{e}") for e in range(-60, 61)]
 
     @staticmethod
     def scaled(m, s):
         return make_model(s * m.x.gamma, m.x.rho, s * m.z.gamma, m.z.rho, m.ell)
 
     def test_dmin_and_rate(self):
+        # unit-variance models stay in the domain at every scale; a random
+        # model is rejected where a scaled variance leaves [1e-60, 1e60]
         rng = np.random.default_rng(12)
         models = [m0(), make_model(1, 1, 1, 1, 3), make_model(1, -0.5, 1, -0.5, 3)]
         models += [random_model(rng) for _ in range(5)]
-        for m in models:
+        for i, m in enumerate(models):
             k = 2
             d = random_dk(rng, m, k)
             for s in self.SCALES:
+                gx, gz = s * m.x.gamma, s * m.z.gamma
+                if i >= 3 and not (1e-60 <= gx <= 1e60 and gz <= 1e60):
+                    with pytest.raises(ModelError, match="gamma_x <= 1e"):
+                        self.scaled(m, s)
+                    continue
                 ms = self.scaled(m, s)
                 for j in range(1, m.ell + 1):
                     assert d_min(ms, j) == pytest.approx(s * d_min(m, j), rel=1e-12, abs=0)
@@ -141,6 +148,19 @@ class TestScaleInvariance:
         for s in self.SCALES:
             with pytest.raises(ModelError, match="leading eigenvalue"):
                 make_model(s, -1.0, s, 0.0, 3)
+
+    @pytest.mark.parametrize("s", [1e-61, 1e-80, 1e-100, 1e-300, 1e61, 1e80, 1e100, 1e308])
+    def test_variance_outside_the_domain_rejected(self, s):
+        # beyond both ends products of four eigenvalues underflow or overflow
+        with pytest.raises(ModelError, match="gamma_x <= 1e"):
+            self.scaled(m0(), s)
+
+    def test_domain_ends_admitted(self):
+        make_model(1e-60, 0.0, 1e60, 0.0, 3)
+        make_model(1e60, 0.0, 0.0, 0.0, 3)
+        make_model(1.0, 0.0, 1e-300, 0.0, 3)
+        with pytest.raises(ModelError, match="gamma_z <= 1e"):
+            make_model(1.0, 0.0, 1e61, 0.0, 3)
 
 
 class TestRateBar:

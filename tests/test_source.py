@@ -114,3 +114,27 @@ def test_converse_takes_no_case_argument():
         and "case" in inspect.signature(fn).parameters
     ]
     assert not found, f"public converse callables taking case: {found}"
+
+
+def test_cli_handlers_only_compute():
+    # a handler returns (payload, table, exit code); main builds the model
+    # and _emit writes the document, so no handler does either
+    from ceord import cli
+
+    path = next(p for p in SRC if p.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    handlers = [
+        top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name.startswith("cmd_")
+    ]
+    assert {fn for fn, _ in cli._COMMANDS.values()} == {getattr(cli, h.name) for h in handlers}
+    found = []
+    for top in handlers:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id in {"_emit", "_model", "_model_dict"}:
+                    found.append(f"{top.name}:{node.lineno} calls {node.func.id}")
+                elif node.func.id == "print" and not any(kw.arg == "file" for kw in node.keywords):
+                    found.append(f"{top.name}:{node.lineno} prints to stdout")
+            elif isinstance(node, ast.Attribute) and node.attr == "stdout":
+                found.append(f"{top.name}:{node.lineno} uses stdout")
+    assert not found, found
