@@ -41,12 +41,10 @@ from .converse import (
     KKTCertificate,
     Multipliers,
     candidate_minimizer,
-    delta_bound,
     dj_lower_bound,
     kkt_multipliers,
     objective_eta,
     select_case,
-    sigma_identity,
     solve_numeric,
     verify_kkt,
 )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -65,7 +66,7 @@ def _emit(args, model: spectra.SourceModel, result: Result) -> int:
             header, data = table
             doc["rows"] = [dict(zip(header, row)) for row in data]
         text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
+    if args.out is not None:
         try:
             fh = open(args.out, "w", encoding="utf-8", newline="")
         except OSError as e:
@@ -233,7 +234,8 @@ def cmd_simulate(args, model: spectra.SourceModel) -> Result:
 
 def cmd_decomp_check(args, model: spectra.SourceModel) -> Result:
     j = args.j if args.j is not None else model.ell
-    bound = min(model.s.lambda1(j), model.s.lambda2)
+    ev = spectra.eigenvalues(model.s, j)  # checks j before any arithmetic on it
+    bound = min(ev.lambda1, ev.lambda2)
     lam_w = args.lambda_w if args.lambda_w is not None else 0.5 * bound
     rep = mcsim.decomposition_check(model, j, lam_w, args.lambda_q, args.n, _seed(args))
     ok = rep.sigma_ok and rep.delta_diag_ok
@@ -299,19 +301,10 @@ _COMMANDS = {
 }
 
 
-def _add_command_args(p: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    fn, flags = _COMMANDS[command]
-    _add_model_args(p)
-    for flag, kw in flags.items():
-        p.add_argument(flag, **kw)
-    p.set_defaults(func=fn)
-    return p
-
-
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The full ``ceord`` parser, or with ``command`` that subparser alone."""
-    if command is not None:
-        return _add_command_args(argparse.ArgumentParser(prog=f"ceord {command}"), command)
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The ``ceord`` parser, built once per process and shared by every
+    caller, so no caller may modify it."""
     parser = argparse.ArgumentParser(
         prog="ceord",
         description=__doc__,
@@ -323,13 +316,17 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         help="JSON object of parameters, applied before flag parsing",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        _add_command_args(sub.add_parser(name), name)
+    for name, (fn, flags) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        _add_model_args(p)
+        for flag, kw in flags.items():
+            p.add_argument(flag, **kw)
+        p.set_defaults(func=fn)
     return parser
 
 
 def _params_json_index(argv: list[str]) -> Optional[int]:
-    """Where the full parser would read --params-json: the flag or any prefix
+    """Where the parser would read --params-json: the flag or any prefix
     argparse expands to it, with or without "=VALUE"."""
     for i, token in enumerate(argv):
         if token.startswith("--p") and "--params-json".startswith(token.split("=", 1)[0]):
@@ -365,14 +362,7 @@ def _apply_params_json(argv: list[str]) -> list[str]:
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_params_json(argv)
-        if argv and argv[0] in _COMMANDS:
-            args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
-            if extra:
-                # the full parser reports these, with its own usage line
-                build_parser().error("unrecognized arguments: " + " ".join(extra))
-        else:
-            args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_apply_params_json(argv))
         model = _model(args)
         return _emit(args, model, args.func(args, model))
     except (DomainError, ModelError) as e:

@@ -1,4 +1,4 @@
-"""Converse machinery: convex programs, KKT certificates, and matrix bounds.
+"""Converse machinery: convex programs, KKT certificates, and lower bounds.
 
 The lower-bound argument reduces to one three-variable convex program over
 (d1, d2, delta): per-mode distortion surrogates for the observations plus a
@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from . import rdcore
 from .spectra import DomainError, InconsistencyError, SourceModel, d_min
@@ -315,38 +313,3 @@ def dj_lower_bound(model: SourceModel, k: int, j: int, delta: float) -> float:
     if math.isinf(e1) or math.isinf(e2):
         raise DomainError("nonpositive inner inverse in lower bound")
     return _distortion_lhs(model, j, e1, e2) / j
-
-
-def sigma_identity(
-    gamma_u: np.ndarray, gamma_s: np.ndarray, d: np.ndarray
-) -> np.ndarray:
-    """Reconstruction-error covariance of the fictitious signal.
-
-    Maps the observation-error covariance D through the linear relation
-    between the fictitious-signal estimate and the observation estimate.
-    """
-    try:
-        np.linalg.cholesky(gamma_s)
-    except np.linalg.LinAlgError as e:
-        raise DomainError("observation covariance must be positive definite") from e
-    m = np.linalg.solve(gamma_s, gamma_u)  # Gamma_S^{-1} Gamma_U
-    return m.T @ d @ m + gamma_u - gamma_u @ m
-
-
-def delta_bound(
-    d: np.ndarray, lambda_w: float, gamma_s: np.ndarray
-) -> np.ndarray:
-    """Upper bound on the residual covariance given the fictitious signal.
-
-    (D^{-1} + Lambda_W^{-1} - Gamma_S^{-1})^{-1}; the inner sum must be
-    positive definite, which bounds how large lambda_w may be.
-    """
-    if lambda_w <= 0:
-        raise DomainError(f"lambda_w must be > 0, got {lambda_w}")
-    n = d.shape[0]
-    inner = np.linalg.inv(d) + np.eye(n) / lambda_w - np.linalg.inv(gamma_s)
-    try:
-        np.linalg.cholesky(inner)
-    except np.linalg.LinAlgError as e:
-        raise DomainError("indefinite inner matrix in residual bound") from e
-    return np.linalg.inv(inner)

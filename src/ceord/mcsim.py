@@ -140,22 +140,6 @@ def _factor(l1: float, l2: float, j: int) -> np.ndarray:
     return basis(j) * np.sqrt(lams)
 
 
-def _cov_with_se(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise second-moment matrix of rows of e with per-entry standard errors.
-
-    Computed pairwise to avoid materializing the n x j x j outer products.
-    """
-    n, j = e.shape
-    mean = np.empty((j, j))
-    se = np.empty((j, j))
-    for a in range(j):
-        for b in range(a, j):
-            p = e[:, a] * e[:, b]
-            mean[a, b] = mean[b, a] = p.mean()
-            se[a, b] = se[b, a] = p.std(ddof=1) / np.sqrt(n)
-    return mean, se
-
-
 def sample(model: SourceModel, n: int, seed: int) -> SampleBatch:
     """Draw n i.i.d. realizations of (X, Z, S = X + Z)."""
     ell = model.ell
@@ -277,7 +261,7 @@ def decomposition_check(
         raise DomainError(f"lambda_q={lambda_q:.6g} is too small: a z-score's standard error is 0")
 
     # (a) error covariance of the induced U-estimate vs its closed-form image
-    # (converse.sigma_identity): per mode (s - lw)(lw + lq)/(s + lq)
+    # of the S-estimation error: per mode (s - lw)(lw + lq)/(s + lq)
     p1 = (ls1 - lambda_w) * (lambda_w + lambda_q) / (ls1 + lambda_q)
     p2 = (ls2 - lambda_w) * (lambda_w + lambda_q) / (ls2 + lambda_q)
     sigma_pred = p2 * np.eye(j) + (p1 - p2) / j

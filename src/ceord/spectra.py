@@ -29,6 +29,10 @@ PSD_SLACK = 1e-12
 GAMMA_MIN = 1e-60
 GAMMA_MAX = 1e60
 
+# The largest dimension for which ell - 1, and so every eigenvalue formula,
+# is exact in floating point.
+ELL_MAX = 2**53
+
 
 class ModelError(ValueError):
     """Invalid model parameters (fails positive semidefiniteness etc.)."""
@@ -94,10 +98,10 @@ def _check_psd(spec: SymmetricSpec, name: str) -> None:
 def validate(x: SymmetricSpec, z: SymmetricSpec) -> SourceModel:
     """Check both specs and derive the observation spec entrywise.
 
-    Rejects non-finite gamma or rho, gamma_x <= 0 (the target must be
-    random), gamma_x < GAMMA_MIN or a variance above GAMMA_MAX (outside the
-    range the solver is exact on) and any family whose closed-form
-    eigenvalues go negative.
+    Rejects non-finite gamma or rho, ell outside [2, ELL_MAX], gamma_x <= 0
+    (the target must be random), gamma_x < GAMMA_MIN or a variance above
+    GAMMA_MAX (outside the range the solver is exact on) and any family
+    whose closed-form eigenvalues go negative.
     """
     if not all(map(math.isfinite, (x.gamma, x.rho, z.gamma, z.rho))):
         raise ModelError(f"gamma and rho must be finite, got x={x}, z={z}")
@@ -105,6 +109,8 @@ def validate(x: SymmetricSpec, z: SymmetricSpec) -> SourceModel:
         raise ModelError(f"dimension mismatch: x.ell={x.ell}, z.ell={z.ell}")
     if x.ell < 2:
         raise ModelError(f"ell must be >= 2, got {x.ell}")
+    if x.ell > ELL_MAX:
+        raise ModelError(f"ell must be <= 2**53, got {x.ell}")
     if not x.gamma > 0:
         raise ModelError(f"gamma_x must be > 0, got {x.gamma}")
     if z.gamma < 0:

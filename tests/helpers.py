@@ -1,11 +1,9 @@
 """Shared fixtures and random-instance generators for the test suite."""
 from __future__ import annotations
 
-import argparse
-
 import numpy as np
 
-from ceord import SymmetricSpec, cli, d_min, validate
+from ceord import SymmetricSpec, d_min, validate
 from ceord.rdcore import distortion_at_lambda
 
 
@@ -73,28 +71,3 @@ def bisect_lambda_oracle(model, k, d_k):
             break
     return 0.5 * (lo + hi)
 
-
-def reference_parser():
-    """The full ``ceord`` parser with every subparser built, from ``cli._COMMANDS``.
-
-    Returns the top-level parser and its subparsers by name: the reference
-    that the one-command parsers of ``cli.build_parser`` are compared against.
-    """
-    parser = argparse.ArgumentParser(
-        prog="ceord",
-        description=cli.__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument(
-        "--params-json",
-        default=None,
-        help="JSON object of parameters, applied before flag parsing",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, flags) in cli._COMMANDS.items():
-        p = sub.add_parser(name)
-        cli._add_model_args(p)
-        for flag, kw in flags.items():
-            p.add_argument(flag, **kw)
-        p.set_defaults(func=fn)
-    return parser, sub.choices

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from ceord import bergertung, cli, converse, rdcore
 from ceord.cli import main
 
-from helpers import make_model, reference_parser
+from helpers import make_model
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -593,32 +593,50 @@ class TestDecompCheck:
         assert "lambda_w" in err
 
 
-class TestPerCommandParser:
+def _subparsers(parser):
+    """The subcommand parsers of the top-level parser, by name."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestParser:
+    """One ``ceord`` parser per process, compared with a fresh build.
+
+    The ``used`` fixture has the cached parser parse valid argv and reject
+    bad argv first, so that any state carried between calls would show.
+    """
+
     POINT = ["point", *M0, "--k", "2", "--dk", "0.75"]
 
+    @pytest.fixture
+    def used(self, capsys):
+        assert run(capsys, *self.POINT)[0] == 0
+        for argv in (["--bogus"], self.POINT[:-2], [*self.POINT, "--bogus"], ["nope"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        capsys.readouterr()
+        return cli.build_parser()
+
     @pytest.mark.parametrize("cmd", [None, *cli._COMMANDS])
-    def test_help_matches_reference(self, cmd):
-        parser, subparsers = reference_parser()
-        ref = parser if cmd is None else subparsers[cmd]
-        assert cli.build_parser(cmd).format_help() == ref.format_help()
+    def test_help_matches_a_fresh_build(self, used, cmd):
+        fresh = cli.build_parser.__wrapped__()
+        if cmd is not None:
+            used, fresh = _subparsers(used)[cmd], _subparsers(fresh)[cmd]
+        assert used.format_help() == fresh.format_help()
 
     @pytest.mark.parametrize("workload", ["frontier-small", "frontier-wide"])
-    def test_namespace_matches_reference(self, workload):
-        parser, _ = reference_parser()
+    def test_namespace_matches_a_fresh_build(self, used, workload):
+        fresh = cli.build_parser.__wrapped__()
         for spec in workloads.generate(workload, 7)[:150]:
             argv = workloads.argv(spec)
-            want = vars(parser.parse_args(argv))
-            assert want.pop("command") == argv[0] and want.pop("params_json") is None
-            got, extra = cli.build_parser(argv[0]).parse_known_args(argv[1:])
-            assert extra == [] and vars(got) == want
+            assert vars(used.parse_args(argv)) == vars(fresh.parse_args(argv))
 
     @pytest.mark.parametrize(
         "extra", [["--bogus"], ["--tol", "1e-6", "x"], ["--", "--k", "3"]]
     )
-    def test_unrecognized_arguments_match_reference(self, capsys, extra):
+    def test_unrecognized_arguments_match_a_fresh_build(self, capsys, used, extra):
         argv = [*self.POINT, *extra]
         with pytest.raises(SystemExit) as want:
-            reference_parser()[0].parse_args(argv)
+            cli.build_parser.__wrapped__().parse_args(argv)
         ref = capsys.readouterr()
         with pytest.raises(SystemExit) as got:
             main(argv)
@@ -627,7 +645,7 @@ class TestPerCommandParser:
         assert cap.out == ref.out == ""
         assert cap.err == ref.err and "unrecognized arguments" in cap.err
 
-    def test_builds_only_the_commands_parser(self, capsys, monkeypatch):
+    def test_built_once_per_process(self, capsys, monkeypatch):
         calls = []
         add_argument = argparse.ArgumentParser.add_argument
 
@@ -636,10 +654,14 @@ class TestPerCommandParser:
             return add_argument(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
-        code, _, _ = run(capsys, *self.POINT)
-        assert code == 0
-        # -h, the six model flags, and point's own flags
-        assert len(calls) == 1 + 6 + len(cli._COMMANDS["point"][1])
+        cli.build_parser.cache_clear()
+        assert run(capsys, *self.POINT)[0] == 0
+        # top level: -h and --params-json; each command: -h, the six model
+        # flags and its own flags
+        assert len(calls) == 2 + sum(1 + 6 + len(flags) for _, flags in cli._COMMANDS.values())
+        calls.clear()
+        assert run(capsys, *self.POINT)[0] == 0
+        assert calls == []
 
 
 def _not_float(text):
@@ -660,6 +682,8 @@ def _ints(**bounds):
 
 _NON_FINITE = st.sampled_from(["nan", "inf", "-inf"])
 _NOT_A_NUMBER = st.text(string.ascii_letters, min_size=1, max_size=8).filter(_not_float)
+# An integer too large to convert to a float
+HUGE = str(10**400)
 _BAD_RHO = _NON_FINITE | _NOT_A_NUMBER | _floats(min_value=1.01) | _floats(max_value=-0.51)
 
 # Invalid values for each flag, against the bases below (ell = 3, k = 2,
@@ -669,13 +693,13 @@ BAD_VALUES = {
     "--gamma-z": _NON_FINITE | _NOT_A_NUMBER | _floats(max_value=-1e-9) | _floats(min_value=2e60),
     "--rho-x": _BAD_RHO,
     "--rho-z": _BAD_RHO,
-    "--ell": _NOT_A_NUMBER | _ints(max_value=1) | st.just("2.5"),
-    "--k": _NOT_A_NUMBER | _ints(max_value=0) | _ints(min_value=4),
+    "--ell": _NOT_A_NUMBER | _ints(max_value=1) | st.just("2.5") | st.just(HUGE),
+    "--k": _NOT_A_NUMBER | _ints(max_value=0) | _ints(min_value=4) | st.just(HUGE),
     "--dk": _NON_FINITE | _NOT_A_NUMBER | _floats(max_value=0.5) | _floats(min_value=1.0),
     "--dk-min": _NON_FINITE | _NOT_A_NUMBER,
     "--dk-max": _NON_FINITE | _NOT_A_NUMBER,
     "--steps": _NOT_A_NUMBER | _ints(max_value=0),
-    "--j": _NOT_A_NUMBER | _ints(max_value=0) | _ints(min_value=4),
+    "--j": _NOT_A_NUMBER | _ints(max_value=0) | _ints(min_value=4) | st.just(HUGE),
     "--tol": _NON_FINITE | _NOT_A_NUMBER | _floats(max_value=0.0),
     "--n": _NOT_A_NUMBER | _ints(max_value=1),
     "--seed": _NOT_A_NUMBER | _ints(max_value=-1),
@@ -702,9 +726,9 @@ VALID_BASES = {
 
 @pytest.fixture(scope="module")
 def unwritable(tmp_path_factory):
-    """Two --out targets open() refuses: a file in a missing directory, a directory."""
+    """--out targets open() refuses: a file in a missing directory, a directory, ""."""
     root = tmp_path_factory.mktemp("out")
-    return [str(root / "missing" / "x.json"), str(root)]
+    return [str(root / "missing" / "x.json"), str(root), ""]
 
 
 class TestOut:
@@ -736,7 +760,7 @@ class TestExitCodeContract:
         assert code == 2, err.getvalue()
         assert out.getvalue() == ""
 
-    @pytest.mark.parametrize("j", ["0", "-1", "4", "7"])
+    @pytest.mark.parametrize("j", ["0", "-1", "4", "7", HUGE])
     def test_decomp_check_j_out_of_range(self, capsys, j):
         code, out, err = run(capsys, "decomp-check", *M0, "--lambda-q", "2", "--n", "100", "--j", j)
         assert code == 2 and out == ""
@@ -779,6 +803,11 @@ class TestExitCodeContract:
         code, out, err = run(capsys, cmd, f"--gamma-x={s}", f"--gamma-z={s}", "--ell=3", "--k=2", dk)
         assert code == 2 and out == ""
         assert err.startswith("error: need 1e-60 <= gamma_x <= 1e+60")
+
+    def test_empty_out(self, capsys):
+        code, out, err = run(capsys, "point", *M0, "--k", "2", "--dk", "0.75", "--out=")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write --out ''")
 
     def test_unwritable_out(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"

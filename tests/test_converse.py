@@ -13,7 +13,6 @@ from ceord import (
     candidate_minimizer,
     check_conditions,
     d_min,
-    delta_bound,
     dense,
     distortion_profile,
     dj_lower_bound,
@@ -21,7 +20,6 @@ from ceord import (
     objective_eta,
     rate_bar,
     select_case,
-    sigma_identity,
     solve_lambda_q,
     solve_numeric,
     verify_kkt,
@@ -31,6 +29,7 @@ from ceord.converse import _delta_cap, _distortion_lhs, _eta
 from ceord.rdcore import rate_at_lambda
 
 from helpers import m0, make_model, random_dk, random_model
+from oracles import delta_bound, sigma_identity
 
 
 def both_ends_bad_d():

@@ -18,7 +18,6 @@ from ceord import mcsim
 from ceord.cli import main
 from ceord.mcsim import (
     CHUNK,
-    _cov_with_se,
     _decomposition_moments,
     _draw,
     _merge,
@@ -28,6 +27,7 @@ from ceord.mcsim import (
 from ceord.rdcore import distortion_at_lambda
 
 from helpers import m0, make_model
+from oracles import cov_with_se
 
 
 class TestDeterminism:
@@ -63,13 +63,13 @@ class TestEmpiricalMoments:
         n = 200_000
         b = sample(m, n, 11)
         for arr, spec in ((b.x, m.x), (b.z, m.z), (b.s, m.s)):
-            emp, se = _cov_with_se(arr)
+            emp, se = cov_with_se(arr)
             dev = np.abs(emp - dense(spec, 4)) / se
             assert dev.max() <= 5.0
 
     def test_cov_with_se_exact_small(self):
         e = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        mean, se = _cov_with_se(e)
+        mean, se = cov_with_se(e)
         assert mean == pytest.approx(e.T @ e / 3)
         assert np.all(se > 0)
 
@@ -206,8 +206,8 @@ class TestStreaming:
         lq, seed = 1.3, 23
         lw = 0.5 * min(m.s.lambda1(j), m.s.lambda2)
         eu, es = _one_shot_residuals(m, j, lw, lq, N_STREAM, seed)
-        sig, sig_se = _cov_with_se(eu)
-        dlt, dlt_se = _cov_with_se(es)
+        sig, sig_se = cov_with_se(eu)
+        dlt, dlt_se = cov_with_se(es)
         got = _decomposition_moments(m, j, lw, lq, N_STREAM, seed)
         for streamed, oracle in zip(got, (sig, sig_se, dlt, dlt_se)):
             np.testing.assert_allclose(streamed, oracle, rtol=1e-10, atol=0)

@@ -40,20 +40,33 @@ def test_mcsim_has_no_dense_algebra():
     assert not linalg, f"mcsim.py: np.linalg at line(s) {linalg}"
 
 
+def _imported_roots(path):
+    """(top-level module name, line) of every import statement in a file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            yield name.split(".")[0], node.lineno
+
+
 def test_library_does_not_import_scipy():
     # numpy is the only runtime dependency; scipy belongs to the test references
-    found = []
-    for path in SRC:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    found = [
+        f"{path.name}:{line}" for path in SRC for root, line in _imported_roots(path) if root == "scipy"
+    ]
     assert not found, f"scipy imported at {found}"
+
+
+def test_only_spectra_and_mcsim_import_numpy():
+    # the frontier and the converse are closed forms; numpy serves the
+    # Monte Carlo engine and the basis it draws in
+    found = {path.stem for path in SRC for root, _ in _imported_roots(path) if root == "numpy"}
+    assert found <= {"spectra", "mcsim"}, f"numpy imported by {sorted(found)}"
 
 
 def test_verify_leaves_scipy_unloaded():

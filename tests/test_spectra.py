@@ -10,6 +10,7 @@ from ceord import (
     eigenvalues,
     validate,
 )
+from ceord.spectra import ELL_MAX
 
 from helpers import make_model, random_model
 
@@ -35,6 +36,14 @@ class TestValidate:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ModelError):
             validate(SymmetricSpec(1, 0, 3), SymmetricSpec(1, 0, 4))
+
+    def test_ell_bound(self):
+        # above 2**53, ell - 1 is not exact in the eigenvalue formulas; a
+        # 401-digit ell once overflowed int -> float inside the PSD check
+        assert make_model(1, 0, 1, 0, ELL_MAX).ell == 2**53
+        for ell in (ELL_MAX + 1, 10**400):
+            with pytest.raises(ModelError, match=r"ell must be <= 2\*\*53"):
+                make_model(1, 0, 1, 0, ell)
 
     def test_boundary_rho_admitted(self):
         make_model(1, 1.0, 1, 1.0, 3)
