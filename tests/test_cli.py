@@ -598,8 +598,9 @@ def _subparsers(parser):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-class TestParser:
-    """One ``ceord`` parser per process, compared with a fresh build.
+class TestPerCommandParser:
+    """The parser every command runs through: one per process, compared with
+    a fresh build (the reference).
 
     The ``used`` fixture has the cached parser parse valid argv and reject
     bad argv first, so that any state carried between calls would show.
@@ -617,14 +618,14 @@ class TestParser:
         return cli.build_parser()
 
     @pytest.mark.parametrize("cmd", [None, *cli._COMMANDS])
-    def test_help_matches_a_fresh_build(self, used, cmd):
+    def test_help_matches_reference(self, used, cmd):
         fresh = cli.build_parser.__wrapped__()
         if cmd is not None:
             used, fresh = _subparsers(used)[cmd], _subparsers(fresh)[cmd]
         assert used.format_help() == fresh.format_help()
 
     @pytest.mark.parametrize("workload", ["frontier-small", "frontier-wide"])
-    def test_namespace_matches_a_fresh_build(self, used, workload):
+    def test_namespace_matches_reference(self, used, workload):
         fresh = cli.build_parser.__wrapped__()
         for spec in workloads.generate(workload, 7)[:150]:
             argv = workloads.argv(spec)
@@ -633,7 +634,7 @@ class TestParser:
     @pytest.mark.parametrize(
         "extra", [["--bogus"], ["--tol", "1e-6", "x"], ["--", "--k", "3"]]
     )
-    def test_unrecognized_arguments_match_a_fresh_build(self, capsys, used, extra):
+    def test_unrecognized_arguments_match_reference(self, capsys, used, extra):
         argv = [*self.POINT, *extra]
         with pytest.raises(SystemExit) as want:
             cli.build_parser.__wrapped__().parse_args(argv)
