@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from typing import Any, Optional
 
 from . import bergertung, converse, mcsim, rdcore, spectra
@@ -110,7 +109,7 @@ def cmd_point(args, model: spectra.SourceModel) -> Result:
         "rate": _rate(args, pt.rate),
         "rate_units": "bits" if args.bits else "nats",
         "profile": {str(j): d for j, d in zip(range(args.k, model.ell + 1), pt.profile)},
-        "conditions": asdict(rep),
+        "conditions": vars(rep),
     }
     return payload, None, 0
 
@@ -156,7 +155,7 @@ def cmd_region(args, model: spectra.SourceModel) -> Result:
 
 def cmd_conditions(args, model: spectra.SourceModel) -> Result:
     rep = rdcore.check_conditions(model, args.k, args.dk)
-    return {"k": args.k, "d_k": args.dk, "conditions": asdict(rep)}, None, 0
+    return {"k": args.k, "d_k": args.dk, "conditions": vars(rep)}, None, 0
 
 
 def cmd_verify(args, model: spectra.SourceModel) -> Result:
@@ -180,14 +179,14 @@ def cmd_verify(args, model: spectra.SourceModel) -> Result:
         "status": status,
         "certificate_valid": cert.valid,
         "violations": list(cert.violations),
-        "point": asdict(cert.point),
-        "multipliers": asdict(cert.multipliers),
+        "point": vars(cert.point),
+        "multipliers": vars(cert.multipliers),
         "residuals": cert.residuals,
         "objective": _rate(args, cert.objective),
         "rate_bar": _rate(args, rbar),
         "numeric_optimum": _rate(args, opt),
         "numeric_gap": gap,
-        "numeric_argmin": asdict(point),
+        "numeric_argmin": vars(point),
     }
     return payload, None, EXIT_INCONSISTENT if status == "inconsistent" else 0
 
@@ -239,7 +238,7 @@ def cmd_decomp_check(args, model: spectra.SourceModel) -> Result:
     lam_w = args.lambda_w if args.lambda_w is not None else 0.5 * bound
     rep = mcsim.decomposition_check(model, j, lam_w, args.lambda_q, args.n, _seed(args))
     ok = rep.sigma_ok and rep.delta_diag_ok
-    return {"j": j, **asdict(rep), "all_pass": ok}, None, 0 if ok else EXIT_STATISTICAL
+    return {"j": j, **vars(rep), "all_pass": ok}, None, 0 if ok else EXIT_STATISTICAL
 
 
 def _seed(args) -> int:

@@ -141,26 +141,11 @@ def mu_nu(
     mu compares the repeated-mode MMSE shrinkage against the leading-mode
     one; nu is its reciprocal; nu_kj generalizes nu to sub-dimension j.
     A ratio whose denominator eigenvalue is 0 is None: mu when
-    lambda_s1(k) = 0, nu and every nu_kj when lambda_s2 = 0.
+    lambda_s1(k) = 0, nu and every nu_kj when lambda_s2 = 0.  They are the
+    ratio part of check_conditions.
     """
-    return mu_nu_at_lambda(model, k, solve_lambda_q(model, k, d_k))
-
-
-def mu_nu_at_lambda(
-    model: SourceModel, k: int, lam: float
-) -> tuple[Optional[float], Optional[float], tuple[Optional[float], ...]]:
-    """mu_nu for a given test-channel noise variance."""
-    ls1, ls2 = model.s.lambda1(k), model.s.lambda2
-    mu = _shrink(ls2, lam) / _shrink(ls1, lam) if ls1 > 0 else None
-    js = range(k, model.ell + 1)
-    if ls2 <= 0:
-        return mu, None, tuple(None for _ in js)
-    nu = _shrink(ls1, lam) / _shrink(ls2, lam)
-    nu_kj = []
-    for j in js:
-        ls1j = model.s.lambda1(j)
-        nu_kj.append(_shrink(ls1j, lam) / _shrink(ls2, lam) if ls1j > 0 else 0.0)
-    return mu, nu, tuple(nu_kj)
+    rep = check_conditions(model, k, d_k)
+    return rep.mu, rep.nu, rep.nu_kj
 
 
 def _quadratic(
@@ -174,27 +159,6 @@ def _quadratic(
     if branch == "mu":
         return (k - 1) * lx2**2 * ls1**2, k * lx1**2 * ls2**2, ls2, ls1
     return lx1**2 * ls2**2, k * lx2**2 * ls1**2, ls1, ls2
-
-
-def _quadratic_value(model: SourceModel, k: int, branch: str, t: float) -> float:
-    a, c, _, _ = _quadratic(model, k, branch)
-    return a * t * (t - 1.0) + c
-
-
-def _cond3_value(model: SourceModel, k: int, nu: float, nu_kj: float) -> float:
-    lx1, lx2 = model.x.lambda1(k), model.x.lambda2
-    ls1, ls2 = model.s.lambda1(k), model.s.lambda2
-    return (nu_kj + (k - 1)) * lx1**2 * ls2**2 * nu**2 + (k - 1) * (
-        nu_kj - nu
-    ) * lx2**2 * ls1**2
-
-
-def _cond4_value(model: SourceModel, k: int, nu: float, nu_kj: float) -> float:
-    lx1, lx2 = model.x.lambda1(k), model.x.lambda2
-    ls1, ls2 = model.s.lambda1(k), model.s.lambda2
-    return (nu_kj - 1.0) * lx1**2 * ls2**2 * nu**2 + (
-        (k - 1) * nu_kj + nu
-    ) * lx2**2 * ls1**2
 
 
 def classify_regime(model: SourceModel, k: int) -> RegimeReport:
@@ -236,24 +200,37 @@ def check_conditions(model: SourceModel, k: int, d_k: float) -> ConditionReport:
 
 
 def conditions_at_lambda(model: SourceModel, k: int, lam: float) -> ConditionReport:
-    """check_conditions for a given test-channel noise variance."""
-    mu, nu, nu_kj = mu_nu_at_lambda(model, k, lam)
-    rho_s = model.s.rho
-    cond1 = _quadratic_value(model, k, "mu", mu) >= 0 if rho_s >= 0 else None
-    if rho_s <= 0:
-        cond2 = _quadratic_value(model, k, "nu", nu) >= 0
-        cond3 = tuple(
-            _cond3_value(model, k, nu, v) >= 0 if v is not None else None
-            for v in nu_kj
+    """check_conditions for a given test-channel noise variance.
+
+    All four conditions are built from p1 = lx1^2 ls2^2 and p2 = lx2^2 ls1^2
+    at level k: cond1 is (k-1) p2 mu(mu - 1) + k p1 >= 0, cond2 is
+    p1 nu(nu - 1) + k p2 >= 0 and, for each j, cond3 is
+    (nu_kj + k-1) p1 nu^2 + (k-1)(nu_kj - nu) p2 >= 0 and cond4 is
+    (nu_kj - 1) p1 nu^2 + ((k-1) nu_kj + nu) p2 >= 0.
+    """
+    lx1, lx2 = model.x.lambda1(k), model.x.lambda2
+    ls1, ls2 = model.s.lambda1(k), model.s.lambda2
+    p1, p2 = lx1**2 * ls2**2, lx2**2 * ls1**2
+    js = range(k, model.ell + 1)
+    mu = _shrink(ls2, lam) / _shrink(ls1, lam) if ls1 > 0 else None
+    cond1 = (k - 1) * p2 * mu * (mu - 1.0) + k * p1 >= 0 if model.s.rho >= 0 else None
+    nu = cond2 = None
+    nu_kj = cond3 = cond4 = (None,) * len(js)
+    if ls2 > 0:
+        shrink2 = _shrink(ls2, lam)
+        nu = _shrink(ls1, lam) / shrink2
+        nu_kj = tuple(
+            _shrink(ls1j, lam) / shrink2 if (ls1j := model.s.lambda1(j)) > 0 else 0.0
+            for j in js
         )
-        cond4 = tuple(
-            _cond4_value(model, k, nu, v) >= 0 if v is not None else None
-            for v in nu_kj
-        )
-    else:
-        cond2 = None
-        cond3 = tuple(None for _ in nu_kj)
-        cond4 = tuple(None for _ in nu_kj)
+    if model.s.rho <= 0:  # then ls2 >= gamma_s > 0
+        cond2 = p1 * nu * (nu - 1.0) + k * p2 >= 0
+        q1 = p1 * nu**2
+        c3, c4 = [], []
+        for v in nu_kj:
+            c3.append((v + (k - 1)) * q1 + (k - 1) * (v - nu) * p2 >= 0)
+            c4.append((v - 1.0) * q1 + ((k - 1) * v + nu) * p2 >= 0)
+        cond3, cond4 = tuple(c3), tuple(c4)
     reg = classify_regime(model, k)
     return ConditionReport(
         mu=mu,

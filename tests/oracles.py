@@ -1,14 +1,16 @@
-"""Dense-matrix oracles: independent references that the library never calls.
+"""Independent references that the library never calls.
 
 The library works with the two closed-form eigenvalues of each symmetric
-family; these functions materialize the matrices instead, so that tests can
-check the closed forms against plain linear algebra.
+family; most of these functions materialize the matrices instead, so that
+tests can check the closed forms against plain linear algebra.  The
+matching conditions are written out one polynomial at a time, as a check on
+the library's single pass over them.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ceord import DomainError
+from ceord import DomainError, eigenvalues
 
 
 def sigma_identity(gamma_u: np.ndarray, gamma_s: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -56,3 +58,45 @@ def cov_with_se(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             mean[a, b] = mean[b, a] = p.mean()
             se[a, b] = se[b, a] = p.std(ddof=1) / np.sqrt(n)
     return mean, se
+
+
+def matching_conditions(model, k: int, lam: float) -> dict:
+    """mu, nu, nu_kj and the four matching conditions at noise variance lam.
+
+    Each condition is written out as its own polynomial in the level-k
+    eigenvalues, term by term: cond1 in t = mu and cond2 in t = nu as
+    A t(t - 1) + C, and cond3 and cond4 once per j.  cond1 applies for
+    rho_s >= 0 and cond2..cond4 for rho_s <= 0; a condition that does not
+    apply is None, as is a ratio whose denominator eigenvalue is 0.
+    """
+    ex, es = eigenvalues(model.x, k), eigenvalues(model.s, k)
+    lx1, lx2, ls1, ls2 = ex.lambda1, ex.lambda2, es.lambda1, es.lambda2
+    js = range(k, model.ell + 1)
+
+    def shrink(ls):  # MMSE shrinkage ls - ls^2/(ls + lam)
+        return ls * lam / (ls + lam)
+
+    def cond3(nu, v):
+        return (v + (k - 1)) * lx1**2 * ls2**2 * nu**2 + (k - 1) * (v - nu) * lx2**2 * ls1**2
+
+    def cond4(nu, v):
+        return (v - 1.0) * lx1**2 * ls2**2 * nu**2 + ((k - 1) * v + nu) * lx2**2 * ls1**2
+
+    out = dict(mu=None, nu=None, nu_kj=tuple(None for _ in js), cond1=None, cond2=None)
+    if ls1 > 0:
+        out["mu"] = shrink(ls2) / shrink(ls1)
+    if ls2 > 0:
+        out["nu"] = shrink(ls1) / shrink(ls2)
+        ls1j = [eigenvalues(model.s, j).lambda1 for j in js]
+        out["nu_kj"] = tuple(shrink(v) / shrink(ls2) if v > 0 else 0.0 for v in ls1j)
+    if model.s.rho >= 0:
+        mu = out["mu"]
+        out["cond1"] = (k - 1) * lx2**2 * ls1**2 * mu * (mu - 1.0) + k * lx1**2 * ls2**2 >= 0
+    if model.s.rho <= 0:
+        nu = out["nu"]
+        out["cond2"] = lx1**2 * ls2**2 * nu * (nu - 1.0) + k * lx2**2 * ls1**2 >= 0
+        out["cond3"] = tuple(cond3(nu, v) >= 0 for v in out["nu_kj"])
+        out["cond4"] = tuple(cond4(nu, v) >= 0 for v in out["nu_kj"])
+    else:
+        out["cond3"] = out["cond4"] = tuple(None for _ in js)
+    return out

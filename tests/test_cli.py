@@ -112,6 +112,17 @@ class TestPoint:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("bits, units", [(True, "bits"), (False, "nats")])
+    def test_params_json_boolean_is_a_bare_flag(self, capsys, bits, units):
+        # true adds the flag alone, false adds nothing
+        blob = json.dumps({"bits": bits})
+        assert cli._apply_params_json(["point", "--params-json", blob]) == (
+            ["point", "--bits"] if bits else ["point"]
+        )
+        argv = ["point", *M0, "--k", "2", "--dk", "0.75", "--params-json", blob]
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == 0 and doc["rate_units"] == units
+
     def test_values_equal_library_exactly(self, capsys):
         m = make_model(1.3, 0.37, 0.7, -0.004, 200)
         argv = ["--gamma-x", "1.3", "--rho-x", "0.37", "--gamma-z", "0.7", "--rho-z", "-0.004"]
@@ -374,6 +385,16 @@ class TestSweep:
         d = float(rows[1][0])
         assert d == pytest.approx(0.6, rel=1e-11)
 
+    def test_csv_inapplicable_condition_is_an_empty_cell(self, capsys):
+        # rho_s < 0: cond1 does not apply and is written as "", cond2 as 0/1
+        argv = ["--rho-x", "-0.3", "--rho-z", "-0.1", "--k", "2", "--dk-min", "0.6",
+                "--dk-max", "0.9", "--steps", "3", "--format", "csv"]
+        code, out, _ = run(capsys, "sweep", *M0, *argv)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0][-2:] == ["cond1", "cond2"] and len(rows) == 4
+        assert all(row[-2] == "" and row[-1] in {"0", "1"} for row in rows[1:])
+
 
 class TestConditionsAndRegion:
     def test_conditions_m0(self, capsys):
@@ -458,6 +479,24 @@ class TestVerify:
         argv = [cmd, "--gamma-x=1", "--gamma-z=0", "--ell=3", "--k=2", "--dk=1e-250"]
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "must exceed d_min" in err
+
+    def test_inconsistent_status_exits_3(self, capsys, monkeypatch):
+        # an oracle optimum 1e-3 away from the certificate: the full
+        # document is still written, with status "inconsistent", exit 3
+        argv = ["verify", *M0, "--k", "2", "--dk", "0.75"]
+        _, valid, _ = run_json(capsys, *argv)
+        solve = converse.solve_numeric
+
+        def off(*args):
+            point, opt = solve(*args)
+            return point, opt + 1e-3
+
+        monkeypatch.setattr(converse, "solve_numeric", off)
+        code, doc, err = run_json(capsys, *argv)
+        assert code == 3 and err == ""
+        assert doc["status"] == "inconsistent" and doc["certificate_valid"] is True
+        assert list(doc) == list(valid)
+        assert doc["numeric_gap"] == pytest.approx(valid["numeric_gap"] + 1e-3)
 
     def test_j_defaults_to_k(self, capsys):
         _, doc, _ = run_json(capsys, "verify", *M0, "--k", "2", "--dk", "0.75")

@@ -94,6 +94,11 @@ class TestEmpiricalDistortion:
         with pytest.raises(DomainError):
             empirical_distortion(m0(), 2, 1.0, 4, 100, 0)
 
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_profile_rejects_k_out_of_range(self, k):
+        with pytest.raises(DomainError, match="out of range"):
+            empirical_profile(m0(), k, 1.0, 100, 0)
+
 
 class TestDecomposition:
     def test_passes_positive_rho(self):
@@ -123,6 +128,11 @@ class TestDecomposition:
             decomposition_check(m_pos, 3, cap_pos, 1.0, 100, 0)
         with pytest.raises(DomainError, match="lambda_w"):
             decomposition_check(m_neg, 3, cap_neg * 1.01, 1.0, 100, 0)
+
+    @pytest.mark.parametrize("j", [0, 4])
+    def test_rejects_j_out_of_range(self, j):
+        with pytest.raises(DomainError, match="out of range"):
+            decomposition_check(m0(), j, 0.5, 1.0, 100, 0)
 
     def test_rejects_nonpositive_lambda_w(self):
         with pytest.raises(DomainError):

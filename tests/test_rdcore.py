@@ -27,6 +27,7 @@ from helpers import (
     random_model,
     trace_profile_oracle,
 )
+from oracles import matching_conditions
 
 
 class TestSolveLambdaQ:
@@ -297,10 +298,65 @@ class TestConditions:
         assert rep.cond1 is None and rep.cond2 is not None
 
 
+class TestConditionOracle:
+    # the boundary models: rho_s = 1, rho_s = -1/(ell-1), gamma_z = 0 at
+    # both signs of rho_s, and the degenerate-x fixture
+    BOUNDARY = [
+        (1, 1.0, 1, 1.0, 3),
+        (1, -0.5, 1, -0.5, 3),
+        (1, 0.3, 0, 0.0, 3),
+        (1, -0.2, 0, 0.0, 4),
+        (1, -1.0, 2, 0.6, 2),
+    ]
+
+    @staticmethod
+    def cases():
+        for params in TestConditionOracle.BOUNDARY:
+            m = make_model(*params)
+            for k in range(1, m.ell + 1):
+                lo = d_min(m, k)
+                for t in (0.1, 0.5, 0.9):
+                    yield m, k, lo + t * (m.x.gamma - lo)
+        rng = np.random.default_rng(12)
+        for sign in ("+", "-") * 40:
+            m = random_model(rng, rho_s_sign=sign)
+            k = int(rng.integers(1, m.ell + 1))
+            for _ in range(3):
+                yield m, k, random_dk(rng, m, k)
+
+    def test_conditions_match_oracle(self):
+        n_false = 0
+        for m, k, d in self.cases():
+            rep = check_conditions(m, k, d)
+            want = matching_conditions(m, k, solve_lambda_q(m, k, d))
+            for key in ("cond1", "cond2", "cond3", "cond4"):
+                assert getattr(rep, key) == want[key], (m, k, d, key)
+            for key in ("mu", "nu"):
+                got = getattr(rep, key)
+                assert (got is None) == (want[key] is None), (m, k, d, key)
+                if got is not None:
+                    assert got == pytest.approx(want[key], rel=1e-14)
+            assert [v is None for v in rep.nu_kj] == [v is None for v in want["nu_kj"]]
+            if want["nu"] is not None:
+                assert rep.nu_kj == pytest.approx(want["nu_kj"], rel=1e-14)
+            n_false += [rep.cond2, *rep.cond3, *rep.cond4].count(False)
+        assert n_false > 0  # the sample reaches failing conditions too
+
+    def test_mu_nu_is_the_ratio_part(self):
+        for m, k, d in self.cases():
+            rep = check_conditions(m, k, d)
+            assert mu_nu(m, k, d) == (rep.mu, rep.nu, rep.nu_kj)
+
+
 class TestRegimes:
     def test_m0_always(self):
         for k in (1, 2, 3):
             assert classify_regime(m0(), k).regime == "always"
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_rejects_k_out_of_range(self, k):
+        with pytest.raises(DomainError, match="out of range"):
+            classify_regime(m0(), k)
 
     def test_scenario_a_roots_below_ratio(self):
         m = make_model(1, -0.8, 4, 0.21, 2)
@@ -379,6 +435,19 @@ class TestDegenerate:
             assert degenerate_rate_s1zero(exact, d) == pytest.approx(
                 rate_bar(near, 3, d), abs=1e-5
             )
+
+    @pytest.mark.parametrize("j", [1, 4])
+    def test_s2zero_rejects_j_out_of_range(self, j):
+        with pytest.raises(DomainError, match="out of range"):
+            degenerate_rate_s2zero(make_model(1, 1.0, 1, 1.0, 3), 2, j, 0.75)
+
+    def test_s2zero_requires_a_zero_repeated_eigenvalue(self):
+        with pytest.raises(DomainError, match="repeated observation eigenvalue"):
+            degenerate_rate_s2zero(m0(), 2, 2, 0.75)
+
+    def test_s1zero_requires_a_zero_leading_eigenvalue(self):
+        with pytest.raises(DomainError, match="leading observation eigenvalue"):
+            degenerate_rate_s1zero(m0(), 0.75)
 
     def test_s1zero_nonpositive_log_rejected(self):
         m = make_model(0.5, -1.0, 0.5, -1.0, 2)

@@ -1,5 +1,6 @@
 """Checks on the library source itself."""
 import ast
+import importlib
 import inspect
 import os
 import subprocess
@@ -151,3 +152,46 @@ def test_cli_handlers_only_compute():
             elif isinstance(node, ast.Attribute) and node.attr == "stdout":
                 found.append(f"{top.name}:{node.lineno} uses stdout")
     assert not found, found
+
+
+def _bench_spans_constants():
+    """TARGETS and MODULES of bench/spans.py, read without importing bench/."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in {"TARGETS", "MODULES"}:
+                found[name] = ast.literal_eval(node.value)
+    return found["TARGETS"], found["MODULES"]
+
+
+def test_benchmark_targets_are_bound():
+    # the benchmark's span recorder looks each target up with getattr and
+    # its tests expect d_min bound in rdcore and converse; renaming or
+    # dropping one of these breaks the benchmark, so change both together
+    from ceord import converse, rdcore, spectra
+
+    targets, _ = _bench_spans_constants()
+    missing = [
+        f"{mod}.{name}"
+        for mod, names in targets.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"ceord.{mod}"), name, None))
+    ]
+    assert not missing, f"bench/spans.py targets missing from ceord: {missing}"
+    assert rdcore.d_min is spectra.d_min and converse.d_min is spectra.d_min
+
+
+def test_cli_import_loads_every_benchmarked_module():
+    # the benchmark times `import ceord.cli` per module of MODULES
+    _, modules = _bench_spans_constants()
+    script = "import sys, ceord.cli; print(' '.join(sorted(sys.modules)))"
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    missing = sorted({f"ceord.{m}" for m in modules} - set(proc.stdout.split()))
+    assert not missing, f"import ceord.cli leaves {missing} unloaded"

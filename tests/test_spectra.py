@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ceord import (
+    DomainError,
     ModelError,
     SymmetricSpec,
     basis,
@@ -97,6 +98,10 @@ class TestBasis:
     def test_j1(self):
         assert basis(1) == pytest.approx(np.array([[1.0]]))
 
+    def test_rejects_j0(self):
+        with pytest.raises(DomainError, match="must be >= 1"):
+            basis(0)
+
     def test_first_column_and_orthogonality(self):
         th = basis(2)
         assert th[:, 0] == pytest.approx(np.full(2, 1 / np.sqrt(2)))
@@ -128,6 +133,10 @@ class TestDMin:
         want = np.trace(gx - gx @ np.linalg.solve(gs, gx)) / j
         assert d_min(m, j) == pytest.approx(want, abs=1e-12)
         assert d_min(m, 2) == pytest.approx(0.5)
+
+    def test_rejects_j0(self):
+        with pytest.raises(DomainError, match="must be >= 1"):
+            d_min(make_model(1, 0, 1, 0, 3), 0)
 
     def test_noiseless(self):
         m = make_model(1, 0.3, 0.0, 0.0, 3)
