@@ -17,11 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .spectra import DomainError, SourceModel, basis
+
+# numpy is imported inside each function that uses it, so that importing
+# ceord loads it only once a Monte Carlo command runs.
+if TYPE_CHECKING:
+    import numpy as np
+
+    Moments = tuple[int, np.ndarray, np.ndarray]  # (count, mean, M2), entrywise
 
 CHUNK = 1 << 16
 
@@ -57,6 +62,8 @@ class DecompositionReport:
 
 
 def _chunk_normals(seed: int, idx: int, m: int, cols: int) -> np.ndarray:
+    import numpy as np
+
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=[int(seed), int(idx)]))
     )
@@ -75,10 +82,9 @@ def _chunks(n: int, seed: int, cols: int) -> Iterator[np.ndarray]:
 
 def _draw(n: int, seed: int, cols: int) -> np.ndarray:
     """n x cols standard normals, deterministic per (seed, n) and chunking-safe."""
+    import numpy as np
+
     return np.concatenate(list(_chunks(n, seed, cols)), axis=0)
-
-
-Moments = tuple[int, np.ndarray, np.ndarray]  # (count, mean, M2), entrywise
 
 
 def _moments(p: np.ndarray) -> Moments:
@@ -118,6 +124,8 @@ def _stream(
     its m samples; only one chunk is held at a time, and the chunks are
     merged in chunk order.
     """
+    import numpy as np
+
     if n < 2:
         raise DomainError(f"n must be >= 2 for a standard error, got {n}")
     total = None
@@ -135,6 +143,8 @@ def _check_lambda_q(lambda_q: float) -> None:
 
 def _factor(l1: float, l2: float, j: int) -> np.ndarray:
     """Spectral square root of the j x j covariance with eigenvalues l1, l2."""
+    import numpy as np
+
     lams = np.full(j, max(l2, 0.0))
     lams[0] = max(l1, 0.0)
     return basis(j) * np.sqrt(lams)
@@ -158,6 +168,8 @@ def _empirical(
     outputs V = S + Q; the estimate averages the per-sample squared error
     across the j components, with its standard error.
     """
+    import numpy as np
+
     _check_lambda_q(lambda_q)
     ell = model.ell
     # X, V and the errors are linear in one row of the draw, so they are
@@ -210,6 +222,8 @@ def _decomposition_moments(
     the U-estimate induced by the S-estimate and es the residual of S given
     (U, decoder output); j x j each.
     """
+    import numpy as np
+
     _check_lambda_q(lambda_q)
     ell = model.ell
     ls1, ls2 = model.s.lambda1(j), model.s.lambda2
@@ -245,6 +259,8 @@ def decomposition_check(
     within 5 standard errors, and (b) that the residual covariance of S
     given (U, decoder output) is diagonal, off-diagonals within 5 SE of 0.
     """
+    import numpy as np
+
     if not 1 <= j <= model.ell:
         raise DomainError(f"j={j} out of range [1, {model.ell}]")
     ls1, ls2 = model.s.lambda1(j), model.s.lambda2

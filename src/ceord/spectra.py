@@ -14,8 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+# numpy is imported inside basis and dense, its only users here, so that
+# importing ceord and running the closed-form frontier loads no numpy.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Slack for eigenvalue nonnegativity, relative to the family's gamma, so that
 # boundary correlations (rho = 1, rho = -1/(ell-1)) are admitted despite
@@ -142,6 +146,8 @@ def basis(j: int) -> np.ndarray:
     Householder reflection mapping e_1 to the normalized all-ones vector,
     so the same basis simultaneously diagonalizes every symmetric family.
     """
+    import numpy as np
+
     if j < 1:
         raise DomainError(f"j={j} must be >= 1")
     u = np.full(j, 1.0 / np.sqrt(j))
@@ -155,6 +161,8 @@ def basis(j: int) -> np.ndarray:
 
 def dense(spec: SymmetricSpec, j: int) -> np.ndarray:
     """Materialize the j x j covariance matrix (for oracle computations)."""
+    import numpy as np
+
     m = np.full((j, j), spec.rho * spec.gamma)
     np.fill_diagonal(m, spec.gamma)
     return m
@@ -167,8 +175,8 @@ def d_min(model: SourceModel, j: int) -> float:
     observation eigenvalue forces the matching signal and noise eigenvalues
     to vanish as well, so the contribution is exactly zero).
     """
-    if j < 1:
-        raise DomainError(f"j={j} must be >= 1")
+    if not 1 <= j <= model.ell:
+        raise DomainError(f"j={j} must be >= 1 and <= ell={model.ell}")
     ls1 = model.s.lambda1(j)
     ls2 = model.s.lambda2
     slack = PSD_SLACK * model.s.gamma

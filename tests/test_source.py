@@ -11,6 +11,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "ceord").glob("*.py"))
+M0 = ["--gamma-x", "1", "--gamma-z", "1", "--ell", "3"]
+
+
+def _fresh(script):
+    """Run a Python script in a fresh interpreter that imports ceord from src."""
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 @pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
@@ -41,10 +51,11 @@ def test_mcsim_has_no_dense_algebra():
     assert not linalg, f"mcsim.py: np.linalg at line(s) {linalg}"
 
 
-def _imported_roots(path):
-    """(top-level module name, line) of every import statement in a file."""
+def _imported_roots(path, module_body=False):
+    """(top-level module name, line) of every import statement in a file, or
+    only of those in its module body, which run when the file is loaded."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    for node in ast.walk(tree):
+    for node in tree.body if module_body else ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -68,6 +79,15 @@ def test_only_spectra_and_mcsim_import_numpy():
     # Monte Carlo engine and the basis it draws in
     found = {path.stem for path in SRC for root, _ in _imported_roots(path) if root == "numpy"}
     assert found <= {"spectra", "mcsim"}, f"numpy imported by {sorted(found)}"
+    # and only inside the functions that use it, so that importing ceord
+    # loads no numpy
+    eager = [
+        f"{path.name}:{line}"
+        for path in SRC
+        for root, line in _imported_roots(path, module_body=True)
+        if root == "numpy"
+    ]
+    assert not eager, f"numpy imported on load at {eager}"
 
 
 def test_verify_leaves_scipy_unloaded():
@@ -79,14 +99,50 @@ def test_verify_leaves_scipy_unloaded():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr); "
         "sys.exit(rc)"
     )
-    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = _fresh(script)
     assert proc.returncode == 0, proc.stderr
     assert '"status": "valid"' in proc.stdout
     assert proc.stderr.strip() == "[]"
+
+
+FRONTIER = [
+    ["point", *M0, "--k", "2", "--dk", "0.75"],
+    ["sweep", *M0, "--k", "2", "--dk-min", "0.6", "--dk-max", "0.9", "--steps", "3"],
+    ["region", *M0, "--k", "2", "--dk", "0.75"],
+    ["conditions", *M0, "--k", "2", "--dk", "0.75"],
+    ["verify", *M0, "--k", "2", "--dk", "0.75"],
+    ["bt-check", *M0, "--k", "2", "--dk", "0.75"],
+]
+
+
+def test_frontier_commands_leave_numpy_unloaded():
+    # the frontier is closed form: only the Monte Carlo engine needs numpy
+    script = (
+        "import sys; from ceord.cli import main; "
+        f"codes = [main(argv) for argv in {FRONTIER!r}]; "
+        "print(codes, 'numpy' in sys.modules, file=sys.stderr)"
+    )
+    proc = _fresh(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == f"{[0] * len(FRONTIER)} False"
+
+
+def test_simulate_loads_numpy_on_first_draw(capsys):
+    # the draw imports numpy where it is used, and gives the same output as
+    # in a process that has it loaded already
+    argv = ["simulate", *M0, "--k", "2", "--dk", "0.75", "--n", "2000", "--seed", "1"]
+    script = (
+        "import sys; from ceord.cli import main; "
+        f"rc = main({argv!r}); "
+        "print('numpy' in sys.modules, file=sys.stderr); sys.exit(rc)"
+    )
+    proc = _fresh(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "True"
+    from ceord.cli import main
+
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_converse_branches_on_case_only_in_case_helpers():
@@ -187,11 +243,7 @@ def test_cli_import_loads_every_benchmarked_module():
     # the benchmark times `import ceord.cli` per module of MODULES
     _, modules = _bench_spans_constants()
     script = "import sys, ceord.cli; print(' '.join(sorted(sys.modules)))"
-    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = _fresh(script)
     assert proc.returncode == 0, proc.stderr
     missing = sorted({f"ceord.{m}" for m in modules} - set(proc.stdout.split()))
     assert not missing, f"import ceord.cli leaves {missing} unloaded"

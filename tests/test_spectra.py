@@ -138,6 +138,12 @@ class TestDMin:
         with pytest.raises(DomainError, match="must be >= 1"):
             d_min(make_model(1, 0, 1, 0, 3), 0)
 
+    @pytest.mark.parametrize("j", [4, 10**6])
+    def test_rejects_j_above_ell(self, j):
+        # no j x j submatrix of an ell = 3 family exists, so it has no floor
+        with pytest.raises(DomainError, match="must be >= 1 and <= ell=3"):
+            d_min(make_model(1, 0, 1, 0, 3), j)
+
     def test_noiseless(self):
         m = make_model(1, 0.3, 0.0, 0.0, 3)
         for j in range(1, 4):
