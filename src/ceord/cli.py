@@ -38,6 +38,49 @@ def _csv_cell(v: Any) -> str:
     return str(v)
 
 
+@functools.cache
+def _encoder(depth: int):
+    """json's encoder, separating the members of a container at depth as
+    json.dumps(indent=2) does; with indent None, encode runs in C."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+# exact types: an instance of a subclass takes the general path of _dumps
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _flat(values) -> bool:
+    return _SCALARS.issuperset(map(type, values))
+
+
+def _dumps(obj, depth: int = 0) -> str:
+    """json.dumps(obj, indent=2), byte for byte, for a document with str keys.
+
+    A scalar, an empty container, a container of scalars or a list of flat
+    dicts (a table's rows) is one C encoder call; only other containers of
+    containers recurse here.
+    """
+    if not (obj and isinstance(obj, (dict, list, tuple))):
+        return _encoder(depth)(obj)
+    is_dict = isinstance(obj, dict)
+    inner, sep = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+    if _flat(obj.values() if is_dict else obj):
+        body = _encoder(depth)(obj)[1:-1]
+    elif not is_dict and all(isinstance(v, dict) and v and _flat(v.values()) for v in obj):
+        # raw newlines occur only in separators (ensure_ascii escapes them in
+        # strings), so "},<sep>{" can only join two rows
+        rows = _encoder(depth + 1)(obj)[2:-2]
+        body = "{" + sep + rows.replace("}," + sep + "{", inner + "}," + inner + "{" + sep)
+        body += inner + "}"
+    elif is_dict:
+        key = _encoder(0)
+        body = ("," + inner).join(f"{key(k)}: {_dumps(v, depth + 1)}" for k, v in obj.items())
+    else:
+        body = ("," + inner).join(_dumps(v, depth + 1) for v in obj)
+    brackets = "{}" if is_dict else "[]"
+    return brackets[0] + inner + body + "\n" + "  " * depth + brackets[1]
+
+
 # What each cmd_* handler returns: (payload, table, exit code), the table
 # being (header, data) or None.  main builds the model once and _emit writes.
 Result = tuple[dict, Optional[tuple[list[str], list[list]]], int]
@@ -64,7 +107,7 @@ def _emit(args, model: spectra.SourceModel, result: Result) -> int:
         if table is not None:
             header, data = table
             doc["rows"] = [dict(zip(header, row)) for row in data]
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _dumps(doc) + "\n"
     if args.out is not None:
         try:
             fh = open(args.out, "w", encoding="utf-8", newline="")

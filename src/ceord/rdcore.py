@@ -117,10 +117,20 @@ def rate_bar(model: SourceModel, k: int, d_k: float) -> float:
 
 
 def profile_at_lambda(model: SourceModel, k: int, lam: float) -> tuple[float, ...]:
-    """Distortions d_j, j = k..ell, of the test channel with noise variance lam."""
-    return tuple(
-        distortion_at_lambda(model, j, lam) for j in range(k, model.ell + 1)
-    )
+    """Distortions d_j, j = k..ell, of the test channel with noise variance lam.
+
+    distortion_at_lambda for each j, in one loop: the repeated-mode term t2
+    does not depend on j, so it is computed once.
+    """
+    x1, z1, s1 = model.x.lambda1, model.z.lambda1, model.s.lambda1
+    lx2, lz2, ls2 = model.x.lambda2, model.z.lambda2, model.s.lambda2
+    t2 = lx2 * (lz2 + lam) / (ls2 + lam) if lx2 > 0 else 0.0
+    profile = []
+    for j in range(k, model.ell + 1):
+        lx1 = x1(j)
+        t1 = lx1 * (z1(j) + lam) / (s1(j) + lam) if lx1 > 0 else 0.0
+        profile.append(t1 / j + (j - 1) * t2 / j)
+    return tuple(profile)
 
 
 def distortion_profile(model: SourceModel, k: int, d_k: float) -> tuple[float, ...]:

@@ -781,6 +781,47 @@ class TestOut:
         assert target.read_bytes() == out.encode("utf-8")
 
 
+# Documents for the JSON writer: keys that look like its own separators, and
+# every scalar that json spells in a way of its own.
+_DOC_KEYS = st.text(max_size=6) | st.sampled_from(["\n", "},", "},\n    {", "é", " ", '"', "\\"])
+_DOC_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308])
+    | _DOC_KEYS
+)
+_DOC_ROWS = st.lists(st.dictionaries(_DOC_KEYS, _DOC_SCALARS, min_size=1, max_size=4), max_size=4)
+_DOCS = st.recursive(
+    _DOC_SCALARS | _DOC_ROWS | st.sampled_from([{}, [], ()]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_DOC_KEYS, inner, max_size=4),
+    max_leaves=40,
+)
+_ELL64 = {"--gamma-x": "1", "--rho-x": "0.2", "--gamma-z": "1", "--rho-z": "0.1", "--ell": "64"}
+_WIDE = {"--k": "32", "--dk": "0.75", "--dk-min": "0.6", "--dk-max": "0.9", "--j": "64"}
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(doc=_DOCS)
+    def test_equals_json_dumps_indent_2(self, doc):
+        assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("ell", [3, 64])
+    @pytest.mark.parametrize("cmd", sorted(VALID_BASES))
+    def test_stdout_is_indent_2_json(self, capsys, cmd, ell):
+        flags = dict(VALID_BASES[cmd])
+        if ell == 64:
+            flags.update(_ELL64)
+            flags.update((f, v) for f, v in _WIDE.items() if f in flags)
+        code, out, _ = run(capsys, cmd, *[f"{f}={v}" for f, v in flags.items()])
+        assert code in (0, 4)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 class TestExitCodeContract:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data())

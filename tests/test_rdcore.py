@@ -17,7 +17,7 @@ from ceord import (
     rate_bar,
     solve_lambda_q,
 )
-from ceord.rdcore import distortion_at_lambda, rate_at_lambda
+from ceord.rdcore import distortion_at_lambda, profile_at_lambda, rate_at_lambda
 
 from helpers import (
     bisect_lambda_oracle,
@@ -222,6 +222,32 @@ class TestDistortionProfile:
                 assert d_min(m, j) < v < m.x.gamma
         for a, b in zip(profiles, profiles[1:]):
             assert all(x < y for x, y in zip(a, b))
+
+
+class TestProfileAtLambda:
+    """The one-loop profile is distortion_at_lambda at each j, to the bit."""
+
+    @staticmethod
+    def assert_matches(m, k, lam):
+        want = tuple(distortion_at_lambda(m, j, lam) for j in range(k, m.ell + 1))
+        assert profile_at_lambda(m, k, lam) == want
+
+    def test_random_models(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            m = random_model(rng, ell=int(rng.integers(2, 70)))
+            k = int(rng.integers(1, m.ell + 1))
+            self.assert_matches(m, k, solve_lambda_q(m, k, random_dk(rng, m, k)))
+
+    @pytest.mark.parametrize("ell", [2, 3, 7, 64])
+    @pytest.mark.parametrize("lam", [1e-9, 0.3, 2.0, 1e9])
+    def test_degenerate_signal_modes(self, ell, lam):
+        # lambda_x1(ell) = 0 at rho_x = -1/(ell-1), lambda_x2 = 0 at rho_x = 1
+        for rx in (-1.0 / (ell - 1), 1.0):
+            m = make_model(1.3, rx, 0.7, 0.2, ell)
+            assert min(m.x.lambda1(ell), m.x.lambda2) <= 1e-12 * m.x.gamma
+            for k in range(1, ell + 1, max(1, ell // 5)):
+                self.assert_matches(m, k, lam)
 
 
 class TestMuNu:
