@@ -72,14 +72,23 @@ def check_symmetric_rate(model: SourceModel, k: int, d_k: float) -> RegionCheck:
 
 
 def check_rate_at_lambda(model: SourceModel, k: int, lam: float) -> RegionCheck:
-    """check_symmetric_rate for a given test-channel noise variance."""
+    """check_symmetric_rate for a given test-channel noise variance.
+
+    subset_mutual_info for each b, in one loop: the full-set and repeated-mode
+    terms do not depend on b, so they are computed once, and ls1(k-b) is
+    written out with the float operations of SymmetricSpec.lambda1.
+    """
+    if not 1 <= k <= model.ell:
+        raise DomainError(f"k={k} out of range [1, {model.ell}]")
+    TestChannel(lam)  # rejects lam <= 0
     rate = rdcore.rate_at_lambda(model, k, lam)
-    channel = TestChannel(lam)
+    rho, gamma = model.s.rho, model.s.gamma
+    top = math.log1p(model.s.lambda1(k) / lam)
+    rep = math.log1p(model.s.lambda2 / lam)
     rows = []
     for b in range(1, k + 1):
-        required = subset_mutual_info(model, channel, b, k)
-        ok = required - b * rate <= 1e-9 * max(1.0, required)
-        rows.append((b, required, ok))
+        required = 0.5 * (top - math.log1p((1.0 + (k - b - 1) * rho) * gamma / lam) + b * rep)
+        rows.append((b, required, required - b * rate <= 1e-9 * max(1.0, required)))
     return RegionCheck(k=k, rate=rate, constraints=tuple(rows))
 
 

@@ -177,11 +177,11 @@ def cmd_sweep(args, model: spectra.SourceModel) -> Result:
             d = args.dk_min + (args.dk_max - args.dk_min) * i / (args.steps - 1)
         try:
             pt = bergertung.achievable_point(model, ks, d)
-            rep = rdcore.conditions_at_lambda(model, ks, pt.lambda_q)
         except DomainError as e:
             skipped.append(f"d_k={d:.12g}: {e}")
             continue
-        data.append([d, pt.lambda_q, _rate(args, pt.rate), *pt.profile, rep.cond1, rep.cond2])
+        _, _, cond1, cond2 = rdcore.ratio_conditions(model, ks, pt.lambda_q)
+        data.append([d, pt.lambda_q, _rate(args, pt.rate), *pt.profile, cond1, cond2])
     if not data:
         raise DomainError(f"no sweep point lies in (d_min, gamma_x); first skipped {skipped[0]}")
     for reason in skipped:

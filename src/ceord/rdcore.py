@@ -120,16 +120,21 @@ def profile_at_lambda(model: SourceModel, k: int, lam: float) -> tuple[float, ..
     """Distortions d_j, j = k..ell, of the test channel with noise variance lam.
 
     distortion_at_lambda for each j, in one loop: the repeated-mode term t2
-    does not depend on j, so it is computed once.
+    does not depend on j, so it is computed once, and the leading
+    eigenvalues are written out with the float operations of
+    SymmetricSpec.lambda1.
     """
-    x1, z1, s1 = model.x.lambda1, model.z.lambda1, model.s.lambda1
+    rx, gx = model.x.rho, model.x.gamma
+    rz, gz = model.z.rho, model.z.gamma
+    rs, gs = model.s.rho, model.s.gamma
     lx2, lz2, ls2 = model.x.lambda2, model.z.lambda2, model.s.lambda2
     t2 = lx2 * (lz2 + lam) / (ls2 + lam) if lx2 > 0 else 0.0
     profile = []
     for j in range(k, model.ell + 1):
-        lx1 = x1(j)
-        t1 = lx1 * (z1(j) + lam) / (s1(j) + lam) if lx1 > 0 else 0.0
-        profile.append(t1 / j + (j - 1) * t2 / j)
+        i = j - 1
+        lx1 = (1.0 + i * rx) * gx
+        t1 = lx1 * ((1.0 + i * rz) * gz + lam) / ((1.0 + i * rs) * gs + lam) if lx1 > 0 else 0.0
+        profile.append(t1 / j + i * t2 / j)
     return tuple(profile)
 
 
@@ -209,32 +214,51 @@ def check_conditions(model: SourceModel, k: int, d_k: float) -> ConditionReport:
     return conditions_at_lambda(model, k, solve_lambda_q(model, k, d_k))
 
 
+def _weights(model: SourceModel, k: int) -> tuple[float, float]:
+    """p1 = lx1^2 ls2^2 and p2 = lx2^2 ls1^2 at level k, the matching-condition weights."""
+    lx1, lx2 = model.x.lambda1(k), model.x.lambda2
+    ls1, ls2 = model.s.lambda1(k), model.s.lambda2
+    return lx1**2 * ls2**2, lx2**2 * ls1**2
+
+
+def ratio_conditions(
+    model: SourceModel, k: int, lam: float
+) -> tuple[Optional[float], Optional[float], Optional[bool], Optional[bool]]:
+    """(mu, nu, cond1, cond2) of conditions_at_lambda, without the O(ell) part.
+
+    cond1 is (k-1) p2 mu(mu - 1) + k p1 >= 0 and cond2 is
+    p1 nu(nu - 1) + k p2 >= 0, with p1, p2 from _weights.
+    """
+    p1, p2 = _weights(model, k)
+    ls1, ls2 = model.s.lambda1(k), model.s.lambda2
+    mu = _shrink(ls2, lam) / _shrink(ls1, lam) if ls1 > 0 else None
+    nu = _shrink(ls1, lam) / _shrink(ls2, lam) if ls2 > 0 else None
+    cond1 = (k - 1) * p2 * mu * (mu - 1.0) + k * p1 >= 0 if model.s.rho >= 0 else None
+    # rho_s <= 0 makes ls2 >= gamma_s > 0, so nu is defined
+    cond2 = p1 * nu * (nu - 1.0) + k * p2 >= 0 if model.s.rho <= 0 else None
+    return mu, nu, cond1, cond2
+
+
 def conditions_at_lambda(model: SourceModel, k: int, lam: float) -> ConditionReport:
     """check_conditions for a given test-channel noise variance.
 
-    All four conditions are built from p1 = lx1^2 ls2^2 and p2 = lx2^2 ls1^2
-    at level k: cond1 is (k-1) p2 mu(mu - 1) + k p1 >= 0, cond2 is
-    p1 nu(nu - 1) + k p2 >= 0 and, for each j, cond3 is
+    mu, nu, cond1 and cond2 come from ratio_conditions.  For each j, cond3 is
     (nu_kj + k-1) p1 nu^2 + (k-1)(nu_kj - nu) p2 >= 0 and cond4 is
-    (nu_kj - 1) p1 nu^2 + ((k-1) nu_kj + nu) p2 >= 0.
+    (nu_kj - 1) p1 nu^2 + ((k-1) nu_kj + nu) p2 >= 0, one loop over j, with
+    lambda_s1(j) written out as in SymmetricSpec.lambda1 and _shrink inlined.
     """
-    lx1, lx2 = model.x.lambda1(k), model.x.lambda2
-    ls1, ls2 = model.s.lambda1(k), model.s.lambda2
-    p1, p2 = lx1**2 * ls2**2, lx2**2 * ls1**2
+    mu, nu, cond1, cond2 = ratio_conditions(model, k, lam)
     js = range(k, model.ell + 1)
-    mu = _shrink(ls2, lam) / _shrink(ls1, lam) if ls1 > 0 else None
-    cond1 = (k - 1) * p2 * mu * (mu - 1.0) + k * p1 >= 0 if model.s.rho >= 0 else None
-    nu = cond2 = None
     nu_kj = cond3 = cond4 = (None,) * len(js)
+    rs, gs, ls2 = model.s.rho, model.s.gamma, model.s.lambda2
     if ls2 > 0:
         shrink2 = _shrink(ls2, lam)
-        nu = _shrink(ls1, lam) / shrink2
         nu_kj = tuple(
-            _shrink(ls1j, lam) / shrink2 if (ls1j := model.s.lambda1(j)) > 0 else 0.0
+            a * lam / (a + lam) / shrink2 if (a := (1.0 + (j - 1) * rs) * gs) > 0 else 0.0
             for j in js
         )
-    if model.s.rho <= 0:  # then ls2 >= gamma_s > 0
-        cond2 = p1 * nu * (nu - 1.0) + k * p2 >= 0
+    if rs <= 0:
+        p1, p2 = _weights(model, k)
         q1 = p1 * nu**2
         c3, c4 = [], []
         for v in nu_kj:

@@ -20,7 +20,8 @@ from ceord import (
     subset_mutual_info,
     validate,
 )
-from ceord.rdcore import distortion_at_lambda
+from ceord.bergertung import check_rate_at_lambda
+from ceord.rdcore import distortion_at_lambda, rate_at_lambda
 
 from helpers import m0, make_model, random_dk, random_model
 
@@ -120,6 +121,43 @@ class TestSymmetricRate:
         m = make_model(1, 0.3, 2, 0.0, 4)
         rc = check_symmetric_rate(m, 3, 0.7)
         assert rc.rate == pytest.approx(rate_bar(m, 3, 0.7), rel=1e-12)
+
+
+class TestRegionRows:
+    """The one-loop region check is subset_mutual_info at each b, to the bit."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            m = random_model(rng, ell=int(rng.integers(2, 70)))
+            k = int(rng.integers(1, m.ell + 1))
+            yield m, k, solve_lambda_q(m, k, random_dk(rng, m, k))
+        for ell in (2, 3, 7, 64):
+            lo = -1.0 / (ell - 1)
+            # rho_s = 1 (lambda_s2 = 0), rho_s = -1/(ell-1), gamma_z = 0
+            for params in ((1.3, 1.0, 0.7, 1.0), (1.3, lo, 0.7, lo), (1.3, 0.4, 0.0, 0.0)):
+                m = make_model(*params, ell)
+                for k in range(1, ell + 1, max(1, ell // 5)):
+                    for lam in (1e-9, 0.3, 2.0, 1e9):
+                        yield m, k, lam
+
+    def test_rows_equal_subset_mutual_info(self):
+        for m, k, lam in self.cases():
+            rc = check_rate_at_lambda(m, k, lam)
+            assert rc.rate == rate_at_lambda(m, k, lam)
+            assert [b for b, _, _ in rc.constraints] == list(range(1, k + 1))
+            for b, required, ok in rc.constraints:
+                assert required == subset_mutual_info(m, TestChannel(lam), b, k), (m, k, b)
+                assert ok == (required - b * rc.rate <= 1e-9 * max(1.0, required))
+
+    def test_rejects_bad_level_and_noise(self):
+        m = m0()
+        for k in (0, 4):
+            with pytest.raises(DomainError, match="out of range"):
+                check_rate_at_lambda(m, k, 1.0)
+        with pytest.raises(DomainError, match="lambda_q"):
+            check_rate_at_lambda(m, 2, 0.0)
 
 
 class TestAchievablePoint:

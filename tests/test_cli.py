@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceord import bergertung, cli, converse, rdcore
+from ceord import cli, converse, rdcore
 from ceord.cli import main
 
 from helpers import make_model
@@ -131,7 +131,8 @@ class TestPoint:
         assert doc["rate"] == rdcore.rate_bar(m, 61, 0.4)
 
     def test_region_failure_exit3(self, capsys, monkeypatch):
-        monkeypatch.setattr(bergertung, "subset_mutual_info", lambda *a: 1e6)
+        # a zero rate fails every subset constraint of the real region check
+        monkeypatch.setattr(rdcore, "rate_at_lambda", lambda *a: 0.0)
         code, out, err = run(capsys, "point", *M0, "--k", "2", "--dk", "0.75")
         assert code == 3 and out == ""
         assert "outside the rate region" in err
@@ -299,8 +300,33 @@ class TestOneSolvePerOperatingPoint:
         assert code == 0 and len(doc["rows"]) == 7
         assert len(solves) == 7
 
+    def test_sweep_skips_the_per_j_conditions(self, capsys, monkeypatch):
+        calls = []
+        for name in ("classify_regime", "conditions_at_lambda"):
+            monkeypatch.setattr(rdcore, name, lambda *a, name=name: calls.append(name))
+        span = ["--dk-min", "0.5", "--dk-max", "0.9", "--steps", "7"]
+        code, doc, _ = run_json(capsys, "sweep", *self.ARGV, "--k", "4", *span)
+        assert code == 0 and len(doc["rows"]) == 7
+        assert calls == []
+
 
 class TestSweep:
+    @pytest.mark.parametrize(
+        "rho_x, rho_z, sign",
+        [(0.3, 0.2, 1), (-0.3, -0.1, -1), (0.2, -0.2, 0)],
+        ids=["rho_s-positive", "rho_s-negative", "rho_s-zero"],
+    )
+    def test_conditions_match_conditions_at_lambda(self, capsys, rho_x, rho_z, sign):
+        model = make_model(1, rho_x, 1, rho_z, 3)
+        assert (model.s.rho > 0) - (model.s.rho < 0) == sign
+        argv = [f"--rho-x={rho_x!r}", f"--rho-z={rho_z!r}", "--k", "3", "--dk-min", "0.55",
+                "--dk-max", "0.95", "--steps", "6"]
+        code, doc, _ = run_json(capsys, "sweep", *M0, *argv)
+        assert code == 0 and len(doc["rows"]) == 6
+        for row in doc["rows"]:
+            rep = rdcore.conditions_at_lambda(model, 3, row["lambda_q"])
+            assert (row["cond1"], row["cond2"]) == (rep.cond1, rep.cond2)
+
     def test_rate_monotone(self, capsys):
         code, doc, _ = run_json(
             capsys,

@@ -17,7 +17,13 @@ from ceord import (
     rate_bar,
     solve_lambda_q,
 )
-from ceord.rdcore import distortion_at_lambda, profile_at_lambda, rate_at_lambda
+from ceord.rdcore import (
+    _shrink,
+    conditions_at_lambda,
+    distortion_at_lambda,
+    profile_at_lambda,
+    rate_at_lambda,
+)
 
 from helpers import (
     bisect_lambda_oracle,
@@ -367,6 +373,19 @@ class TestConditionOracle:
                 assert rep.nu_kj == pytest.approx(want["nu_kj"], rel=1e-14)
             n_false += [rep.cond2, *rep.cond3, *rep.cond4].count(False)
         assert n_false > 0  # the sample reaches failing conditions too
+
+    def test_nu_kj_is_the_shrinkage_ratio(self):
+        # the inlined loop against _shrink and SymmetricSpec.lambda1, to the bit
+        for m, k, d in self.cases():
+            lam = solve_lambda_q(m, k, d)
+            ls2, js = m.s.lambda2, range(k, m.ell + 1)
+            want = (None,) * len(js)
+            if ls2 > 0:
+                want = tuple(
+                    _shrink(ls1, lam) / _shrink(ls2, lam) if (ls1 := m.s.lambda1(j)) > 0 else 0.0
+                    for j in js
+                )
+            assert conditions_at_lambda(m, k, lam).nu_kj == want, (m, k, d)
 
     def test_mu_nu_is_the_ratio_part(self):
         for m, k, d in self.cases():
