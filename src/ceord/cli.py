@@ -110,11 +110,10 @@ def _emit(args, model: spectra.SourceModel, result: Result) -> int:
         text = _dumps(doc) + "\n"
     if args.out is not None:
         try:
-            fh = open(args.out, "w", encoding="utf-8", newline="")
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
         except OSError as e:
             raise DomainError(f"cannot write --out {args.out!r}: {e.strerror}") from None
-        with fh:
-            fh.write(text)
     else:
         sys.stdout.write(text)
     return code

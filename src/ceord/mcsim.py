@@ -4,14 +4,14 @@ The draw for a given (seed, n) is an n x 3*ell array of standard normals in
 chunks of CHUNK rows, one counter-based Philox stream per (seed, chunk
 index); its column thirds drive X, Z (or U, W) and the test-channel noise Q.
 Each command makes this draw exactly once, whatever the number of rows it
-reports: chunks are drawn one after another, each is reduced to (count,
-mean, M2) moments of every reported statistic, and the moments are merged
-in chunk order (Chan, Golub & LeVeque, 1979).  The output depends only on
-(seed, n), and memory does not grow with n: one chunk of CHUNK * 3 * ell
-normals is held at a time, beside the estimators' coefficient rows.  Those
-are 3 * ell floats per row of every reported sub-dimension j, so the
-profile j = k..ell holds 3 * ell * (k + ... + ell) of them: O(ell^3) at
-k = 1, or 12 MB at ell = 100, 325 MB at ell = 300 and 12 GB at ell = 1000.
+reports: chunks are drawn one after another, each is reduced to the sums
+(sum p, sum p^2) of every reported statistic p, and the sums are added in
+chunk order.  The output depends only on (seed, n), and memory does not
+grow with n: one chunk of CHUNK * 3 * ell normals is held at a time,
+beside the estimators' coefficient rows.  Those are 3 * ell floats per row
+of every reported sub-dimension j, so the profile j = k..ell holds
+3 * ell * (k + ... + ell) of them: O(ell^3) at k = 1, or 12 MB at
+ell = 100, 325 MB at ell = 300 and 12 GB at ell = 1000.
 
 Every covariance, estimator and error covariance here has one eigenvalue on
 the all-ones vector and one on its complement, so the estimators are built
@@ -30,7 +30,7 @@ from .spectra import DomainError, SourceModel, basis
 if TYPE_CHECKING:
     import numpy as np
 
-    Moments = tuple[int, np.ndarray, np.ndarray]  # (count, mean, M2), entrywise
+    Sums = tuple[np.ndarray, np.ndarray]  # (sum p, sum p^2), entrywise
 
 CHUNK = 1 << 16
 
@@ -91,53 +91,27 @@ def _draw(n: int, seed: int, cols: int) -> np.ndarray:
     return np.concatenate(list(_chunks(n, seed, cols)), axis=0)
 
 
-def _moments(p: np.ndarray) -> Moments:
-    """Moments of each row of p (one statistic per row, one sample per column)."""
-    mean = p.mean(axis=1)
-    return p.shape[1], mean, ((p - mean[:, None]) ** 2).sum(axis=1)
-
-
-def _product_moments(e: np.ndarray) -> Moments:
-    """Moments of the products e[a] * e[b] of the rows of e, as matrices.
-
-    Samples run along the columns.  M2 is sum(p^2) - count * mean^2 within
-    the chunk: for zero-mean jointly Gaussian rows Var(p) >= E[p]^2, so the
-    subtraction loses at most one bit.
-    """
-    m = e.shape[1]
-    mean = e @ e.T / m
-    sq = e * e
-    return m, mean, sq @ sq.T - m * mean**2
-
-
-def _merge(a: Moments, b: Moments) -> Moments:
-    """Pairwise update of two moment triples (Chan, Golub & LeVeque, 1979)."""
-    na, mean_a, m2_a = a
-    nb, mean_b, m2_b = b
-    n = na + nb
-    delta = mean_b - mean_a
-    return n, mean_a + delta * (nb / n), m2_a + m2_b + delta**2 * (na * nb / n)
-
-
 def _stream(
-    n: int, seed: int, cols: int, reduce: Callable[[np.ndarray], Moments]
+    n: int, seed: int, cols: int, sums: Callable[[np.ndarray], Sums]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Means, with standard errors, of the statistics that reduce reads off the draw.
+    """Means, with standard errors, of the statistics that sums reads off the draw.
 
-    reduce maps one chunk of the (seed, n) draw (m x cols) to the moments of
-    its m samples; only one chunk is held at a time, and the chunks are
-    merged in chunk order.
+    sums maps one chunk (m x cols) of the draw to (sum p, sum p^2) of each
+    statistic p over its m samples.  Each p is a squared zero-mean Gaussian
+    error averaged over j components, or a product of two zero-mean
+    Gaussians, so Var(p) >= (2/j) E[p]^2 and sum p^2 - n mean^2 loses at
+    most log2(1 + j/2) bits; the clamp keeps rounding from taking it below 0.
     """
     import numpy as np
 
     if n < 2:
         raise DomainError(f"n must be >= 2 for a standard error, got {n}")
-    total = None
+    s1 = s2 = 0.0
     for g in _chunks(n, seed, cols):
-        part = reduce(g)
-        total = part if total is None else _merge(total, part)
-    count, mean, m2 = total
-    return mean, np.sqrt(m2 / (count - 1) / count)
+        a, b = sums(g)
+        s1, s2 = s1 + a, s2 + b
+    mean = s1 / n
+    return mean, np.sqrt(np.maximum(s2 - n * mean**2, 0.0) / (n - 1) / n)
 
 
 def _check_lambda_q(lambda_q: float) -> None:
@@ -189,10 +163,11 @@ def _empirical(
         a2 = model.x.lambda2 / (model.s.lambda2 + lambda_q)
         errors.append(x[:j] - a2 * v[:j] - (a1 - a2) * v[:j].mean(axis=0))
 
-    def reduce(g: np.ndarray) -> Moments:
-        return _moments(np.stack([np.mean((e @ g.T) ** 2, axis=0) for e in errors]))
+    def sums(g: np.ndarray) -> Sums:
+        p = np.stack([np.mean((e @ g.T) ** 2, axis=0) for e in errors])
+        return p.sum(axis=1), (p * p).sum(axis=1)
 
-    mean, se = _stream(n, seed, 3 * ell, reduce)
+    mean, se = _stream(n, seed, 3 * ell, sums)
     return [
         EmpiricalRD(lambda_q=lambda_q, j=j, n=n, distortion=float(d), stderr=float(e))
         for j, d, e in zip(js, mean, se)
@@ -244,7 +219,12 @@ def _decomposition_moments(
     es = s - (u + lambda_w / (lambda_w + lambda_q) * (v - u))
     residuals = np.vstack([eu, es])
 
-    mean, se = _stream(n, seed, 3 * ell, lambda g: _product_moments(residuals @ g.T))
+    def sums(g: np.ndarray) -> Sums:
+        e = residuals @ g.T
+        sq = e * e
+        return e @ e.T, sq @ sq.T
+
+    mean, se = _stream(n, seed, 3 * ell, sums)
     return mean[:j, :j], se[:j, :j], mean[j:, j:], se[j:, j:]
 
 

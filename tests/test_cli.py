@@ -792,9 +792,11 @@ VALID_BASES = {
 
 @pytest.fixture(scope="module")
 def unwritable(tmp_path_factory):
-    """--out targets open() refuses: a file in a missing directory, a directory, ""."""
+    """--out targets that fail: open() refuses a file in a missing directory,
+    a directory and ""; a write to /dev/full, where it exists, fails."""
     root = tmp_path_factory.mktemp("out")
-    return [str(root / "missing" / "x.json"), str(root), ""]
+    full = ["/dev/full"] if Path("/dev/full").exists() else []
+    return [str(root / "missing" / "x.json"), str(root), "", *full]
 
 
 class TestOut:
@@ -915,6 +917,12 @@ class TestExitCodeContract:
         code, out, err = run(capsys, "point", *M0, "--k", "2", "--dk", "0.75", "--out=")
         assert code == 2 and out == ""
         assert err.startswith("error: cannot write --out ''")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+    def test_out_write_error(self, capsys):
+        code, out, err = run(capsys, "point", *M0, "--k", "2", "--dk", "0.75", "--out", "/dev/full")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot write --out '/dev/full': No space left on device\n"
 
     def test_unwritable_out(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"

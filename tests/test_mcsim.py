@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -16,14 +17,7 @@ from ceord import (
 )
 from ceord import mcsim
 from ceord.cli import main
-from ceord.mcsim import (
-    CHUNK,
-    _decomposition_moments,
-    _draw,
-    _merge,
-    _moments,
-    _product_moments,
-)
+from ceord.mcsim import CHUNK, _decomposition_moments, _draw, _stream
 from ceord.rdcore import distortion_at_lambda
 
 from helpers import m0, make_model
@@ -235,26 +229,52 @@ class TestStreaming:
             float((np.abs(dlt[off]) / dlt_se[off]).max(initial=0.0)), rel=1e-10
         )
 
-    def test_merge_equals_whole_array_moments(self):
+    @staticmethod
+    def _ragged(monkeypatch, p):
+        """Make _stream read the columns of p in chunks of 1000, 1500 and 507."""
+        parts = np.array_split(p, [1000, 2500], axis=1)
+        monkeypatch.setattr(mcsim, "_chunks", lambda n, seed, cols: iter(parts))
+        return p.shape[1]
+
+    @staticmethod
+    def _power_sums(g):
+        return g.sum(axis=1), (g * g).sum(axis=1)
+
+    def test_stream_equals_whole_array_moments(self, monkeypatch):
         p = np.random.default_rng(4).standard_normal((2, 3007)) * [[1.0], [1e3]] + 5.0
-        total = None
-        for part in np.array_split(p, [1000, 2500], axis=1):
-            total = _moments(part) if total is None else _merge(total, _moments(part))
-        count, mean, m2 = total
-        assert count == p.shape[1]
+        n = self._ragged(monkeypatch, p)
+        mean, se = _stream(n, 0, 2, self._power_sums)
         np.testing.assert_allclose(mean, np.mean(p, axis=1), rtol=1e-13)
         np.testing.assert_allclose(
-            np.sqrt(m2 / (count - 1)), np.std(p, axis=1, ddof=1), rtol=1e-13
+            se, np.std(p, axis=1, ddof=1) / np.sqrt(n), rtol=1e-13
         )
 
-    def test_product_moments(self):
-        e = np.random.default_rng(5).standard_normal((3, 500))
-        count, mean, m2 = _product_moments(e)
+    def test_stream_product_block(self, monkeypatch):
+        e = np.random.default_rng(5).standard_normal((3, 3007))
+        n = self._ragged(monkeypatch, e)
+
+        def sums(g):
+            sq = g * g
+            return g @ g.T, sq @ sq.T
+
+        mean, se = _stream(n, 0, 3, sums)
         prod = e[:, None, :] * e[None, :, :]
-        assert count == 500
         np.testing.assert_allclose(mean, prod.mean(axis=2), rtol=1e-12)
-        dev = prod - prod.mean(axis=2, keepdims=True)
-        np.testing.assert_allclose(m2, (dev**2).sum(axis=2), rtol=1e-12)
+        np.testing.assert_allclose(
+            se, prod.std(axis=2, ddof=1) / np.sqrt(n), rtol=1e-12
+        )
+
+    def test_stream_zero_statistic_has_zero_se(self, monkeypatch):
+        p = np.random.default_rng(6).standard_normal((3, 3007))
+        p[1] = 0.0
+        # a constant for which sum p^2 - n mean^2 rounds below 0
+        p[2] = 0.7
+        n = self._ragged(monkeypatch, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, se = _stream(n, 0, 3, self._power_sums)
+        assert mean[1] == 0.0 and se[1] == 0.0
+        assert se[0] > 0.0 and 0.0 <= se[2] < 1e-15
 
     def test_one_draw_per_command(self, monkeypatch, capsys):
         calls = []
