@@ -260,7 +260,13 @@ def solve_numeric(
     if not budget > 0:  # d_k > d_min guarantees room
         raise InconsistencyError(f"no distortion budget at d_k={d_k!r}: {budget!r}")
 
-    def expand(d1: float) -> Optional[FeasiblePoint]:
+    # the level-k constants of _delta_cap and _eta, for plain-float evaluations
+    # that repeat their operations in their order
+    inv1, inv2 = 1.0 / lw - 1.0 / ls1, 1.0 / lw - 1.0 / ls2
+    ls1sq, ls2sq, w2 = ls1 * ls1, ls2 * ls2, (k - 1) / (2 * k)
+
+    def expand(d1: float) -> Optional[tuple[float, float]]:
+        """(d2, delta) with no slack at d1, or None outside the box."""
         if d1 <= 0 or d1 > ls1 or a1_coef * d1 > budget:
             return None
         if a2_coef > 0:
@@ -269,14 +275,24 @@ def solve_numeric(
             d2 = ls2
         if d2 <= 0:
             return None
-        delta = min(_delta_cap(d1, lw, ls1), _delta_cap(d2, lw, ls2))
-        return FeasiblePoint(d1=d1, d2=d2, delta=delta)
+        den1, den2 = 1.0 + d1 * inv1, 1.0 + d2 * inv2
+        cap1 = d1 / den1 if den1 > 0 else math.inf
+        return d2, min(cap1, d2 / den2 if den2 > 0 else math.inf)
 
     def reduced(d1: float) -> float:
-        p = expand(d1)
-        if p is None or p.delta <= 0:
+        # _eta at (d1, *expand(d1))
+        rest = expand(d1)
+        if rest is None or rest[1] <= 0:
             return math.inf
-        return _eta(model, k, lw, p)
+        d2, delta = rest
+        arg1 = (ls1 - lw) * d1 + ls1 * lw
+        arg2 = (ls2 - lw) * d2 + ls2 * lw
+        if arg1 <= 0 or arg2 <= 0:
+            raise DomainError("nonpositive log argument in objective")
+        val = math.log(ls1sq / arg1) / (2 * k) + 0.5 * math.log(lw / delta)
+        if k > 1:
+            val += w2 * math.log(ls2sq / arg2)
+        return val
 
     hi = ls1 if a1_coef == 0 else min(ls1, budget / a1_coef)
     if a1_coef * hi > budget:  # rounded up past the budget: keep the probe feasible
@@ -299,7 +315,8 @@ def solve_numeric(
     f_hi = reduced(hi)
     if f_hi < f_best:
         d1_best, f_best = hi, f_hi
-    return expand(d1_best), f_best
+    rest = expand(d1_best)
+    return (FeasiblePoint(d1_best, *rest) if rest else None), f_best
 
 
 def dj_lower_bound(model: SourceModel, k: int, j: int, delta: float) -> float:

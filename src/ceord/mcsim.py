@@ -4,14 +4,16 @@ The draw for a given (seed, n) is an n x 3*ell array of standard normals in
 chunks of CHUNK rows, one counter-based Philox stream per (seed, chunk
 index); its column thirds drive X, Z (or U, W) and the test-channel noise Q.
 Each command makes this draw exactly once, whatever the number of rows it
-reports: chunks are drawn one after another, each is reduced to the sums
-(sum p, sum p^2) of every reported statistic p, and the sums are added in
-chunk order.  The output depends only on (seed, n), and memory does not
-grow with n: one chunk of CHUNK * 3 * ell normals is held at a time,
-beside the estimators' coefficient rows.  Those are 3 * ell floats per row
-of every reported sub-dimension j, so the profile j = k..ell holds
-3 * ell * (k + ... + ell) of them: O(ell^3) at k = 1, or 12 MB at
-ell = 100, 325 MB at ell = 300 and 12 GB at ell = 1000.
+reports.  Each chunk's stream is drawn in consecutive blocks of at most
+BLOCK_FLOATS normals (one row when a row is longer); consecutive draws from
+one generator are the numbers of a single draw, so the blocks never change
+the sample.  Each block is reduced to the sums (sum p, sum p^2) of every
+reported statistic p as soon as it is drawn, and the sums are added in draw
+order.  The output depends only on (seed, n), and memory does not grow with
+n: one block is held at a time, beside the estimators' coefficient rows.
+Those are 3 * ell floats per row of every reported sub-dimension j, so the
+profile j = k..ell holds 3 * ell * (k + ... + ell) of them: O(ell^3) at
+k = 1, or 12 MB at ell = 100, 325 MB at ell = 300 and 12 GB at ell = 1000.
 
 Every covariance, estimator and error covariance here has one eigenvalue on
 the all-ones vector and one on its complement, so the estimators are built
@@ -32,7 +34,8 @@ if TYPE_CHECKING:
 
     Sums = tuple[np.ndarray, np.ndarray]  # (sum p, sum p^2), entrywise
 
-CHUNK = 1 << 16
+CHUNK = 1 << 16  # rows per Philox stream
+BLOCK_FLOATS = 1 << 16  # normals per block drawn from a stream
 
 
 @dataclass(frozen=True)
@@ -65,23 +68,30 @@ class DecompositionReport:
     delta_diag_ok: bool
 
 
-def _chunk_normals(seed: int, idx: int, m: int, cols: int) -> np.ndarray:
+def _chunk_normals(seed: int, idx: int, m: int, cols: int) -> Iterator[np.ndarray]:
+    """Chunk idx (m x cols) of the draw, in consecutive blocks of its one stream.
+
+    Each block is a new array of at most max(BLOCK_FLOATS, cols) normals;
+    _draw keeps them all, so none may reuse another's buffer.
+    """
     import numpy as np
 
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=[int(seed), int(idx)]))
     )
-    return rng.standard_normal((m, cols))
+    rows = max(1, BLOCK_FLOATS // cols)
+    for start in range(0, m, rows):
+        yield rng.standard_normal((min(rows, m - start), cols))
 
 
 def _chunks(n: int, seed: int, cols: int) -> Iterator[np.ndarray]:
-    """The rows of the (seed, n) draw, one chunk of at most CHUNK rows at a time."""
+    """The rows of the (seed, n) draw, one block at a time, chunk after chunk."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     for idx, start in enumerate(range(0, n, CHUNK)):
-        yield _chunk_normals(seed, idx, min(CHUNK, n - start), cols)
+        yield from _chunk_normals(seed, idx, min(CHUNK, n - start), cols)
 
 
 def _draw(n: int, seed: int, cols: int) -> np.ndarray:
@@ -96,7 +106,7 @@ def _stream(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Means, with standard errors, of the statistics that sums reads off the draw.
 
-    sums maps one chunk (m x cols) of the draw to (sum p, sum p^2) of each
+    sums maps one block (m x cols) of the draw to (sum p, sum p^2) of each
     statistic p over its m samples.  Each p is a squared zero-mean Gaussian
     error averaged over j components, or a product of two zero-mean
     Gaussians, so Var(p) >= (2/j) E[p]^2 and sum p^2 - n mean^2 loses at
@@ -219,13 +229,16 @@ def _decomposition_moments(
     es = s - (u + lambda_w / (lambda_w + lambda_q) * (v - u))
     residuals = np.vstack([eu, es])
 
+    def grams(e: np.ndarray) -> np.ndarray:
+        # the eu and es diagonal blocks of e @ e.T, without the cross block
+        return np.stack([e[:j] @ e[:j].T, e[j:] @ e[j:].T])
+
     def sums(g: np.ndarray) -> Sums:
         e = residuals @ g.T
-        sq = e * e
-        return e @ e.T, sq @ sq.T
+        return grams(e), grams(e * e)
 
     mean, se = _stream(n, seed, 3 * ell, sums)
-    return mean[:j, :j], se[:j, :j], mean[j:, j:], se[j:, j:]
+    return mean[0], se[0], mean[1], se[1]
 
 
 def decomposition_check(

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,14 @@ from ceord import (
 )
 from ceord import mcsim
 from ceord.cli import main
-from ceord.mcsim import CHUNK, _decomposition_moments, _draw, _stream
+from ceord.mcsim import (
+    BLOCK_FLOATS,
+    CHUNK,
+    _chunks,
+    _decomposition_moments,
+    _draw,
+    _stream,
+)
 from ceord.rdcore import distortion_at_lambda
 
 from helpers import m0, make_model
@@ -41,6 +49,27 @@ class TestDeterminism:
         short = _draw(CHUNK, 3, 2)
         long = _draw(CHUNK + 17, 3, 2)
         assert np.array_equal(long[:CHUNK], short)
+
+    @pytest.mark.parametrize(
+        "n, cols",
+        [(CHUNK + 3, 15), (3, BLOCK_FLOATS + 1)],
+        ids=["rows-not-dividing-chunk", "one-row-blocks"],
+    )
+    def test_block_draw_is_per_chunk_draw(self, n, cols):
+        # blocks are consecutive draws from the one Philox stream of each chunk
+        seed = 9
+        want = np.concatenate(
+            [
+                np.random.Generator(
+                    np.random.Philox(np.random.SeedSequence([seed, idx]))
+                ).standard_normal((min(CHUNK, n - start), cols))
+                for idx, start in enumerate(range(0, n, CHUNK))
+            ]
+        )
+        assert np.array_equal(_draw(n, seed, cols), want)
+        rows = [g.shape[0] for g in _chunks(n, seed, cols)]
+        assert sum(rows) == n
+        assert max(rows) == max(1, BLOCK_FLOATS // cols) < n
 
     def test_s_is_sum(self):
         b = sample(m0(), 100, 0)
@@ -296,6 +325,45 @@ class TestStreaming:
         capsys.readouterr()
         assert code in (0, 4)
         assert calls == [0, 1, 2]
+
+
+class TestMemory:
+    """Memory is one block of the draw, whatever n."""
+
+    N = 2 * CHUNK + 1
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda m, n: empirical_profile(m, 1, solve_lambda_q(m, 1, 0.6), n, 3),
+            lambda m, n: decomposition_check(
+                m, 5, 0.5 * min(m.s.lambda1(5), m.s.lambda2), 1.3, n, 3
+            ),
+        ],
+        ids=["profile-k=1", "decomposition-j=5"],
+    )
+    def test_peak_is_one_block(self, monkeypatch, run):
+        m = make_model(1, -0.2, 0.2, -0.15, 5)
+        sizes = []
+        stream = mcsim._stream
+
+        def guarded(n, seed, cols, sums):
+            def block_sums(g):
+                sizes.append(g.size)
+                return sums(g)
+
+            return stream(n, seed, cols, block_sums)
+
+        monkeypatch.setattr(mcsim, "_stream", guarded)
+        tracemalloc.start()
+        try:
+            run(m, self.N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6  # a whole chunk of the draw alone is 7.9 MB
+        assert sum(sizes) == self.N * 3 * m.ell
+        assert max(sizes) <= max(BLOCK_FLOATS, 3 * m.ell)
 
 
 class TestDegenerateInputs:
