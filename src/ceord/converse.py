@@ -77,12 +77,18 @@ def _lw(model: SourceModel, k: int, j: int) -> float:
 
 
 def _eta(model: SourceModel, k: int, lw: float, p: FeasiblePoint) -> float:
-    ls1, ls2 = model.s.lambda1(k), model.s.lambda2
-    arg1 = (ls1 - lw) * p.d1 + ls1 * lw
-    arg2 = (ls2 - lw) * p.d2 + ls2 * lw
-    if arg1 <= 0 or arg2 <= 0 or p.delta <= 0:
+    return _eta_at(k, lw, model.s.lambda1(k), model.s.lambda2, p.d1, p.d2, p.delta)
+
+
+def _eta_at(
+    k: int, lw: float, ls1: float, ls2: float, d1: float, d2: float, delta: float
+) -> float:
+    """The objective on plain floats, ls1 = lambda_s1(k) and ls2 = lambda_s2."""
+    arg1 = (ls1 - lw) * d1 + ls1 * lw
+    arg2 = (ls2 - lw) * d2 + ls2 * lw
+    if arg1 <= 0 or arg2 <= 0 or delta <= 0:
         raise DomainError("nonpositive log argument in objective")
-    val = math.log(ls1 * ls1 / arg1) / (2 * k) + 0.5 * math.log(lw / p.delta)
+    val = math.log(ls1 * ls1 / arg1) / (2 * k) + 0.5 * math.log(lw / delta)
     if k > 1:
         val += (k - 1) / (2 * k) * math.log(ls2 * ls2 / arg2)
     return val
@@ -260,11 +266,6 @@ def solve_numeric(
     if not budget > 0:  # d_k > d_min guarantees room
         raise InconsistencyError(f"no distortion budget at d_k={d_k!r}: {budget!r}")
 
-    # the level-k constants of _delta_cap and _eta, for plain-float evaluations
-    # that repeat their operations in their order
-    inv1, inv2 = 1.0 / lw - 1.0 / ls1, 1.0 / lw - 1.0 / ls2
-    ls1sq, ls2sq, w2 = ls1 * ls1, ls2 * ls2, (k - 1) / (2 * k)
-
     def expand(d1: float) -> Optional[tuple[float, float]]:
         """(d2, delta) with no slack at d1, or None outside the box."""
         if d1 <= 0 or d1 > ls1 or a1_coef * d1 > budget:
@@ -275,24 +276,13 @@ def solve_numeric(
             d2 = ls2
         if d2 <= 0:
             return None
-        den1, den2 = 1.0 + d1 * inv1, 1.0 + d2 * inv2
-        cap1 = d1 / den1 if den1 > 0 else math.inf
-        return d2, min(cap1, d2 / den2 if den2 > 0 else math.inf)
+        return d2, min(_delta_cap(d1, lw, ls1), _delta_cap(d2, lw, ls2))
 
     def reduced(d1: float) -> float:
-        # _eta at (d1, *expand(d1))
         rest = expand(d1)
         if rest is None or rest[1] <= 0:
             return math.inf
-        d2, delta = rest
-        arg1 = (ls1 - lw) * d1 + ls1 * lw
-        arg2 = (ls2 - lw) * d2 + ls2 * lw
-        if arg1 <= 0 or arg2 <= 0:
-            raise DomainError("nonpositive log argument in objective")
-        val = math.log(ls1sq / arg1) / (2 * k) + 0.5 * math.log(lw / delta)
-        if k > 1:
-            val += w2 * math.log(ls2sq / arg2)
-        return val
+        return _eta_at(k, lw, ls1, ls2, d1, *rest)
 
     hi = ls1 if a1_coef == 0 else min(ls1, budget / a1_coef)
     if a1_coef * hi > budget:  # rounded up past the budget: keep the probe feasible
