@@ -294,15 +294,15 @@ def _seed(args) -> int:
         raise DomainError(f"CEO_RD_SEED must be an integer, got {raw!r}") from None
 
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma-x", type=float, required=True)
-    p.add_argument("--rho-x", type=float, default=0.0)
-    p.add_argument("--gamma-z", type=float, required=True)
-    p.add_argument("--rho-z", type=float, default=0.0)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--out", default=None)
-
-
+# flag: add_argument keywords.  Every command takes the model flags first.
+_MODEL = {
+    "--gamma-x": dict(type=float, required=True),
+    "--rho-x": dict(type=float, default=0.0),
+    "--gamma-z": dict(type=float, required=True),
+    "--rho-z": dict(type=float, default=0.0),
+    "--ell": dict(type=int, required=True),
+    "--out": dict(default=None),
+}
 _K = {"--k": dict(type=int, required=True)}
 _DK = {"--dk": dict(type=float, required=True)}
 _J = {"--j": dict(type=int, default=None)}
@@ -310,7 +310,7 @@ _N = {"--n": dict(type=int, default=1000000)}
 _TOL = {"--tol": dict(type=float, default=1e-9)}
 _SEED = {"--seed": dict(type=int, default=None, help="default: $CEO_RD_SEED or 0")}
 _FORMAT = {"--format": dict(choices=["json", "csv"], default="json")}
-_BITS = {"--bits": dict(action="store_true", help="report rates in bits")}
+_BITS = {"--bits": dict(action="store_true", default=False, help="report rates in bits")}
 
 # subcommand: (handler, the flags it adds after the shared model flags)
 _COMMANDS = {
@@ -344,8 +344,9 @@ _COMMANDS = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``ceord`` parser, built once per process and shared by every
-    caller, so no caller may modify it."""
+    """The ``ceord`` parser, built on first use (main uses it only for argv
+    that _read_args declines) and shared by every caller, so no caller may
+    modify it."""
     parser = argparse.ArgumentParser(
         prog="ceord",
         description=__doc__,
@@ -359,11 +360,58 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (fn, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        _add_model_args(p)
-        for flag, kw in flags.items():
+        for flag, kw in {**_MODEL, **flags}.items():
             p.add_argument(flag, **kw)
         p.set_defaults(func=fn)
     return parser
+
+
+def _read_args(argv: list[str]) -> Optional[argparse.Namespace]:
+    """build_parser().parse_args(argv), read from the option table, for the
+    spelling every script uses: a command, then each of its flags exactly
+    once, as "--flag=value", "--flag value" (value not starting with "-") or
+    a bare store_true flag, with every required flag present and every value
+    converted and within its choices.
+
+    None for any other argv, which argparse then parses, so that help,
+    errors and every other spelling (abbreviations, "--", a repeated flag)
+    come from the parser alone.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, flags = _COMMANDS[argv[0]]
+    table = {**_MODEL, **flags}
+    given: dict[str, Any] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        kw = table.get(flag)
+        if kw is None or flag in given:
+            return None
+        if kw.get("action") == "store_true":
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        elif value == "--":  # argparse drops it and stores []
+            return None
+        try:
+            value = kw.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        given[flag] = value
+    values = {"params_json": None, "command": argv[0]}
+    for flag, kw in table.items():
+        if kw.get("required") and flag not in given:
+            return None
+        values[flag[2:].replace("-", "_")] = given.get(flag, kw.get("default"))
+    return argparse.Namespace(**values, func=func)
 
 
 def _params_json_index(argv: list[str]) -> Optional[int]:
@@ -403,7 +451,8 @@ def _apply_params_json(argv: list[str]) -> list[str]:
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(_apply_params_json(argv))
+        argv = _apply_params_json(argv)
+        args = _read_args(argv) or build_parser().parse_args(argv)
         model = _model(args)
         return _emit(args, model, args.func(args, model))
     except (DomainError, ModelError) as e:

@@ -174,7 +174,7 @@ def _empirical(
         errors.append(x[:j] - a2 * v[:j] - (a1 - a2) * v[:j].mean(axis=0))
 
     def sums(g: np.ndarray) -> Sums:
-        p = np.stack([np.mean((e @ g.T) ** 2, axis=0) for e in errors])
+        p = np.stack([((e @ g.T) ** 2).sum(axis=0) / j for j, e in zip(js, errors)])
         return p.sum(axis=1), (p * p).sum(axis=1)
 
     mean, se = _stream(n, seed, 3 * ell, sums)

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -658,6 +659,20 @@ class TestDecompCheck:
         assert "lambda_w" in err
 
 
+@functools.cache
+def _workload_argv(workload):
+    return [workloads.argv(spec) for spec in workloads.generate(workload, 7)]
+
+
+def _same_namespace(got, want):
+    """Equal attributes of equal types, NaN equal to NaN."""
+
+    def same(a, b):
+        return type(a) is type(b) and (a == b or a != a and b != b)
+
+    return got.keys() == want.keys() and all(same(got[k], want[k]) for k in got)
+
+
 def _subparsers(parser):
     """The subcommand parsers of the top-level parser, by name."""
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
@@ -676,6 +691,7 @@ class TestPerCommandParser:
     @pytest.fixture
     def used(self, capsys):
         assert run(capsys, *self.POINT)[0] == 0
+        cli.build_parser().parse_args(self.POINT)
         for argv in (["--bogus"], self.POINT[:-2], [*self.POINT, "--bogus"], ["nope"]):
             with pytest.raises(SystemExit):
                 main(argv)
@@ -689,12 +705,15 @@ class TestPerCommandParser:
             used, fresh = _subparsers(used)[cmd], _subparsers(fresh)[cmd]
         assert used.format_help() == fresh.format_help()
 
-    @pytest.mark.parametrize("workload", ["frontier-small", "frontier-wide"])
+    @pytest.mark.parametrize("workload", ["frontier-small", "frontier-wide", "montecarlo"])
     def test_namespace_matches_reference(self, used, workload):
+        # every workload argv is read from the option table, not by argparse
         fresh = cli.build_parser.__wrapped__()
-        for spec in workloads.generate(workload, 7)[:150]:
-            argv = workloads.argv(spec)
-            assert vars(used.parse_args(argv)) == vars(fresh.parse_args(argv))
+        for argv in _workload_argv(workload):
+            want = vars(fresh.parse_args(argv))
+            assert vars(used.parse_args(argv)) == want
+            read = cli._read_args(argv)
+            assert read is not None and _same_namespace(vars(read), want), argv
 
     @pytest.mark.parametrize(
         "extra", [["--bogus"], ["--tol", "1e-6", "x"], ["--", "--k", "3"]]
@@ -721,11 +740,17 @@ class TestPerCommandParser:
 
         monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
         cli.build_parser.cache_clear()
-        assert run(capsys, *self.POINT)[0] == 0
-        # top level: -h and --params-json; each command: -h, the six model
-        # flags and its own flags
+        # a well-formed argv is read from the option table: no parser built
+        assert run(capsys, "point", "--gamma-x=1", "--gamma-z=1", "--ell=3", "--k=2", "--dk=0.75")[0] == 0
+        assert calls == []
+        # the first argv that needs argparse builds it: top level -h and
+        # --params-json; each command -h, the six model flags and its own flags
+        with pytest.raises(SystemExit):
+            main([*self.POINT, "-h"])
         assert len(calls) == 2 + sum(1 + 6 + len(flags) for _, flags in cli._COMMANDS.values())
         calls.clear()
+        with pytest.raises(SystemExit):
+            main([*self.POINT, "--bogus"])
         assert run(capsys, *self.POINT)[0] == 0
         assert calls == []
 
@@ -930,3 +955,158 @@ class TestExitCodeContract:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and str(target) in err
         assert not target.parent.exists()
+
+
+# Values that argparse reads in its own way: negative (as a token of its
+# own, "-1" is a number to argparse but "-inf", "-1e-05" and "-x" are
+# options), empty, padded, NaN, too large for a float, non-ASCII digits,
+# "--" (dropped from an attached value, leaving []), a bad --format
+_ODD_VALUES = [
+    "-1", "-0.5", "-inf", "-1e-05", "-x", "", " ", " 2 ", "nan", HUGE,
+    "\u0663", "\u0662.\u0665", "--", "-", "1_0", "xml",
+]
+_ODD_TOKENS = ["--bits=1", "--bits=", "-h", "--help", "--", "--format=xml", "--format", "xml", "--bogus", "-x"]
+_ODD_COMMANDS = [*cli._COMMANDS, "poin", "points", "", "-h", "--k=2"]
+
+
+def _pick(draw, argv):
+    return draw(st.integers(1, len(argv) - 1))
+
+
+def _abbreviate(draw, argv):
+    i = _pick(draw, argv)
+    flag, eq, value = argv[i].partition("=")
+    argv[i] = flag[: draw(st.integers(3, max(3, len(flag) - 1)))] + eq + value
+    return argv
+
+
+def _repeat(draw, argv):
+    return argv + [argv[_pick(draw, argv)]]
+
+
+def _revalue(draw, argv):
+    # a new value, attached or as a token of its own
+    i = end = _pick(draw, argv)
+    flag, eq, value = argv[i].partition("=")
+    if not eq and end + 1 < len(argv) and not argv[end + 1].startswith("-"):
+        end += 1
+        value = argv[end]
+    new = draw(st.sampled_from([value, *_ODD_VALUES]))
+    argv[i : end + 1] = draw(st.sampled_from([[f"{flag}={new}"], [flag, new]]))
+    return argv
+
+
+def _insert(draw, argv):
+    argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_ODD_TOKENS)))
+    return argv
+
+
+def _recommand(draw, argv):
+    return [draw(st.sampled_from(_ODD_COMMANDS)), *argv[1:]]
+
+
+def _drop(draw, argv):
+    del argv[_pick(draw, argv)]
+    return argv
+
+
+def _to_params_json(draw, argv):
+    # move some flags into one --params-json object, under any spelling
+    # argparse expands to it, before or after the command
+    keep, params = [argv[0]], {}
+    for token in argv[1:]:
+        flag, eq, value = token.partition("=")
+        if flag.startswith("--") and draw(st.booleans()):
+            try:
+                params[flag[2:].replace("-", "_")] = json.loads(value) if eq else True
+            except ValueError:
+                params[flag[2:].replace("-", "_")] = value
+        else:
+            keep.append(token)
+    spelling = "--params-json"[: draw(st.integers(3, len("--params-json")))]
+    blob = json.dumps(params)
+    option = draw(st.sampled_from([[f"{spelling}={blob}"], [spelling, blob]]))
+    return option + keep if draw(st.booleans()) else keep + option
+
+
+_EDITS = [_abbreviate, _repeat, _revalue, _insert, _recommand, _drop]
+
+
+@st.composite
+def _mutated_argv(draw):
+    """A workload argv of seed 7, maybe with --out (the one flag without a
+    type), with up to three edits, then maybe a --params-json expansion."""
+    pool = _workload_argv(draw(st.sampled_from(["frontier-small", "frontier-wide", "montecarlo"])))
+    # an index, not sampled_from: that would hash the whole pool per draw
+    argv = list(pool[draw(st.integers(0, len(pool) - 1))])
+    if draw(st.booleans()):
+        value = draw(st.sampled_from(["doc.json", *_ODD_VALUES]))
+        argv += draw(st.sampled_from([[f"--out={value}"], ["--out", value]]))
+    for _ in range(draw(st.integers(0, 3))):
+        if len(argv) > 1:
+            argv = draw(st.sampled_from(_EDITS))(draw, argv)
+    if len(argv) > 1 and draw(st.booleans()):
+        argv = _to_params_json(draw, argv)
+    return argv
+
+
+class TestReader:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(argv=_mutated_argv())
+    def test_agrees_with_argparse(self, argv):
+        # where the reader returns a namespace, it is argparse's; where
+        # argparse exits (help or an error), the reader returned None
+        try:
+            argv = cli._apply_params_json(argv)
+        except cli.DomainError:
+            return  # main exits 2 before either reads argv
+        read = cli._read_args(argv)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                want = vars(cli.build_parser.__wrapped__().parse_args(argv))
+            except SystemExit:
+                assert read is None, argv
+                return
+        assert read is None or _same_namespace(vars(read), want), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["point", *M0, "--k", "2", "--dk", "0.75", "--bits"],
+            ["point", "--gamma-x=1", "--gamma-z=1", "--ell=3", "--k=2", "--dk=-1", "--out="],
+            ["sweep", *M0, "--k=2", "--dk-min=0.6", "--dk-max=0.9", "--steps=3", "--format", "csv"],
+            ["verify", *M0, "--k=2", "--dk=nan", "--tol= 1e-6 ", "--j=\u0662"],
+        ],
+        ids=["separate", "attached", "choices", "converted"],
+    )
+    def test_reads_well_formed_argv(self, argv):
+        read = cli._read_args(argv)
+        assert read is not None
+        assert _same_namespace(vars(read), vars(cli.build_parser.__wrapped__().parse_args(argv)))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["point", *M0, "--k", "2", "--dk", "0.75", "-h"],
+            ["point", *M0, "--k", "2", "--d", "0.75"],
+            ["point", *M0, "--k", "2", "--dk", "0.75", "--k", "3"],
+            ["point", *M0, "--k", "2", "--dk", "0.75", "--bits=1"],
+            ["point", *M0, "--k", "2", "--dk", "-1"],
+            ["point", *M0, "--k", "2", "--dk", "0.75", "--out=--"],
+            ["point", *M0, "--k", "2", "--dk", "-inf"],
+            ["point", *M0, "--k", "2", "--dk", "0.75", "--", "--bits"],
+            ["point", *M0, "--k", "2.5", "--dk", "0.75"],
+            ["point", *M0, "--k", "2"],
+            ["region", *M0, "--k", "2", "--dk", "0.75", "--format", "xml"],
+            ["nope", *M0],
+        ],
+        ids=[
+            "empty", "help", "command-help", "abbreviated", "repeated", "bits-value",
+            "separate-negative", "attached-dashes", "separate-option-like", "double-dash", "not-an-int", "missing",
+            "bad-choice", "unknown-command",
+        ],
+    )
+    def test_leaves_the_rest_to_argparse(self, argv):
+        assert cli._read_args(argv) is None
