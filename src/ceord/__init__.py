@@ -6,12 +6,10 @@ from .spectra import (
     InconsistencyError,
     ModelError,
     SourceModel,
-    SpectralView,
     SymmetricSpec,
     basis,
     d_min,
     dense,
-    eigenvalues,
     validate,
 )
 from .rdcore import (

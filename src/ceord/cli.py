@@ -275,10 +275,7 @@ def cmd_simulate(args, model: spectra.SourceModel) -> Result:
 
 def cmd_decomp_check(args, model: spectra.SourceModel) -> Result:
     j = args.j if args.j is not None else model.ell
-    ev = spectra.eigenvalues(model.s, j)  # checks j before any arithmetic on it
-    bound = min(ev.lambda1, ev.lambda2)
-    lam_w = args.lambda_w if args.lambda_w is not None else 0.5 * bound
-    rep = mcsim.decomposition_check(model, j, lam_w, args.lambda_q, args.n, _seed(args))
+    rep = mcsim.decomposition_check(model, j, args.lambda_w, args.lambda_q, args.n, _seed(args))
     ok = rep.sigma_ok and rep.delta_diag_ok
     return {"j": j, **vars(rep), "all_pass": ok}, None, 0 if ok else EXIT_STATISTICAL
 
@@ -452,7 +449,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_params_json(argv)
-        args = _read_args(argv) or build_parser().parse_args(argv)
+        args = _read_args(argv)
+        if args is None:  # argparse drops "--" from an attached "--flag=--" and stores []
+            args = build_parser().parse_args(argv)
+            if empty := [f"--{k.replace('_', '-')}" for k, v in vars(args).items() if v == []]:
+                raise DomainError(f"{empty[0]} needs a value, got '--'")
         model = _model(args)
         return _emit(args, model, args.func(args, model))
     except (DomainError, ModelError) as e:

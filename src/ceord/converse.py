@@ -76,10 +76,6 @@ def _lw(model: SourceModel, k: int, j: int) -> float:
     return min(ls1j, ls2)
 
 
-def _eta(model: SourceModel, k: int, lw: float, p: FeasiblePoint) -> float:
-    return _eta_at(k, lw, model.s.lambda1(k), model.s.lambda2, p.d1, p.d2, p.delta)
-
-
 def _eta_at(
     k: int, lw: float, ls1: float, ls2: float, d1: float, d2: float, delta: float
 ) -> float:
@@ -96,7 +92,8 @@ def _eta_at(
 
 def objective_eta(model: SourceModel, k: int, j: int, point: FeasiblePoint) -> float:
     """Objective of the converse program at sub-dimension j."""
-    return _eta(model, k, _lw(model, k, j), point)
+    lw = _lw(model, k, j)
+    return _eta_at(k, lw, model.s.lambda1(k), model.s.lambda2, point.d1, point.d2, point.delta)
 
 
 def _harmonic(a: float, b: float) -> float:
@@ -105,14 +102,11 @@ def _harmonic(a: float, b: float) -> float:
 
 def candidate_minimizer(model: SourceModel, k: int, j: int, d_k: float) -> FeasiblePoint:
     """The closed-form candidate: harmonic means of eigenvalues with lambda_q."""
-    lw = _lw(model, k, j)
-    return _candidate(model, k, lw, rdcore.solve_lambda_q(model, k, d_k))
+    return verify_kkt(model, k, j, d_k).point
 
 
-def _candidate(model: SourceModel, k: int, lw: float, lam: float) -> FeasiblePoint:
-    d1 = _harmonic(model.s.lambda1(k), lam)
-    d2 = _harmonic(model.s.lambda2, lam)
-    return FeasiblePoint(d1=d1, d2=d2, delta=_harmonic(lw, lam))
+def _candidate(ls1: float, ls2: float, lw: float, lam: float) -> FeasiblePoint:
+    return FeasiblePoint(_harmonic(ls1, lam), _harmonic(ls2, lam), _harmonic(lw, lam))
 
 
 def _distortion_lhs(model: SourceModel, k: int, d1: float, d2: float) -> float:
@@ -133,14 +127,11 @@ def kkt_multipliers(model: SourceModel, k: int, j: int, d_k: float) -> Multiplie
     negative b-values are returned as-is and signal that the matching
     condition fails rather than raising.
     """
-    return _multipliers(model, k, candidate_minimizer(model, k, j, d_k))
+    return verify_kkt(model, k, j, d_k).multipliers
 
 
-def _multipliers(model: SourceModel, k: int, p: FeasiblePoint) -> Multipliers:
-    lx1, ls1 = model.x.lambda1(k), model.s.lambda1(k)
-    lx2, ls2 = model.x.lambda2, model.s.lambda2
-    a1_coef = lx1**2 / ls1**2
-    a2_coef = lx2**2 / ls2**2
+def _multipliers(k: int, a1_coef: float, a2_coef: float, p: FeasiblePoint) -> Multipliers:
+    """The multipliers at p, with a_i_coef = lambda_xi^2 / lambda_si^2 at level k."""
     den = a1_coef * p.d1**2 + (k - 1) * a2_coef * p.d2**2
     c = (p.d1 + (k - 1) * p.d2) / den / (2 * k)
     # b's numerator delta - d + 2k*c*coef*d^2 cancels when delta << d; it is
@@ -185,12 +176,12 @@ def verify_kkt(
         raise DomainError(f"tol must be positive and finite, got {tol}")
     lw = _lw(model, k, j)
     lam = rdcore.solve_lambda_q(model, k, d_k)
-    p = _candidate(model, k, lw, lam)
-    m = _multipliers(model, k, p)
     lx1, ls1 = model.x.lambda1(k), model.s.lambda1(k)
     lx2, ls2 = model.x.lambda2, model.s.lambda2
     a1_coef = lx1**2 / ls1**2
     a2_coef = lx2**2 / ls2**2
+    p = _candidate(ls1, ls2, lw, lam)
+    m = _multipliers(k, a1_coef, a2_coef, p)
 
     cap1 = _delta_cap(p.d1, lw, ls1)
     cap2 = _delta_cap(p.d2, lw, ls2)
@@ -231,7 +222,7 @@ def verify_kkt(
     ]
     if not m.nonnegative:
         violations.append("negative_multiplier")
-    objective = _eta(model, k, lw, p)
+    objective = _eta_at(k, lw, ls1, ls2, p.d1, p.d2, p.delta)
     return KKTCertificate(
         case=select_case(model, j),
         lambda_q=lam,

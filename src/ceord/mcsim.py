@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .spectra import DomainError, SourceModel, basis
 
@@ -244,17 +244,18 @@ def _decomposition_moments(
 def decomposition_check(
     model: SourceModel,
     j: int,
-    lambda_w: float,
+    lambda_w: Optional[float],
     lambda_q: float,
     n: int,
     seed: int,
 ) -> DecompositionReport:
     """Empirically verify the fictitious signal-noise decomposition S = U + W.
 
-    Checks (a) that the error covariance of the derived U-estimate matches
-    its closed-form image of the S-estimation error covariance, entrywise
-    within 5 standard errors, and (b) that the residual covariance of S
-    given (U, decoder output) is diagonal, off-diagonals within 5 SE of 0.
+    lambda_w must lie in (0, min(lambda_s1(j), lambda_s2)); None takes half that
+    bound.  Checks (a) that the error covariance of the derived U-estimate
+    matches its closed-form image of the S-estimation error covariance,
+    entrywise within 5 standard errors, and (b) that the residual covariance of
+    S given (U, decoder output) is diagonal, off-diagonals within 5 SE of 0.
     """
     import numpy as np
 
@@ -262,6 +263,7 @@ def decomposition_check(
         raise DomainError(f"j={j} out of range [1, {model.ell}]")
     ls1, ls2 = model.s.lambda1(j), model.s.lambda2
     bound = min(ls1, ls2)
+    lambda_w = 0.5 * bound if lambda_w is None else lambda_w
     if not 0 < lambda_w < bound:
         raise DomainError(
             f"lambda_w={lambda_w:.6g} must lie in (0, {bound:.6g}) for j={j}"

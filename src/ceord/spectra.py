@@ -67,15 +67,6 @@ class SymmetricSpec:
 
 
 @dataclass(frozen=True)
-class SpectralView:
-    """Eigenvalues of the leading j x j submatrix of a family."""
-
-    j: int
-    lambda1: float
-    lambda2: float
-
-
-@dataclass(frozen=True)
 class SourceModel:
     """Signal spec x, noise spec z, and the derived observation spec s = x + z."""
 
@@ -131,13 +122,6 @@ def validate(x: SymmetricSpec, z: SymmetricSpec) -> SourceModel:
     s = SymmetricSpec(gamma_s, rho_s, x.ell)
     _check_psd(s, "observation spec")
     return SourceModel(x=x, z=z, s=s)
-
-
-def eigenvalues(spec: SymmetricSpec, j: int) -> SpectralView:
-    """Closed-form eigenvalues of the leading j x j submatrix."""
-    if not 1 <= j <= spec.ell:
-        raise DomainError(f"j={j} out of range [1, {spec.ell}]")
-    return SpectralView(j=j, lambda1=spec.lambda1(j), lambda2=spec.lambda2)
 
 
 def basis(j: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ceord import DomainError, eigenvalues
+from ceord import DomainError
 
 
 def sigma_identity(gamma_u: np.ndarray, gamma_s: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -69,8 +69,8 @@ def matching_conditions(model, k: int, lam: float) -> dict:
     rho_s >= 0 and cond2..cond4 for rho_s <= 0; a condition that does not
     apply is None, as is a ratio whose denominator eigenvalue is 0.
     """
-    ex, es = eigenvalues(model.x, k), eigenvalues(model.s, k)
-    lx1, lx2, ls1, ls2 = ex.lambda1, ex.lambda2, es.lambda1, es.lambda2
+    lx1, lx2 = model.x.lambda1(k), model.x.lambda2
+    ls1, ls2 = model.s.lambda1(k), model.s.lambda2
     js = range(k, model.ell + 1)
 
     def shrink(ls):  # MMSE shrinkage ls - ls^2/(ls + lam)
@@ -87,7 +87,7 @@ def matching_conditions(model, k: int, lam: float) -> dict:
         out["mu"] = shrink(ls2) / shrink(ls1)
     if ls2 > 0:
         out["nu"] = shrink(ls1) / shrink(ls2)
-        ls1j = [eigenvalues(model.s, j).lambda1 for j in js]
+        ls1j = [model.s.lambda1(j) for j in js]
         out["nu_kj"] = tuple(shrink(v) / shrink(ls2) if v > 0 else 0.0 for v in ls1j)
     if model.s.rho >= 0:
         mu = out["mu"]

@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import math
+import shlex
 import string
 import sys
 from pathlib import Path
@@ -531,13 +532,13 @@ class TestVerify:
 
     def test_oracle_evaluations_bounded(self, capsys, monkeypatch):
         calls = []
-        eta = converse._eta
+        eta = converse._eta_at
 
         def counted(*args):
             calls.append(args)
             return eta(*args)
 
-        monkeypatch.setattr(converse, "_eta", counted)
+        monkeypatch.setattr(converse, "_eta_at", counted)
         code, _, _ = run(capsys, "verify", *M0, "--k", "2", "--dk", "0.75")
         assert code == 0
         # golden-section search shrinks its bracket by 1/phi per evaluation,
@@ -545,6 +546,34 @@ class TestVerify:
         # probe at hi and the certificate's own objective
         iterations = math.ceil(math.log(1e13) / math.log((1 + math.sqrt(5)) / 2))
         assert len(calls) <= iterations + 5
+
+
+def _readme_cli_examples():
+    """The commands of the code block under "## CLI" in README.md, one argv
+    each, with continuation lines joined and the leading "ceord" dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    examples = [shlex.split(line)[1:] for line in lines if line.startswith("ceord ")]
+    if not examples:
+        raise ValueError("README.md has no ceord command under ## CLI")
+    return examples
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv", _readme_cli_examples(), ids=lambda argv: argv[0])
+    def test_cli_example_runs(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.delenv("CEO_RD_SEED", raising=False)
+        argv = list(argv)
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        else:
+            argv += ["--out", str(tmp_path / "out")]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, "", "")
+        target = Path(argv[argv.index("--out") + 1])
+        assert target.stat().st_size > 0
 
 
 class TestBTCheck:
@@ -642,6 +671,15 @@ class TestDecompCheck:
         assert doc["j"] == 3
         assert doc["lambda_w"] == pytest.approx(1.0)
         assert doc["all_pass"] is True
+
+    def test_default_lambda_w_is_the_explicit_value(self, capsys):
+        argv = ["decomp-check", *M0, "--rho-x=0.4", "--rho-z=0.1", "--j=2", "--lambda-q=2"]
+        argv += ["--n=20000", "--seed=1"]
+        m = make_model(1, 0.4, 1, 0.1, 3)
+        lambda_w = 0.5 * min(m.s.lambda1(2), m.s.lambda2)
+        default = run(capsys, *argv)
+        assert default[0] in (0, 4) and default[2] == ""
+        assert run(capsys, *argv, f"--lambda-w={lambda_w!r}") == default
 
     def test_bad_lambda_w_exit2(self, capsys):
         code, _, err = run(
@@ -893,6 +931,23 @@ class TestExitCodeContract:
                 code = e.code
         assert code == 2, err.getvalue()
         assert out.getvalue() == ""
+
+    @pytest.mark.parametrize(
+        "cmd, flag",
+        [
+            (cmd, flag)
+            for cmd, (_, flags) in cli._COMMANDS.items()
+            for flag, kw in {**cli._MODEL, **flags}.items()
+            if kw.get("action") != "store_true"
+        ],
+    )
+    def test_attached_double_dash_exits_2(self, capsys, cmd, flag):
+        # argparse drops "--" from "--flag=--" and stores [], which once
+        # reached a handler and raised a TypeError
+        flags = {**VALID_BASES[cmd], flag: "--"}
+        code, out, err = run(capsys, cmd, *[f"{f}={v}" for f, v in flags.items()])
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} needs a value, got '--'\n"
 
     @pytest.mark.parametrize("j", ["0", "-1", "4", "7", HUGE])
     def test_decomp_check_j_out_of_range(self, capsys, j):

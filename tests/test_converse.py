@@ -25,7 +25,7 @@ from ceord import (
     verify_kkt,
 )
 from ceord import converse
-from ceord.converse import _delta_cap, _distortion_lhs, _eta
+from ceord.converse import _delta_cap, _distortion_lhs, _eta_at
 from ceord.rdcore import rate_at_lambda
 
 from helpers import m0, make_model, random_dk, random_model
@@ -278,7 +278,7 @@ def reference_reduced(m, k, j, d, case):
             return math.inf
         cap2 = d2 if case == CASE_P else _delta_cap(d2, lw, ls2)
         delta = min(_delta_cap(d1, lw, ls1), cap2)
-        return _eta(m, k, lw, FeasiblePoint(d1, d2, delta)) if delta > 0 else math.inf
+        return _eta_at(k, lw, ls1, ls2, d1, d2, delta) if delta > 0 else math.inf
 
     return reduced, (ls1 if a1 == 0 else min(ls1, budget / a1))
 

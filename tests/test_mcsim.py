@@ -10,7 +10,6 @@ from ceord import (
     basis,
     decomposition_check,
     dense,
-    eigenvalues,
     empirical_distortion,
     empirical_profile,
     sample,
@@ -161,6 +160,20 @@ class TestDecomposition:
         with pytest.raises(DomainError):
             decomposition_check(m0(), 2, 0.0, 1.0, 100, 0)
 
+    @pytest.mark.parametrize("rho", [0.4, -0.3])
+    def test_default_lambda_w_is_half_the_bound(self, rho):
+        # either eigenvalue can be the bound, as in the ordering test above
+        m = make_model(1, rho, 1, rho / 4, 3)
+        for j in (1, 2, 3):
+            rep = decomposition_check(m, j, None, 1.0, 100, 0)
+            assert rep.lambda_w == 0.5 * min(m.s.lambda1(j), m.s.lambda2)
+
+    @pytest.mark.parametrize("j", [0, 4, 10**400], ids=["0", "4", "huge"])
+    def test_default_lambda_w_checks_j_first(self, j):
+        # lambda1(10**400) would overflow converting j to a float
+        with pytest.raises(DomainError, match="out of range"):
+            decomposition_check(m0(), j, None, 1.0, 100, 0)
+
     def test_deterministic(self):
         m = m0()
         a = decomposition_check(m, 2, 0.5, 2.0, 20_000, 3)
@@ -189,9 +202,8 @@ def _one_shot_residuals(model, j, lw, lq, n, seed):
     ell = model.ell
     gs = dense(model.s, j)
     gu = gs - lw * np.eye(j)
-    ev = eigenvalues(model.s, j)
-    lams = np.full(j, ev.lambda2 - lw)
-    lams[0] = ev.lambda1 - lw
+    lams = np.full(j, model.s.lambda2 - lw)
+    lams[0] = model.s.lambda1(j) - lw
     fu = basis(j) * np.sqrt(lams)
     g = _draw(n, seed, 3 * ell)
     u = g[:, :j] @ fu.T

@@ -8,7 +8,6 @@ from ceord import (
     basis,
     d_min,
     dense,
-    eigenvalues,
     validate,
 )
 from ceord.spectra import ELL_MAX
@@ -60,17 +59,17 @@ class TestValidate:
 
 class TestEigenvalues:
     def test_closed_form(self):
-        v = eigenvalues(SymmetricSpec(1, 0.5, 5), 3)
-        assert v.lambda1 == pytest.approx(2.0) and v.lambda2 == pytest.approx(0.5)
+        spec = SymmetricSpec(1, 0.5, 5)
+        assert spec.lambda1(3) == pytest.approx(2.0) and spec.lambda2 == pytest.approx(0.5)
 
     def test_identity_case(self):
+        spec = SymmetricSpec(1, 0.0, 5)
         for j in range(1, 5):
-            v = eigenvalues(SymmetricSpec(1, 0.0, 5), j)
-            assert v.lambda1 == 1.0 and v.lambda2 == 1.0
+            assert spec.lambda1(j) == 1.0 and spec.lambda2 == 1.0
 
     def test_rank_one_case(self):
-        v = eigenvalues(SymmetricSpec(2, 1.0, 4), 4)
-        assert v.lambda1 == pytest.approx(8.0) and v.lambda2 == pytest.approx(0.0)
+        spec = SymmetricSpec(2, 1.0, 4)
+        assert spec.lambda1(4) == pytest.approx(8.0) and spec.lambda2 == pytest.approx(0.0)
 
     def test_trace_identity(self):
         rng = np.random.default_rng(0)
@@ -78,8 +77,7 @@ class TestEigenvalues:
             m = random_model(rng)
             for spec in (m.x, m.z, m.s):
                 for j in range(1, m.ell + 1):
-                    v = eigenvalues(spec, j)
-                    assert v.lambda1 + (j - 1) * v.lambda2 == pytest.approx(
+                    assert spec.lambda1(j) + (j - 1) * spec.lambda2 == pytest.approx(
                         j * spec.gamma, abs=1e-10
                     )
 
@@ -89,8 +87,7 @@ class TestEigenvalues:
             m = random_model(rng)
             j = int(rng.integers(2, m.ell + 1))
             got = np.sort(np.linalg.eigvalsh(dense(m.s, j)))
-            v = eigenvalues(m.s, j)
-            want = np.sort([v.lambda1] + [v.lambda2] * (j - 1))
+            want = np.sort([m.s.lambda1(j)] + [m.s.lambda2] * (j - 1))
             assert np.allclose(got, want, atol=1e-10)
 
 
@@ -110,8 +107,7 @@ class TestBasis:
     def test_reconstructs_dense(self):
         spec = SymmetricSpec(1, 0.3, 4)
         th = basis(4)
-        v = eigenvalues(spec, 4)
-        lam = np.diag([v.lambda1] + [v.lambda2] * 3)
+        lam = np.diag([spec.lambda1(4)] + [spec.lambda2] * 3)
         assert th @ lam @ th.T == pytest.approx(dense(spec, 4), abs=1e-10)
 
 
