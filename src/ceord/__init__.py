@@ -27,7 +27,6 @@ from .rdcore import (
 )
 from .bergertung import (
     RegionCheck,
-    TestChannel,
     achievable_point,
     check_symmetric_rate,
     subset_mutual_info,

@@ -12,20 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import rdcore
-from .spectra import DomainError, InconsistencyError, SourceModel
-
-
-@dataclass(frozen=True)
-class TestChannel:
-    """Per-encoder quantization-noise variance (identical across encoders)."""
-
-    __test__ = False  # keep pytest from collecting this as a test class
-
-    lambda_q: float
-
-    def __post_init__(self):
-        if not self.lambda_q > 0:
-            raise DomainError(f"lambda_q must be > 0, got {self.lambda_q}")
+from .spectra import DomainError, InconsistencyError, SourceModel, check_lambda_q
 
 
 @dataclass(frozen=True)
@@ -40,10 +27,8 @@ class RegionCheck:
         return all(sat for _, _, sat in self.constraints)
 
 
-def subset_mutual_info(
-    model: SourceModel, channel: TestChannel, b: int, k: int
-) -> float:
-    """I((S_i)_B; (V_i)_B | (V_i)_{A\\B}) for |B| = b inside |A| = k.
+def subset_mutual_info(model: SourceModel, lam: float, b: int, k: int) -> float:
+    """I((S_i)_B; (V_i)_B | (V_i)_{A\\B}) for |B| = b inside |A| = k, at lambda_q = lam.
 
     h(V_B | V_rest) - h(V_B | S_B, V_rest) is half the log-determinant of
     the j = k block of Gamma_S + lam I, det = (ls1(j) + lam)(ls2 + lam)^(j-1),
@@ -53,7 +38,7 @@ def subset_mutual_info(
     """
     if not 1 <= b <= k <= model.ell:
         raise DomainError(f"need 1 <= b <= k <= ell, got b={b}, k={k}")
-    lam = channel.lambda_q
+    check_lambda_q(lam)
     s = model.s
     return 0.5 * (
         math.log1p(s.lambda1(k) / lam)
@@ -78,10 +63,7 @@ def check_rate_at_lambda(model: SourceModel, k: int, lam: float) -> RegionCheck:
     terms do not depend on b, so they are computed once, and ls1(k-b) is
     written out with the float operations of SymmetricSpec.lambda1.
     """
-    if not 1 <= k <= model.ell:
-        raise DomainError(f"k={k} out of range [1, {model.ell}]")
-    TestChannel(lam)  # rejects lam <= 0
-    rate = rdcore.rate_at_lambda(model, k, lam)
+    rate = rdcore.rate_at_lambda(model, k, lam)  # checks k and lam
     rho, gamma = model.s.rho, model.s.gamma
     top = math.log1p(model.s.lambda1(k) / lam)
     rep = math.log1p(model.s.lambda2 / lam)

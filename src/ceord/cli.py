@@ -162,8 +162,7 @@ def cmd_sweep(args, model: spectra.SourceModel) -> Result:
     if not (math.isfinite(args.dk_min) and math.isfinite(args.dk_max)):
         raise DomainError(f"--dk-min/--dk-max must be finite, got {args.dk_min}, {args.dk_max}")
     ks = args.k
-    if not 1 <= ks <= model.ell:
-        raise DomainError(f"k={ks} out of range [1, {model.ell}]")
+    spectra.check_level(model, ks)
     header = ["d_k", "lambda_q", "rate"] + [
         f"d_{j}" for j in range(ks, model.ell + 1)
     ] + ["cond1", "cond2"]

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import rdcore
-from .spectra import DomainError, InconsistencyError, SourceModel, d_min
+from .spectra import DomainError, InconsistencyError, SourceModel, check_dk
+from .spectra import d_min  # only bench/spans.py and tests/test_source.py need it here
 
 CASE_P = "P"
 CASE_PHAT = "P-hat"
@@ -82,7 +83,7 @@ def _eta_at(
     """The objective on plain floats, ls1 = lambda_s1(k) and ls2 = lambda_s2."""
     arg1 = (ls1 - lw) * d1 + ls1 * lw
     arg2 = (ls2 - lw) * d2 + ls2 * lw
-    if arg1 <= 0 or arg2 <= 0 or delta <= 0:
+    if not (arg1 > 0 and arg2 > 0 and 0 < delta < math.inf):
         raise DomainError("nonpositive log argument in objective")
     val = math.log(ls1 * ls1 / arg1) / (2 * k) + 0.5 * math.log(lw / delta)
     if k > 1:
@@ -248,7 +249,7 @@ def solve_numeric(
     never reads lambda_q or the candidate it is checked against.
     """
     lw = _lw(model, k, j)
-    rdcore._check_dk(model, k, d_k)
+    check_dk(model, k, d_k)
     lx1, ls1 = model.x.lambda1(k), model.s.lambda1(k)
     lx2, ls2 = model.x.lambda2, model.s.lambda2
     a1_coef = lx1**2 / ls1**2
@@ -303,8 +304,8 @@ def solve_numeric(
 def dj_lower_bound(model: SourceModel, k: int, j: int, delta: float) -> float:
     """Distortion lower bound at sub-dimension j, as a function of delta."""
     lw = _lw(model, k, j)
-    if delta <= 0:
-        raise DomainError(f"delta must be > 0, got {delta}")
+    if not 0 < delta < math.inf:
+        raise DomainError(f"delta must be positive and finite, got {delta}")
     # per mode, the d that delta caps: (1/delta + 1/ls - 1/lw)^-1
     e1 = _delta_cap(delta, model.s.lambda1(j), lw)
     e2 = _delta_cap(delta, model.s.lambda2, lw)

@@ -21,11 +21,10 @@ in closed form, a2*v + (a1 - a2)*mean(v): no dense covariance, no solve.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from .spectra import DomainError, SourceModel, basis
+from .spectra import DomainError, SourceModel, basis, check_lambda_q, check_level
 
 # numpy is imported inside each function that uses it, so that importing
 # ceord loads it only once a Monte Carlo command runs.
@@ -124,11 +123,6 @@ def _stream(
     return mean, np.sqrt(np.maximum(s2 - n * mean**2, 0.0) / (n - 1) / n)
 
 
-def _check_lambda_q(lambda_q: float) -> None:
-    if not (lambda_q > 0 and math.isfinite(lambda_q)):
-        raise DomainError(f"lambda_q must be positive and finite, got {lambda_q}")
-
-
 def _factor(l1: float, l2: float, j: int) -> np.ndarray:
     """Spectral square root of the j x j covariance with eigenvalues l1, l2."""
     import numpy as np
@@ -158,7 +152,7 @@ def _empirical(
     """
     import numpy as np
 
-    _check_lambda_q(lambda_q)
+    check_lambda_q(lambda_q)
     ell = model.ell
     # X, V and the errors are linear in one row of the draw, so they are
     # built once as coefficient rows over its 3*ell columns
@@ -188,8 +182,7 @@ def empirical_profile(
     model: SourceModel, k: int, lambda_q: float, n: int, seed: int
 ) -> list[EmpiricalRD]:
     """Measured MMSE distortion for every j = k..ell from one shared draw."""
-    if not 1 <= k <= model.ell:
-        raise DomainError(f"k={k} out of range [1, {model.ell}]")
+    check_level(model, k)
     return _empirical(model, lambda_q, range(k, model.ell + 1), n, seed)
 
 
@@ -197,8 +190,8 @@ def empirical_distortion(
     model: SourceModel, k: int, lambda_q: float, j: int, n: int, seed: int
 ) -> EmpiricalRD:
     """Measured MMSE distortion at sub-dimension j; the j row of empirical_profile."""
-    if not k <= j <= model.ell:
-        raise DomainError(f"j={j} out of range [{k}, {model.ell}]")
+    if not 1 <= k <= j <= model.ell:
+        raise DomainError(f"need 1 <= k <= j <= ell, got k={k}, j={j}")
     return _empirical(model, lambda_q, [j], n, seed)[0]
 
 
@@ -213,7 +206,7 @@ def _decomposition_moments(
     """
     import numpy as np
 
-    _check_lambda_q(lambda_q)
+    check_lambda_q(lambda_q)
     ell = model.ell
     ls1, ls2 = model.s.lambda1(j), model.s.lambda2
     # coefficient rows as in _empirical, with Gamma_U = Gamma_S - lambda_w I
@@ -259,10 +252,11 @@ def decomposition_check(
     """
     import numpy as np
 
-    if not 1 <= j <= model.ell:
-        raise DomainError(f"j={j} out of range [1, {model.ell}]")
+    check_level(model, j, "j")
     ls1, ls2 = model.s.lambda1(j), model.s.lambda2
     bound = min(ls1, ls2)
+    if not bound > 0:
+        raise DomainError(f"no lambda_w is admissible at j={j}: min(lambda_s1(j), lambda_s2) = 0")
     lambda_w = 0.5 * bound if lambda_w is None else lambda_w
     if not 0 < lambda_w < bound:
         raise DomainError(

@@ -11,14 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .spectra import DomainError, SourceModel, d_min
-
-# d_k within this fraction of an end of (d_min, gamma_x) is rejected, not
-# clamped: lambda_q diverges at one end and vanishes at the other.  At
-# d_min = 0 (no noise) the slack is ENDPOINT_SLACK**2 * gamma_x, far above
-# underflow.  The degenerate forms take eigenvalues below ENDPOINT_SLACK *
-# gamma_s as 0.
-ENDPOINT_SLACK = 1e-12
+from .spectra import PSD_SLACK, DomainError, SourceModel, check_dk, check_lambda_q, check_level
+from .spectra import d_min  # only bench/spans.py and tests/test_source.py need it here
 
 
 @dataclass(frozen=True)
@@ -52,22 +46,10 @@ class ConditionReport:
     regime: str
 
 
-def _check_dk(model: SourceModel, k: int, d_k: float) -> float:
-    if not 1 <= k <= model.ell:
-        raise DomainError(f"k={k} out of range [1, {model.ell}]")
-    if not math.isfinite(d_k):
-        raise DomainError(f"d_k must be finite, got {d_k}")
-    lo = d_min(model, k)
-    hi = model.x.gamma
-    if d_k <= lo + ENDPOINT_SLACK * max(lo, ENDPOINT_SLACK * hi):
-        raise DomainError(f"d_k={d_k:.12g} must exceed d_min^({k})={lo:.12g}")
-    if d_k >= hi * (1.0 - ENDPOINT_SLACK):
-        raise DomainError(f"d_k={d_k:.12g} must be below gamma_x={hi:.12g}")
-    return lo
-
-
 def distortion_at_lambda(model: SourceModel, j: int, lam: float) -> float:
     """d_j as a function of the test-channel noise variance (strictly increasing)."""
+    check_level(model, j, "j")
+    check_lambda_q(lam)
     lx1, lz1, ls1 = model.x.lambda1(j), model.z.lambda1(j), model.s.lambda1(j)
     lx2, lz2, ls2 = model.x.lambda2, model.z.lambda2, model.s.lambda2
     t1 = lx1 * (lz1 + lam) / (ls1 + lam) if lx1 > 0 else 0.0
@@ -84,7 +66,7 @@ def solve_lambda_q(model: SourceModel, k: int, d_k: float) -> float:
     ls1 ls2 (c - f(0)) = -k ls1 ls2 (d_k - d_min) <= 0 leaves one positive
     root.  It is taken in cancellation-free form, then one Newton step.
     """
-    lo = _check_dk(model, k, d_k)
+    lo = check_dk(model, k, d_k)
     ls1, ls2 = model.s.lambda1(k), model.s.lambda2
     p = model.x.lambda1(k) ** 2
     q = (k - 1) * model.x.lambda2**2
@@ -107,6 +89,8 @@ def solve_lambda_q(model: SourceModel, k: int, d_k: float) -> float:
 
 def rate_at_lambda(model: SourceModel, k: int, lam: float) -> float:
     """Per-encoder rate in nats, log det(I + Gamma_S/lam)/(2k), at noise lam."""
+    check_level(model, k)
+    check_lambda_q(lam)
     ls1, ls2 = model.s.lambda1(k), model.s.lambda2
     return (math.log1p(ls1 / lam) + (k - 1) * math.log1p(ls2 / lam)) / (2 * k)
 
@@ -124,6 +108,8 @@ def profile_at_lambda(model: SourceModel, k: int, lam: float) -> tuple[float, ..
     eigenvalues are written out with the float operations of
     SymmetricSpec.lambda1.
     """
+    check_level(model, k)
+    check_lambda_q(lam)
     rx, gx = model.x.rho, model.x.gamma
     rz, gz = model.z.rho, model.z.gamma
     rs, gs = model.s.rho, model.s.gamma
@@ -184,8 +170,7 @@ def classify_regime(model: SourceModel, k: int) -> RegimeReport:
     for every distortion ("always").  Otherwise the two roots in [0, 1] are
     compared against the limiting value of t at maximal distortion.
     """
-    if not 1 <= k <= model.ell:
-        raise DomainError(f"k={k} out of range [1, {model.ell}]")
+    check_level(model, k)
     branch = "mu" if model.s.rho >= 0 else "nu"
     lhs, c, num, den = _quadratic(model, k, branch)
     rhs = 4 * c
@@ -229,6 +214,8 @@ def ratio_conditions(
     cond1 is (k-1) p2 mu(mu - 1) + k p1 >= 0 and cond2 is
     p1 nu(nu - 1) + k p2 >= 0, with p1, p2 from _weights.
     """
+    check_level(model, k)
+    check_lambda_q(lam)
     p1, p2 = _weights(model, k)
     ls1, ls2 = model.s.lambda1(k), model.s.lambda2
     mu = _shrink(ls2, lam) / _shrink(ls1, lam) if ls1 > 0 else None
@@ -283,7 +270,7 @@ def degenerate_rate_s2zero(
     model: SourceModel, k: int, j: int, d_k: float
 ) -> tuple[float, float]:
     """Closed forms at the fully correlated boundary (repeated eigenvalue 0)."""
-    if model.s.lambda2 > ENDPOINT_SLACK * model.s.gamma:
+    if model.s.lambda2 > PSD_SLACK * model.s.gamma:
         raise DomainError("requires the repeated observation eigenvalue to be 0")
     if not k <= j <= model.ell:
         raise DomainError(f"j={j} out of range [{k}, {model.ell}]")
@@ -304,7 +291,7 @@ def degenerate_rate_s1zero(model: SourceModel, d_ell: float) -> float:
     the centralized remote source coding problem.
     """
     ell = model.ell
-    if model.s.lambda1(ell) > ENDPOINT_SLACK * model.s.gamma:
+    if model.s.lambda1(ell) > PSD_SLACK * model.s.gamma:
         raise DomainError("requires the leading observation eigenvalue to be 0")
     lx2, lz2, ls2 = model.x.lambda2, model.z.lambda2, model.s.lambda2
     arg = ell * ls2 * d_ell - (ell - 1) * lx2 * lz2

@@ -26,6 +26,12 @@ if TYPE_CHECKING:
 # rounding at every scale of the model.
 PSD_SLACK = 1e-12
 
+# d_k within this fraction of an end of (d_min, gamma_x) is rejected, not
+# clamped: lambda_q diverges at one end and vanishes at the other.  At
+# d_min = 0 (no noise) the slack is ENDPOINT_SLACK**2 * gamma_x, far above
+# underflow.
+ENDPOINT_SLACK = 1e-12
+
 # The variance range on which rates are computed to full precision: the
 # solver multiplies up to four eigenvalues, which must neither underflow
 # nor overflow.  gamma_x lies in [GAMMA_MIN, GAMMA_MAX]; gamma_z may be 0
@@ -167,3 +173,29 @@ def d_min(model: SourceModel, j: int) -> float:
     d1 = model.x.lambda1(j) * model.z.lambda1(j) / ls1 if ls1 > slack else 0.0
     d2 = model.x.lambda2 * model.z.lambda2 / ls2 if ls2 > slack else 0.0
     return (d1 + (j - 1) * d2) / j
+
+
+def check_level(model: SourceModel, k: int, name: str = "k") -> None:
+    """The level rule: 1 <= k <= ell, for a level k or a sub-dimension j."""
+    if not 1 <= k <= model.ell:
+        raise DomainError(f"{name}={k} out of range [1, {model.ell}]")
+
+
+def check_lambda_q(lam: float) -> None:
+    """The test-channel rule: the noise variance lambda_q is positive and finite."""
+    if not (lam > 0 and math.isfinite(lam)):
+        raise DomainError(f"lambda_q must be positive and finite, got {lam}")
+
+
+def check_dk(model: SourceModel, k: int, d_k: float) -> float:
+    """The d_k rule: the level rule, then d_min^(k) < d_k < gamma_x; returns d_min^(k)."""
+    check_level(model, k)
+    if not math.isfinite(d_k):
+        raise DomainError(f"d_k must be finite, got {d_k}")
+    lo = d_min(model, k)
+    hi = model.x.gamma
+    if d_k <= lo + ENDPOINT_SLACK * max(lo, ENDPOINT_SLACK * hi):
+        raise DomainError(f"d_k={d_k:.12g} must exceed d_min^({k})={lo:.12g}")
+    if d_k >= hi * (1.0 - ENDPOINT_SLACK):
+        raise DomainError(f"d_k={d_k:.12g} must be below gamma_x={hi:.12g}")
+    return lo

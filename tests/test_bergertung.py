@@ -9,7 +9,6 @@ from ceord import (
     DomainError,
     RegionCheck,
     SymmetricSpec,
-    TestChannel,
     achievable_point,
     check_symmetric_rate,
     d_min,
@@ -30,15 +29,14 @@ class TestSubsetMutualInfo:
     def test_m0_single_encoder(self):
         # I(S_1; V_1 | V_2) with unit sources, lambda_q = 2
         m = m0()
-        ch = TestChannel(2.0)
         cov = dense(m.s, 2) + 2.0 * np.eye(2)
         cond = cov[0, 0] - cov[0, 1] ** 2 / cov[1, 1]
         want = 0.5 * math.log(cond / 2.0)
-        assert subset_mutual_info(m, ch, 1, 2) == pytest.approx(want, abs=1e-12)
+        assert subset_mutual_info(m, 2.0, 1, 2) == pytest.approx(want, abs=1e-12)
 
     def test_m0_full_set(self):
         m = m0()
-        got = subset_mutual_info(m, TestChannel(2.0), 2, 2)
+        got = subset_mutual_info(m, 2.0, 2, 2)
         assert got == pytest.approx(0.5 * math.log(4), abs=1e-12)
 
     def test_entropy_difference_oracle(self):
@@ -51,7 +49,7 @@ class TestSubsetMutualInfo:
             for b in bs:
                 rest = np.linalg.slogdet(cov[b:, b:])[1] if b < k else 0.0
                 want = 0.5 * (full - rest) - 0.5 * b * math.log(lam)
-                got = subset_mutual_info(m, TestChannel(lam), b, k)
+                got = subset_mutual_info(m, lam, b, k)
                 assert got == pytest.approx(want, abs=1e-9)
 
         for _ in range(100):
@@ -68,8 +66,7 @@ class TestSubsetMutualInfo:
 
     def test_monotone_in_b(self):
         m = make_model(1, 0.4, 1, 0.1, 5)
-        ch = TestChannel(0.7)
-        vals = [subset_mutual_info(m, ch, b, 5) for b in range(1, 6)]
+        vals = [subset_mutual_info(m, 0.7, b, 5) for b in range(1, 6)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_diminishing_increments(self):
@@ -79,22 +76,21 @@ class TestSubsetMutualInfo:
         for _ in range(50):
             m = random_model(rng, ell=6)
             lam = float(rng.uniform(0.05, 5.0))
-            ch = TestChannel(lam)
-            vals = [subset_mutual_info(m, ch, b, 5) for b in range(1, 6)]
+            vals = [subset_mutual_info(m, lam, b, 5) for b in range(1, 6)]
             incs = [b - a for a, b in zip(vals, vals[1:])]
             assert all(x <= y + 1e-12 for x, y in zip(incs, incs[1:]))
 
     def test_large_noise_limit(self):
         m = m0()
-        assert subset_mutual_info(m, TestChannel(1e9), 2, 2) < 1e-8
+        assert subset_mutual_info(m, 1e9, 2, 2) < 1e-8
 
     def test_rejects_bad_cardinalities(self):
         with pytest.raises(DomainError):
-            subset_mutual_info(m0(), TestChannel(1.0), 3, 2)
+            subset_mutual_info(m0(), 1.0, 3, 2)
         with pytest.raises(DomainError):
-            subset_mutual_info(m0(), TestChannel(1.0), 0, 2)
+            subset_mutual_info(m0(), 1.0, 0, 2)
         with pytest.raises(DomainError):
-            TestChannel(0.0)
+            subset_mutual_info(m0(), 0.0, 1, 2)
 
 
 class TestSymmetricRate:
@@ -148,7 +144,7 @@ class TestRegionRows:
             assert rc.rate == rate_at_lambda(m, k, lam)
             assert [b for b, _, _ in rc.constraints] == list(range(1, k + 1))
             for b, required, ok in rc.constraints:
-                assert required == subset_mutual_info(m, TestChannel(lam), b, k), (m, k, b)
+                assert required == subset_mutual_info(m, lam, b, k), (m, k, b)
                 assert ok == (required - b * rc.rate <= 1e-9 * max(1.0, required))
 
     def test_rejects_bad_level_and_noise(self):

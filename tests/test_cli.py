@@ -681,6 +681,17 @@ class TestDecompCheck:
         assert default[0] in (0, 4) and default[2] == ""
         assert run(capsys, *argv, f"--lambda-w={lambda_w!r}") == default
 
+    @pytest.mark.parametrize("rho_x", ["1", "-0.5"])
+    @pytest.mark.parametrize("lambda_w", [[], ["--lambda-w=0.5"]], ids=["default", "explicit"])
+    def test_zero_lambda_w_bound_exit2(self, capsys, rho_x, lambda_w):
+        # rho_x = 1 zeroes lambda_s2 and rho_x = -0.5 zeroes lambda_s1(3), so
+        # (0, min(lambda_s1(j), lambda_s2)) is empty; the message once named
+        # the default lambda_w=0 as if the user had given it
+        argv = ["--gamma-x=1", f"--rho-x={rho_x}", "--gamma-z=0", "--ell=3", "--lambda-q=1"]
+        code, out, err = run(capsys, "decomp-check", *argv, "--n=100", "--seed=1", *lambda_w)
+        assert (code, out) == (2, "")
+        assert err == "error: no lambda_w is admissible at j=3: min(lambda_s1(j), lambda_s2) = 0\n"
+
     def test_bad_lambda_w_exit2(self, capsys):
         code, _, err = run(
             capsys,

@@ -93,6 +93,22 @@ class TestObjective:
         with pytest.raises(DomainError):
             objective_eta(m0(), 2, 2, FeasiblePoint(1.0, 1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "point",
+        [
+            FeasiblePoint(math.nan, 0.5, 0.5),
+            FeasiblePoint(0.5, 0.5, math.nan),
+            FeasiblePoint(0.5, 0.5, math.inf),
+        ],
+        ids=["d1-nan", "delta-nan", "delta-inf"],
+    )
+    def test_nan_or_infinite_argument_rejected(self, point):
+        # a NaN fails every comparison, so a check written "arg <= 0" let both
+        # NaN cases through to a NaN objective, and an infinite delta reached
+        # math.log(0) and raised a bare ValueError
+        with pytest.raises(DomainError):
+            objective_eta(make_model(1, 0.2, 1, 0.1, 4), 2, 3, point)
+
 
 class TestCandidate:
     def test_m0_point(self):
@@ -482,6 +498,12 @@ class TestDjLowerBound:
     def test_rejects_bad_delta(self):
         with pytest.raises(DomainError):
             dj_lower_bound(m0(), 2, 3, 0.0)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_nan_or_infinite_delta(self, delta):
+        # a NaN delta passed "delta <= 0" and the bound came out NaN
+        with pytest.raises(DomainError, match="delta must be positive and finite"):
+            dj_lower_bound(make_model(1, 0.2, 1, 0.1, 4), 2, 3, delta)
 
 
 class TestSigmaIdentity:

@@ -247,3 +247,39 @@ def test_cli_import_loads_every_benchmarked_module():
     assert proc.returncode == 0, proc.stderr
     missing = sorted({f"ceord.{m}" for m in modules} - set(proc.stdout.split()))
     assert not missing, f"import ceord.cli leaves {missing} unloaded"
+
+
+def _level_rule_comparisons(tree):
+    """Lines of each two-sided comparison 1 <= X <= model.ell in a module."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Compare)
+            and len(node.comparators) == 2
+            and all(isinstance(op, ast.LtE) for op in node.ops)
+            and isinstance(node.left, ast.Constant)
+            and node.left.value == 1
+            and ast.unparse(node.comparators[1]) == "model.ell"
+        ):
+            yield node.lineno
+
+
+def test_spectra_owns_the_level_rule():
+    # 1 <= k <= ell, and its "out of range [1, ell]" message, live in
+    # spectra.check_level; a three-way chain such as 1 <= k <= j <= ell is a
+    # different rule and is not matched.  TestChannel, a second lambda_q
+    # rule, is gone: every lambda-form takes lambda_q as a float.
+    found = []
+    for path in SRC:
+        text = path.read_text(encoding="utf-8")
+        if "TestChannel" in text:
+            found.append(f"{path.name}: TestChannel")
+        if path.name == "spectra.py":
+            continue
+        tree = ast.parse(text, filename=str(path))
+        found += [f"{path.name}:{line}" for line in _level_rule_comparisons(tree)]
+        if "out of range [1, " in text:
+            found.append(f"{path.name}: the level rule's message")
+    assert not found, f"level rule or TestChannel outside spectra: {found}"
+    spectra = next(p for p in SRC if p.name == "spectra.py")
+    tree = ast.parse(spectra.read_text(encoding="utf-8"), filename=str(spectra))
+    assert list(_level_rule_comparisons(tree)), "the guard no longer matches spectra's own rule"

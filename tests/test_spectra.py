@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,20 @@ from ceord import (
     SymmetricSpec,
     basis,
     d_min,
+    decomposition_check,
     dense,
+    empirical_distortion,
+    empirical_profile,
+    subset_mutual_info,
     validate,
+)
+from ceord.bergertung import check_rate_at_lambda
+from ceord.rdcore import (
+    conditions_at_lambda,
+    distortion_at_lambda,
+    profile_at_lambda,
+    rate_at_lambda,
+    ratio_conditions,
 )
 from ceord.spectra import ELL_MAX
 
@@ -160,3 +174,43 @@ class TestDMin:
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
             if m.z.gamma > 0:
                 assert vals[-1] < m.x.gamma
+
+
+class TestDomainRules:
+    """Every public lambda-form checks the level rule and the lambda_q rule of spectra."""
+
+    FORMS = {
+        "distortion_at_lambda": distortion_at_lambda,
+        "rate_at_lambda": rate_at_lambda,
+        "profile_at_lambda": profile_at_lambda,
+        "ratio_conditions": ratio_conditions,
+        "conditions_at_lambda": conditions_at_lambda,
+        "check_rate_at_lambda": check_rate_at_lambda,
+        "subset_mutual_info": lambda m, k, lam: subset_mutual_info(m, lam, 1, k),
+        "empirical_profile": lambda m, k, lam: empirical_profile(m, k, lam, 100, 0),
+        "empirical_distortion": lambda m, k, lam: empirical_distortion(m, k, lam, m.ell, 100, 0),
+        "decomposition_check": lambda m, j, lam: decomposition_check(m, j, None, lam, 100, 0),
+    }
+    # (level, lambda_q) outside the domain on M = (1, 0.2, 1, 0.1, ell = 4)
+    CASES = {
+        "lam0": (2, 0.0),
+        "lam-neg": (2, -1.0),
+        "lam-nan": (2, math.nan),
+        "lam-inf": (2, math.inf),
+        "level0": (0, 1.0),
+        "level-ell+1": (5, 1.0),
+    }
+    # 31 of these cases raised no DomainError while each form checked its own
+    # inputs, or none: every case of distortion_at_lambda, rate_at_lambda,
+    # profile_at_lambda and ratio_conditions and every lambda case of
+    # conditions_at_lambda (a ZeroDivisionError, math's ValueError, a NaN, or
+    # a result such as () from profile_at_lambda at level ell + 1); lam-inf of
+    # check_rate_at_lambda and subset_mutual_info (TestChannel admitted +inf);
+    # and level0 of empirical_distortion (its k went unchecked).
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("form", FORMS)
+    def test_outside_the_domain_raises_domain_error(self, form, case):
+        level, lam = self.CASES[case]
+        with pytest.raises(DomainError):
+            self.FORMS[form](make_model(1, 0.2, 1, 0.1, 4), level, lam)
