@@ -40,7 +40,6 @@ from .converse import (
     candidate_minimizer,
     dj_lower_bound,
     kkt_multipliers,
-    objective_eta,
     select_case,
     solve_numeric,
     verify_kkt,

@@ -61,8 +61,12 @@ def select_case(model: SourceModel, j: int) -> str:
     return CASE_P if model.s.lambda1(j) >= model.s.lambda2 else CASE_PHAT
 
 
-def _lw(model: SourceModel, k: int, j: int) -> float:
-    """The residual-noise level lambda_W = min(lambda_s1(j), lambda_s2) > 0."""
+def _program(model: SourceModel, k: int, j: int) -> tuple[float, ...]:
+    """The converse's one reading of the model: (lw, ls1, ls2, lx1, lx2, f1, f2).
+
+    lw = lambda_W = min(lambda_s1(j), lambda_s2) > 0, ls1 and lx1 are at level
+    k, and f = lx lz / ls per mode is d_min's term, lx - lx^2/ls uncancelled.
+    """
     if not 1 <= k <= j <= model.ell:
         raise DomainError(f"need 1 <= k <= j <= ell, got k={k}, j={j}")
     ls1j, ls2 = model.s.lambda1(j), model.s.lambda2
@@ -74,7 +78,9 @@ def _lw(model: SourceModel, k: int, j: int) -> float:
         raise DomainError(
             f"case P-hat needs lambda_s2 >= lambda_s1(j) > 0, got {ls2:.6g}, {ls1j:.6g}"
         )
-    return min(ls1j, ls2)
+    lx1, lz1, ls1 = model.x.lambda1(k), model.z.lambda1(k), model.s.lambda1(k)
+    lx2, lz2 = model.x.lambda2, model.z.lambda2
+    return min(ls1j, ls2), ls1, ls2, lx1, lx2, lx1 * lz1 / ls1, lx2 * lz2 / ls2
 
 
 def _eta_at(
@@ -91,12 +97,6 @@ def _eta_at(
     return val
 
 
-def objective_eta(model: SourceModel, k: int, j: int, point: FeasiblePoint) -> float:
-    """Objective of the converse program at sub-dimension j."""
-    lw = _lw(model, k, j)
-    return _eta_at(k, lw, model.s.lambda1(k), model.s.lambda2, point.d1, point.d2, point.delta)
-
-
 def _harmonic(a: float, b: float) -> float:
     return 1.0 / (1.0 / a + 1.0 / b)
 
@@ -108,17 +108,6 @@ def candidate_minimizer(model: SourceModel, k: int, j: int, d_k: float) -> Feasi
 
 def _candidate(ls1: float, ls2: float, lw: float, lam: float) -> FeasiblePoint:
     return FeasiblePoint(_harmonic(ls1, lam), _harmonic(ls2, lam), _harmonic(lw, lam))
-
-
-def _distortion_lhs(model: SourceModel, k: int, d1: float, d2: float) -> float:
-    """Left side of the coupled distortion constraint (compared to k*d_k)."""
-    lx1, ls1 = model.x.lambda1(k), model.s.lambda1(k)
-    lx2, ls2 = model.x.lambda2, model.s.lambda2
-    lz1, lz2 = model.z.lambda1(k), model.z.lambda2
-    # lx lz/ls, the per-mode term of d_min, is lx - lx^2/ls without the cancellation
-    t1 = lx1**2 / ls1**2 * d1 + lx1 * lz1 / ls1
-    t2 = lx2**2 / ls2**2 * d2 + lx2 * lz2 / ls2 if ls2 > 0 else 0.0
-    return t1 + (k - 1) * t2
 
 
 def kkt_multipliers(model: SourceModel, k: int, j: int, d_k: float) -> Multipliers:
@@ -175,10 +164,8 @@ def verify_kkt(
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    lw = _lw(model, k, j)
+    lw, ls1, ls2, lx1, lx2, f1, f2 = _program(model, k, j)
     lam = rdcore.solve_lambda_q(model, k, d_k)
-    lx1, ls1 = model.x.lambda1(k), model.s.lambda1(k)
-    lx2, ls2 = model.x.lambda2, model.s.lambda2
     a1_coef = lx1**2 / ls1**2
     a2_coef = lx2**2 / ls2**2
     p = _candidate(ls1, ls2, lw, lam)
@@ -196,7 +183,8 @@ def verify_kkt(
         )
         return t[0] + t[1] - t[2] + t[3], max(map(abs, t))
 
-    lhs, rhs = _distortion_lhs(model, k, p.d1, p.d2), k * d_k
+    # the coupled distortion constraint: lhs <= rhs
+    lhs, rhs = (a1_coef * p.d1 + f1) + (k - 1) * (a2_coef * p.d2 + f2), k * d_k
     # (residual, the largest |term| it sums; |m| times that of g for m * g)
     checks = {
         "stationarity_d1": stationarity(1, p.d1, ls1, m.a1, m.b1, a1_coef),
@@ -248,13 +236,11 @@ def solve_numeric(
     golden-section search finds its minimum (Kiefer, 1953).  The search
     never reads lambda_q or the candidate it is checked against.
     """
-    lw = _lw(model, k, j)
+    lw, ls1, ls2, lx1, lx2, f1, f2 = _program(model, k, j)
     check_dk(model, k, d_k)
-    lx1, ls1 = model.x.lambda1(k), model.s.lambda1(k)
-    lx2, ls2 = model.x.lambda2, model.s.lambda2
     a1_coef = lx1**2 / ls1**2
     a2_coef = (k - 1) * lx2**2 / ls2**2
-    budget = k * d_k - _distortion_lhs(model, k, 0.0, 0.0)
+    budget = k * d_k - (f1 + (k - 1) * f2)
     if not budget > 0:  # d_k > d_min guarantees room
         raise InconsistencyError(f"no distortion budget at d_k={d_k!r}: {budget!r}")
 
@@ -303,12 +289,13 @@ def solve_numeric(
 
 def dj_lower_bound(model: SourceModel, k: int, j: int, delta: float) -> float:
     """Distortion lower bound at sub-dimension j, as a function of delta."""
-    lw = _lw(model, k, j)
+    _program(model, k, j)  # the (k, j) rule; the bound reads only level j
+    lw, ls1, ls2, lx1, lx2, f1, f2 = _program(model, j, j)
     if not 0 < delta < math.inf:
         raise DomainError(f"delta must be positive and finite, got {delta}")
     # per mode, the d that delta caps: (1/delta + 1/ls - 1/lw)^-1
-    e1 = _delta_cap(delta, model.s.lambda1(j), lw)
-    e2 = _delta_cap(delta, model.s.lambda2, lw)
+    e1 = _delta_cap(delta, ls1, lw)
+    e2 = _delta_cap(delta, ls2, lw)
     if math.isinf(e1) or math.isinf(e2):
         raise DomainError("nonpositive inner inverse in lower bound")
-    return _distortion_lhs(model, j, e1, e2) / j
+    return ((lx1**2 / ls1**2 * e1 + f1) + (j - 1) * (lx2**2 / ls2**2 * e2 + f2)) / j

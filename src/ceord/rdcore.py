@@ -274,8 +274,10 @@ def degenerate_rate_s2zero(
         raise DomainError("requires the repeated observation eigenvalue to be 0")
     if not k <= j <= model.ell:
         raise DomainError(f"j={j} out of range [{k}, {model.ell}]")
+    check_dk(model, k, d_k)
     gx, gz, gs = model.x.gamma, model.z.gamma, model.s.gamma
     arg = gs * d_k - gx * gz
+    # near (not at) the boundary this floor, gx gz / gs, can exceed d_min^(k)
     if arg <= 0:
         raise DomainError(f"d_k={d_k:.12g} at or below the distortion floor")
     rate = math.log(gx * gx / arg) / (2 * k)
@@ -293,8 +295,7 @@ def degenerate_rate_s1zero(model: SourceModel, d_ell: float) -> float:
     ell = model.ell
     if model.s.lambda1(ell) > PSD_SLACK * model.s.gamma:
         raise DomainError("requires the leading observation eigenvalue to be 0")
+    check_dk(model, ell, d_ell)
     lx2, lz2, ls2 = model.x.lambda2, model.z.lambda2, model.s.lambda2
     arg = ell * ls2 * d_ell - (ell - 1) * lx2 * lz2
-    if arg <= 0:
-        raise DomainError(f"d_ell={d_ell:.12g} at or below the distortion floor")
     return (ell - 1) / (2 * ell) * math.log((ell - 1) * lx2**2 / arg)

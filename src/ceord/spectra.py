@@ -165,8 +165,7 @@ def d_min(model: SourceModel, j: int) -> float:
     observation eigenvalue forces the matching signal and noise eigenvalues
     to vanish as well, so the contribution is exactly zero).
     """
-    if not 1 <= j <= model.ell:
-        raise DomainError(f"j={j} must be >= 1 and <= ell={model.ell}")
+    check_level(model, j, "j")
     ls1 = model.s.lambda1(j)
     ls2 = model.s.lambda2
     slack = PSD_SLACK * model.s.gamma

@@ -883,6 +883,42 @@ class TestOut:
         assert target.read_bytes() == out.encode("utf-8")
 
 
+class TestCsvTables:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["region", *M0, "--rho-x", "0.5", "--k", "1", "--dk", "0.75"],
+            ["bt-check", *M0, "--k", "2", "--dk", "0.75"],
+            ["simulate", *M0, "--k", "1", "--dk", "0.75", "--n", "2000", "--seed", "1"],
+        ],
+        ids=["region", "bt-check", "simulate"],
+    )
+    def test_cells_spell_the_json_rows(self, capsys, argv):
+        # the integer columns (j, subset_size) are written plain, booleans as
+        # 1/0 and floats at 12 significant digits, in CRLF-terminated lines
+        code, doc, _ = run_json(capsys, *argv)
+        csv_code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert csv_code == code
+        lines = out.split("\r\n")
+        assert lines[-1] == "" and "\n" not in "".join(lines)
+        header, *cells = list(csv.reader(lines[:-1]))
+        assert header == list(doc["rows"][0])
+        assert len(cells) == len(doc["rows"])
+        kinds = set()
+        for row, want in zip(cells, doc["rows"]):
+            assert len(row) == len(want)
+            for cell, value in zip(row, want.values()):
+                kinds.add(type(value))
+                if isinstance(value, bool):
+                    assert cell == ("1" if value else "0")
+                elif isinstance(value, int):
+                    assert cell == str(value)
+                else:
+                    assert cell == f"{value:.12g}"
+                    assert float(cell) == pytest.approx(value, rel=1e-11, abs=0)
+        assert int in kinds and float in kinds
+
+
 # Documents for the JSON writer: keys that look like its own separators, and
 # every scalar that json spells in a way of its own.
 _DOC_KEYS = st.text(max_size=6) | st.sampled_from(["\n", "},", "},\n    {", "é", " ", '"', "\\"])

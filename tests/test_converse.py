@@ -17,7 +17,6 @@ from ceord import (
     distortion_profile,
     dj_lower_bound,
     kkt_multipliers,
-    objective_eta,
     rate_bar,
     select_case,
     solve_lambda_q,
@@ -25,7 +24,7 @@ from ceord import (
     verify_kkt,
 )
 from ceord import converse
-from ceord.converse import _delta_cap, _distortion_lhs, _eta_at
+from ceord.converse import _delta_cap, _eta_at, _program
 from ceord.rdcore import rate_at_lambda
 
 from helpers import m0, make_model, random_dk, random_model
@@ -37,6 +36,22 @@ def both_ends_bad_d():
     m = make_model(1, 0.99, 100, 0.999, 2)
     lo = d_min(m, 2)
     return m, lo + 0.01 * (m.x.gamma - lo)
+
+
+def eta(m, k, j, p):
+    """The program's objective at the point p, on _program's data."""
+    lw, ls1, ls2, *_ = _program(m, k, j)
+    return _eta_at(k, lw, ls1, ls2, p.d1, p.d2, p.delta)
+
+
+def distortion_lhs(m, k, d1, d2):
+    """Left side of the coupled distortion constraint (compared to k*d_k),
+    written out from the eigenvalues of the three families."""
+    lx1, lz1, ls1 = m.x.lambda1(k), m.z.lambda1(k), m.s.lambda1(k)
+    lx2, lz2, ls2 = m.x.lambda2, m.z.lambda2, m.s.lambda2
+    t1 = lx1**2 / ls1**2 * d1 + lx1 * lz1 / ls1
+    t2 = lx2**2 / ls2**2 * d2 + lx2 * lz2 / ls2
+    return t1 + (k - 1) * t2
 
 
 class TestCaseSelection:
@@ -53,9 +68,9 @@ class TestCaseSelection:
             lambda m, j: verify_kkt(m, 2, j, 0.75),
             lambda m, j: solve_numeric(m, 2, j, 0.75),
             lambda m, j: dj_lower_bound(m, 2, j, 0.5),
-            lambda m, j: objective_eta(m, 2, j, FeasiblePoint(0.5, 0.5, 0.5)),
+            lambda m, j: _program(m, 2, j),
         ],
-        ids=["candidate", "multipliers", "verify", "numeric", "dj", "objective"],
+        ids=["candidate", "multipliers", "verify", "numeric", "dj", "program"],
     )
     @pytest.mark.parametrize(
         "rho, j, message",
@@ -73,7 +88,7 @@ class TestObjective:
     def test_m0_value(self):
         # d1 = d2 = delta = harmonic(2, 2) = 1 reaches eta = (1/2) ln 2
         p = FeasiblePoint(1.0, 1.0, 1.0)
-        assert objective_eta(m0(), 2, 2, p) == pytest.approx(0.5 * math.log(2), abs=1e-12)
+        assert eta(m0(), 2, 2, p) == pytest.approx(0.5 * math.log(2), abs=1e-12)
 
     def test_matches_rate_bar_at_candidate(self):
         rng = np.random.default_rng(30)
@@ -82,8 +97,7 @@ class TestObjective:
             k = int(rng.integers(1, m.ell + 1))
             d = random_dk(rng, m, k)
             j = int(rng.integers(k, m.ell + 1))
-            p = candidate_minimizer(m, k, j, d)
-            val = objective_eta(m, k, j, p)
+            val = verify_kkt(m, k, j, d).objective
             if select_case(m, j) == CASE_P:
                 # program P evaluates at lw = lambda_s2, where delta = d2 and
                 # the objective collapses to the achievable rate
@@ -91,7 +105,7 @@ class TestObjective:
 
     def test_nonpositive_log_rejected(self):
         with pytest.raises(DomainError):
-            objective_eta(m0(), 2, 2, FeasiblePoint(1.0, 1.0, 0.0))
+            eta(m0(), 2, 2, FeasiblePoint(1.0, 1.0, 0.0))
 
     @pytest.mark.parametrize(
         "point",
@@ -107,7 +121,7 @@ class TestObjective:
         # NaN cases through to a NaN objective, and an infinite delta reached
         # math.log(0) and raised a bare ValueError
         with pytest.raises(DomainError):
-            objective_eta(make_model(1, 0.2, 1, 0.1, 4), 2, 3, point)
+            eta(make_model(1, 0.2, 1, 0.1, 4), 2, 3, point)
 
 
 class TestCandidate:
@@ -123,7 +137,7 @@ class TestCandidate:
             d = random_dk(rng, m, k)
             j = int(rng.integers(k, m.ell + 1))
             p = candidate_minimizer(m, k, j, d)
-            lhs = _distortion_lhs(m, k, p.d1, p.d2)
+            lhs = distortion_lhs(m, k, p.d1, p.d2)
             assert lhs == pytest.approx(k * d, rel=1e-10)
 
     def test_ordering_within_box(self):
@@ -269,7 +283,7 @@ class TestSolveNumeric:
             k = int(rng.integers(1, m.ell + 1))
             d = random_dk(rng, m, k, lo_frac=0.15, hi_frac=0.85)
             j = int(rng.integers(k, m.ell + 1))
-            obj = objective_eta(m, k, j, candidate_minimizer(m, k, j, d))
+            obj = verify_kkt(m, k, j, d).objective
             _, f = solve_numeric(m, k, j, d)
             assert f <= obj + 1e-8
 
@@ -286,7 +300,7 @@ def reference_reduced(m, k, j, d, case):
     lw = ls2 if case == CASE_P else m.s.lambda1(j)
     a1 = lx1**2 / ls1**2
     a2 = (k - 1) * lx2**2 / ls2**2
-    budget = k * d - _distortion_lhs(m, k, 0.0, 0.0)
+    budget = k * d - distortion_lhs(m, k, 0.0, 0.0)
 
     def reduced(d1):
         d2 = min(ls2, (budget - a1 * d1) / a2) if a2 > 0 else ls2
@@ -504,6 +518,24 @@ class TestDjLowerBound:
         # a NaN delta passed "delta <= 0" and the bound came out NaN
         with pytest.raises(DomainError, match="delta must be positive and finite"):
             dj_lower_bound(make_model(1, 0.2, 1, 0.1, 4), 2, 3, delta)
+
+    # rho_x = 0.5, rho_z = 0 at ell = 3: lambda_W = lambda_s2 = 1.5 and
+    # lambda_s1(3) = 3, so the first mode's cap (1/delta + 1/3 - 1/1.5)^-1
+    # has no positive value from delta = 1/(1/1.5 - 1/3) = 3 on
+    @pytest.mark.parametrize("delta", [2.9, math.nextafter(3.0, 0.0)], ids=["2.9", "below-3"])
+    def test_finite_below_the_inner_inverse_threshold(self, delta):
+        m = make_model(1, 0.5, 1, 0.0, 3)
+        got = dj_lower_bound(m, 1, 3, delta)
+        assert 0 < got < math.inf
+
+    @pytest.mark.parametrize(
+        "delta", [3.0, math.nextafter(3.0, 4.0), 10.0], ids=["3", "above-3", "10"]
+    )
+    def test_rejects_delta_at_or_above_the_inner_inverse_threshold(self, delta):
+        m = make_model(1, 0.5, 1, 0.0, 3)
+        assert _delta_cap(delta, m.s.lambda1(3), m.s.lambda2) == math.inf
+        with pytest.raises(DomainError, match="^nonpositive inner inverse in lower bound$"):
+            dj_lower_bound(m, 1, 3, delta)
 
 
 class TestSigmaIdentity:

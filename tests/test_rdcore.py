@@ -486,6 +486,42 @@ class TestDegenerate:
         with pytest.raises(DomainError, match="out of range"):
             degenerate_rate_s2zero(make_model(1, 1.0, 1, 1.0, 3), 2, j, 0.75)
 
+    @pytest.mark.parametrize(
+        "k, d, message",
+        [
+            (2, 1.5, "must be below gamma_x"),
+            (2, math.nan, "must be finite"),
+            (2, math.inf, "must be finite"),
+            (0, 0.75, r"k=0 out of range \[1, 3\]"),
+        ],
+        ids=["above-gamma-x", "nan", "inf", "k0"],
+    )
+    def test_s2zero_follows_the_d_k_rule(self, k, d, message):
+        # a floor check alone gave a negative rate and d_3 > gamma_x above
+        # gamma_x, NaN for NaN, and math's errors for inf and k = 0
+        with pytest.raises(DomainError, match=message):
+            degenerate_rate_s2zero(make_model(1, 1.0, 1, 1.0, 3), k, 3, d)
+
+    def test_s2zero_floor_above_d_min_near_the_boundary(self):
+        # lambda_s2 = 1e-12 is within PSD_SLACK of 0, and d_min^(2) lies below
+        # the closed form's floor gamma_x gamma_z / gamma_s: a d_k between the
+        # two passes the d_k rule and must not reach the logarithm
+        m = make_model(1, 1.0, 1e-6, 1 - 1e-6, 3)
+        floor = m.x.gamma * m.z.gamma / m.s.gamma
+        assert d_min(m, 2) < floor
+        with pytest.raises(DomainError, match="at or below the distortion floor"):
+            degenerate_rate_s2zero(m, 2, 3, 0.5 * (d_min(m, 2) + floor))
+
+    @pytest.mark.parametrize(
+        "d, message",
+        [(1.5, "must be below gamma_x"), (math.nan, "must be finite")],
+        ids=["above-gamma-x", "nan"],
+    )
+    def test_s1zero_follows_the_d_k_rule_at_ell(self, d, message):
+        # a floor check alone gave a negative rate above gamma_x and NaN for NaN
+        with pytest.raises(DomainError, match=message):
+            degenerate_rate_s1zero(make_model(1, -0.5, 1, -0.5, 3), d)
+
     def test_s2zero_requires_a_zero_repeated_eigenvalue(self):
         with pytest.raises(DomainError, match="repeated observation eigenvalue"):
             degenerate_rate_s2zero(m0(), 2, 2, 0.75)

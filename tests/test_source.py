@@ -3,6 +3,7 @@ import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -283,3 +284,34 @@ def test_spectra_owns_the_level_rule():
     spectra = next(p for p in SRC if p.name == "spectra.py")
     tree = ast.parse(spectra.read_text(encoding="utf-8"), filename=str(spectra))
     assert list(_level_rule_comparisons(tree)), "the guard no longer matches spectra's own rule"
+
+
+def test_converse_reads_the_model_in_one_place():
+    # _program reads the eigenvalues the converse program needs, and
+    # select_case reads lambda_s to name the case; every other function takes
+    # its data from _program.  The helpers it replaced do not come back.
+    path = next(p for p in SRC if p.name == "converse.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    removed = {"_lw", "_distortion_lhs", "objective_eta"}
+    found = []
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        if name in removed:
+            found.append(f"{name} is defined")
+        if name in {"_program", "select_case"}:
+            continue
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in {"x", "z", "s"}
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "model"
+            ):
+                found.append(f"{name}:{node.lineno} reads model.{node.attr}")
+    for path in SRC:
+        text = path.read_text(encoding="utf-8")
+        found += [f"{path.name} names {n}" for n in sorted(removed) if re.search(rf"\b{n}\b", text)]
+    assert not found, f"the converse reads the model outside _program: {found}"
+    import ceord
+
+    assert not hasattr(ceord, "_program")
