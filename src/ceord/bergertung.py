@@ -39,11 +39,11 @@ def subset_mutual_info(model: SourceModel, lam: float, b: int, k: int) -> float:
     if not 1 <= b <= k <= model.ell:
         raise DomainError(f"need 1 <= b <= k <= ell, got b={b}, k={k}")
     check_lambda_q(lam)
-    s = model.s
+    lv = rdcore._level(model, k)
     return 0.5 * (
-        math.log1p(s.lambda1(k) / lam)
-        - math.log1p(s.lambda1(k - b) / lam)
-        + b * math.log1p(s.lambda2 / lam)
+        math.log1p(lv.ls1 / lam)
+        - math.log1p((1.0 + (k - b - 1) * lv.rs) * lv.gs / lam)
+        + b * math.log1p(lv.ls2 / lam)
     )
 
 
@@ -57,33 +57,46 @@ def check_symmetric_rate(model: SourceModel, k: int, d_k: float) -> RegionCheck:
 
 
 def check_rate_at_lambda(model: SourceModel, k: int, lam: float) -> RegionCheck:
-    """check_symmetric_rate for a given test-channel noise variance.
+    """check_symmetric_rate for a given test-channel noise variance."""
+    lv = rdcore._level(model, k)
+    check_lambda_q(lam)
+    rate = rdcore._rate(lv, lam)
+    return RegionCheck(k=k, rate=rate, constraints=_rows(lv, lam, rate))
 
-    subset_mutual_info for each b, in one loop: the full-set and repeated-mode
-    terms do not depend on b, so they are computed once, and ls1(k-b) is
-    written out with the float operations of SymmetricSpec.lambda1.
+
+def _rows(lv: rdcore._Level, lam: float, rate: float) -> tuple[tuple[int, float, bool], ...]:
+    """The region rows at rate: subset_mutual_info for each b, in one loop.
+
+    The full-set and repeated-mode terms do not depend on b, so they are
+    computed once, and ls1(k-b) is written out with the float operations of
+    SymmetricSpec.lambda1.
     """
-    rate = rdcore.rate_at_lambda(model, k, lam)  # checks k and lam
-    rho, gamma = model.s.rho, model.s.gamma
-    top = math.log1p(model.s.lambda1(k) / lam)
-    rep = math.log1p(model.s.lambda2 / lam)
+    k, rho, gamma = lv.k, lv.rs, lv.gs
+    top = math.log1p(lv.ls1 / lam)
+    rep = math.log1p(lv.ls2 / lam)
     rows = []
     for b in range(1, k + 1):
         required = 0.5 * (top - math.log1p((1.0 + (k - b - 1) * rho) * gamma / lam) + b * rep)
         rows.append((b, required, required - b * rate <= 1e-9 * max(1.0, required)))
-    return RegionCheck(k=k, rate=rate, constraints=tuple(rows))
+    return tuple(rows)
 
 
 def achievable_point(model: SourceModel, k: int, d_k: float) -> rdcore.RDPoint:
     """Construct the achievable frontier point, checking region membership."""
-    lam = rdcore.solve_lambda_q(model, k, d_k)
-    check = check_rate_at_lambda(model, k, lam)
-    if not check.ok:
+    return rdcore.RDPoint(k, d_k, *_step(model, rdcore._level(model, k), d_k))
+
+
+def _step(
+    model: SourceModel, lv: rdcore._Level, d_k: float
+) -> tuple[float, float, tuple[float, ...]]:
+    """(lambda_q, rate, profile) at d_k on the level lv = rdcore._level(model, k).
+
+    One solve, the lambda_q rule and the full region check, which raises
+    InconsistencyError if the rate point falls outside the region.
+    """
+    lam = rdcore.solve_lambda_q(model, lv.k, d_k)
+    check_lambda_q(lam)
+    rate = rdcore._rate(lv, lam)
+    if not all(ok for _, _, ok in _rows(lv, lam, rate)):
         raise InconsistencyError(f"rate point outside the rate region at d_k={d_k!r}")
-    return rdcore.RDPoint(
-        k=k,
-        d_k=d_k,
-        lambda_q=lam,
-        rate=check.rate,
-        profile=rdcore.profile_at_lambda(model, k, lam),
-    )
+    return lam, rate, rdcore._profile(lv, lam)

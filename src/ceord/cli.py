@@ -162,7 +162,7 @@ def cmd_sweep(args, model: spectra.SourceModel) -> Result:
     if not (math.isfinite(args.dk_min) and math.isfinite(args.dk_max)):
         raise DomainError(f"--dk-min/--dk-max must be finite, got {args.dk_min}, {args.dk_max}")
     ks = args.k
-    spectra.check_level(model, ks)
+    level = rdcore._level(model, ks)
     header = ["d_k", "lambda_q", "rate"] + [
         f"d_{j}" for j in range(ks, model.ell + 1)
     ] + ["cond1", "cond2"]
@@ -174,12 +174,12 @@ def cmd_sweep(args, model: spectra.SourceModel) -> Result:
         else:
             d = args.dk_min + (args.dk_max - args.dk_min) * i / (args.steps - 1)
         try:
-            pt = bergertung.achievable_point(model, ks, d)
+            lam, rate, profile = bergertung._step(model, level, d)
         except DomainError as e:
             skipped.append(f"d_k={d:.12g}: {e}")
             continue
-        _, _, cond1, cond2 = rdcore.ratio_conditions(model, ks, pt.lambda_q)
-        data.append([d, pt.lambda_q, _rate(args, pt.rate), *pt.profile, cond1, cond2])
+        _, _, cond1, cond2 = rdcore._ratio(level, lam)
+        data.append([d, lam, _rate(args, rate), *profile, cond1, cond2])
     if not data:
         raise DomainError(f"no sweep point lies in (d_min, gamma_x); first skipped {skipped[0]}")
     for reason in skipped:
@@ -308,12 +308,14 @@ _SEED = {"--seed": dict(type=int, default=None, help="default: $CEO_RD_SEED or 0
 _FORMAT = {"--format": dict(choices=["json", "csv"], default="json")}
 _BITS = {"--bits": dict(action="store_true", default=False, help="report rates in bits")}
 
-# subcommand: (handler, the flags it adds after the shared model flags)
+# subcommand: (handler, its option table), built once: the shared model
+# flags, then the flags the command adds
 _COMMANDS = {
-    "point": (cmd_point, {**_K, **_DK, **_BITS}),
+    "point": (cmd_point, {**_MODEL, **_K, **_DK, **_BITS}),
     "sweep": (
         cmd_sweep,
         {
+            **_MODEL,
             **_K,
             "--dk-min": dict(type=float, required=True),
             "--dk-max": dict(type=float, required=True),
@@ -321,14 +323,15 @@ _COMMANDS = {
             **_FORMAT, **_BITS,
         },
     ),
-    "region": (cmd_region, {**_K, **_DK, **_FORMAT, **_BITS}),
-    "conditions": (cmd_conditions, {**_K, **_DK, **_BITS}),
-    "verify": (cmd_verify, {**_K, **_DK, **_J, **_TOL, **_BITS}),
-    "bt-check": (cmd_bt_check, {**_K, **_DK, **_FORMAT, **_BITS}),
-    "simulate": (cmd_simulate, {**_K, **_DK, **_N, **_SEED, **_FORMAT}),
+    "region": (cmd_region, {**_MODEL, **_K, **_DK, **_FORMAT, **_BITS}),
+    "conditions": (cmd_conditions, {**_MODEL, **_K, **_DK, **_BITS}),
+    "verify": (cmd_verify, {**_MODEL, **_K, **_DK, **_J, **_TOL, **_BITS}),
+    "bt-check": (cmd_bt_check, {**_MODEL, **_K, **_DK, **_FORMAT, **_BITS}),
+    "simulate": (cmd_simulate, {**_MODEL, **_K, **_DK, **_N, **_SEED, **_FORMAT}),
     "decomp-check": (
         cmd_decomp_check,
         {
+            **_MODEL,
             **_J,
             "--lambda-w": dict(type=float, default=None),
             "--lambda-q": dict(type=float, required=True),
@@ -354,9 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON object of parameters, applied before flag parsing",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, flags) in _COMMANDS.items():
+    for name, (fn, table) in _COMMANDS.items():
         p = sub.add_parser(name)
-        for flag, kw in {**_MODEL, **flags}.items():
+        for flag, kw in table.items():
             p.add_argument(flag, **kw)
         p.set_defaults(func=fn)
     return parser
@@ -375,8 +378,7 @@ def _read_args(argv: list[str]) -> Optional[argparse.Namespace]:
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
-    func, flags = _COMMANDS[argv[0]]
-    table = {**_MODEL, **flags}
+    func, table = _COMMANDS[argv[0]]
     given: dict[str, Any] = {}
     tokens = iter(argv[1:])
     for token in tokens:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from . import rdcore
 from .spectra import DomainError, InconsistencyError, SourceModel, check_dk
@@ -138,12 +137,13 @@ def _multipliers(k: int, a1_coef: float, a2_coef: float, p: FeasiblePoint) -> Mu
     return Multipliers(a1=0.0, a2=0.0, b1=b1, b2=b2, c=c)
 
 
-def _delta_cap(d: float, lw: float, ls: float) -> float:
+def _delta_cap(d: float, inv: float) -> float:
     """Upper bound on delta from the estimator-composition constraint.
 
-    (1/d + 1/lw - 1/ls)^-1, written so that it is exactly d when lw == ls.
+    (1/d + inv)^-1 with inv = 1/lw - 1/ls, written so that it is exactly d
+    when lw == ls (inv == 0).
     """
-    den = 1.0 + d * (1.0 / lw - 1.0 / ls)
+    den = 1.0 + d * inv
     if den <= 0:
         return math.inf
     return d / den
@@ -171,14 +171,15 @@ def verify_kkt(
     p = _candidate(ls1, ls2, lw, lam)
     m = _multipliers(k, a1_coef, a2_coef, p)
 
-    cap1 = _delta_cap(p.d1, lw, ls1)
-    cap2 = _delta_cap(p.d2, lw, ls2)
+    inv1, inv2 = 1.0 / lw - 1.0 / ls1, 1.0 / lw - 1.0 / ls2
+    cap1 = _delta_cap(p.d1, inv1)
+    cap2 = _delta_cap(p.d2, inv2)
 
-    def stationarity(mult, d, ls, a, b, coef):  # in d1 (mult 1) or d2 (mult k-1)
+    def stationarity(mult, d, ls, inv, a, b, coef):  # in d1 (mult 1) or d2 (mult k-1)
         t = (
             mult * (lw - ls) / (2 * k * ((ls - lw) * d + ls * lw)),
             a,
-            b * (1.0 + d * (1.0 / lw - 1.0 / ls)) ** -2,
+            b * (1.0 + d * inv) ** -2,
             m.c * mult * coef,
         )
         return t[0] + t[1] - t[2] + t[3], max(map(abs, t))
@@ -187,8 +188,8 @@ def verify_kkt(
     lhs, rhs = (a1_coef * p.d1 + f1) + (k - 1) * (a2_coef * p.d2 + f2), k * d_k
     # (residual, the largest |term| it sums; |m| times that of g for m * g)
     checks = {
-        "stationarity_d1": stationarity(1, p.d1, ls1, m.a1, m.b1, a1_coef),
-        "stationarity_d2": stationarity(k - 1, p.d2, ls2, m.a2, m.b2, a2_coef),
+        "stationarity_d1": stationarity(1, p.d1, ls1, inv1, m.a1, m.b1, a1_coef),
+        "stationarity_d2": stationarity(k - 1, p.d2, ls2, inv2, m.a2, m.b2, a2_coef),
         "stationarity_delta": (
             -1.0 / (2 * p.delta) + m.b1 + m.b2,
             max(1.0 / (2 * p.delta), abs(m.b1), abs(m.b2)),
@@ -244,23 +245,25 @@ def solve_numeric(
     if not budget > 0:  # d_k > d_min guarantees room
         raise InconsistencyError(f"no distortion budget at d_k={d_k!r}: {budget!r}")
 
-    def expand(d1: float) -> Optional[tuple[float, float]]:
-        """(d2, delta) with no slack at d1, or None outside the box."""
+    inv1, inv2 = 1.0 / lw - 1.0 / ls1, 1.0 / lw - 1.0 / ls2
+
+    def reduced(d1: float, point: bool = False):
+        """The objective with no slack in d2 or delta at d1, inf outside the
+        box; with point, that (d1, d2, delta) instead, None outside the box."""
         if d1 <= 0 or d1 > ls1 or a1_coef * d1 > budget:
-            return None
+            return None if point else math.inf
         if a2_coef > 0:
             d2 = min(ls2, (budget - a1_coef * d1) / a2_coef)
         else:
             d2 = ls2
         if d2 <= 0:
-            return None
-        return d2, min(_delta_cap(d1, lw, ls1), _delta_cap(d2, lw, ls2))
-
-    def reduced(d1: float) -> float:
-        rest = expand(d1)
-        if rest is None or rest[1] <= 0:
+            return None if point else math.inf
+        delta = min(_delta_cap(d1, inv1), _delta_cap(d2, inv2))
+        if point:
+            return FeasiblePoint(d1, d2, delta)
+        if delta <= 0:
             return math.inf
-        return _eta_at(k, lw, ls1, ls2, d1, *rest)
+        return _eta_at(k, lw, ls1, ls2, d1, d2, delta)
 
     hi = ls1 if a1_coef == 0 else min(ls1, budget / a1_coef)
     if a1_coef * hi > budget:  # rounded up past the budget: keep the probe feasible
@@ -283,8 +286,7 @@ def solve_numeric(
     f_hi = reduced(hi)
     if f_hi < f_best:
         d1_best, f_best = hi, f_hi
-    rest = expand(d1_best)
-    return (FeasiblePoint(d1_best, *rest) if rest else None), f_best
+    return reduced(d1_best, point=True), f_best
 
 
 def dj_lower_bound(model: SourceModel, k: int, j: int, delta: float) -> float:
@@ -294,8 +296,8 @@ def dj_lower_bound(model: SourceModel, k: int, j: int, delta: float) -> float:
     if not 0 < delta < math.inf:
         raise DomainError(f"delta must be positive and finite, got {delta}")
     # per mode, the d that delta caps: (1/delta + 1/ls - 1/lw)^-1
-    e1 = _delta_cap(delta, ls1, lw)
-    e2 = _delta_cap(delta, ls2, lw)
+    e1 = _delta_cap(delta, 1.0 / ls1 - 1.0 / lw)
+    e2 = _delta_cap(delta, 1.0 / ls2 - 1.0 / lw)
     if math.isinf(e1) or math.isinf(e2):
         raise DomainError("nonpositive inner inverse in lower bound")
     return ((lx1**2 / ls1**2 * e1 + f1) + (j - 1) * (lx2**2 / ls2**2 * e2 + f2)) / j

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .spectra import PSD_SLACK, DomainError, SourceModel, check_dk, check_lambda_q, check_level
 from .spectra import d_min  # only bench/spans.py and tests/test_source.py need it here
@@ -46,14 +46,51 @@ class ConditionReport:
     regime: str
 
 
+class _Level(NamedTuple):
+    """The level-k spectrum on plain floats: the leading eigenvalues at k,
+    the repeated ones, and (gamma, rho) of each family for the per-j loops."""
+
+    k: int
+    ell: int
+    lx1: float
+    ls1: float
+    lx2: float
+    lz2: float
+    ls2: float
+    gx: float
+    rx: float
+    gz: float
+    rz: float
+    gs: float
+    rs: float
+
+
+def _level(model: SourceModel, k: int, name: str = "k") -> _Level:
+    """The one reader of the model for the frontier's lambda-forms.
+
+    Applies the level rule, then writes each eigenvalue with the float
+    operations of SymmetricSpec.lambda1 and lambda2, so that the private
+    cores on the result give the bytes the methods would.
+    """
+    check_level(model, k, name)
+    x, z, s = model.x, model.z, model.s
+    i = k - 1
+    return _Level(
+        k, model.ell,
+        (1.0 + i * x.rho) * x.gamma, (1.0 + i * s.rho) * s.gamma,
+        (1.0 - x.rho) * x.gamma, (1.0 - z.rho) * z.gamma, (1.0 - s.rho) * s.gamma,
+        x.gamma, x.rho, z.gamma, z.rho, s.gamma, s.rho,
+    )
+
+
 def distortion_at_lambda(model: SourceModel, j: int, lam: float) -> float:
     """d_j as a function of the test-channel noise variance (strictly increasing)."""
-    check_level(model, j, "j")
+    lv = _level(model, j, "j")
     check_lambda_q(lam)
-    lx1, lz1, ls1 = model.x.lambda1(j), model.z.lambda1(j), model.s.lambda1(j)
-    lx2, lz2, ls2 = model.x.lambda2, model.z.lambda2, model.s.lambda2
-    t1 = lx1 * (lz1 + lam) / (ls1 + lam) if lx1 > 0 else 0.0
-    t2 = lx2 * (lz2 + lam) / (ls2 + lam) if lx2 > 0 else 0.0
+    lx1, lx2 = lv.lx1, lv.lx2
+    lz1 = (1.0 + (j - 1) * lv.rz) * lv.gz
+    t1 = lx1 * (lz1 + lam) / (lv.ls1 + lam) if lx1 > 0 else 0.0
+    t2 = lx2 * (lv.lz2 + lam) / (lv.ls2 + lam) if lx2 > 0 else 0.0
     return t1 / j + (j - 1) * t2 / j
 
 
@@ -89,10 +126,14 @@ def solve_lambda_q(model: SourceModel, k: int, d_k: float) -> float:
 
 def rate_at_lambda(model: SourceModel, k: int, lam: float) -> float:
     """Per-encoder rate in nats, log det(I + Gamma_S/lam)/(2k), at noise lam."""
-    check_level(model, k)
+    lv = _level(model, k)
     check_lambda_q(lam)
-    ls1, ls2 = model.s.lambda1(k), model.s.lambda2
-    return (math.log1p(ls1 / lam) + (k - 1) * math.log1p(ls2 / lam)) / (2 * k)
+    return _rate(lv, lam)
+
+
+def _rate(lv: _Level, lam: float) -> float:
+    k = lv.k
+    return (math.log1p(lv.ls1 / lam) + (k - 1) * math.log1p(lv.ls2 / lam)) / (2 * k)
 
 
 def rate_bar(model: SourceModel, k: int, d_k: float) -> float:
@@ -101,22 +142,23 @@ def rate_bar(model: SourceModel, k: int, d_k: float) -> float:
 
 
 def profile_at_lambda(model: SourceModel, k: int, lam: float) -> tuple[float, ...]:
-    """Distortions d_j, j = k..ell, of the test channel with noise variance lam.
+    """Distortions d_j, j = k..ell, of the test channel with noise variance lam."""
+    lv = _level(model, k)
+    check_lambda_q(lam)
+    return _profile(lv, lam)
 
-    distortion_at_lambda for each j, in one loop: the repeated-mode term t2
+
+def _profile(lv: _Level, lam: float) -> tuple[float, ...]:
+    """distortion_at_lambda for each j, in one loop: the repeated-mode term t2
     does not depend on j, so it is computed once, and the leading
     eigenvalues are written out with the float operations of
     SymmetricSpec.lambda1.
     """
-    check_level(model, k)
-    check_lambda_q(lam)
-    rx, gx = model.x.rho, model.x.gamma
-    rz, gz = model.z.rho, model.z.gamma
-    rs, gs = model.s.rho, model.s.gamma
-    lx2, lz2, ls2 = model.x.lambda2, model.z.lambda2, model.s.lambda2
-    t2 = lx2 * (lz2 + lam) / (ls2 + lam) if lx2 > 0 else 0.0
+    rx, gx, rz, gz, rs, gs = lv.rx, lv.gx, lv.rz, lv.gz, lv.rs, lv.gs
+    lx2 = lv.lx2
+    t2 = lx2 * (lv.lz2 + lam) / (lv.ls2 + lam) if lx2 > 0 else 0.0
     profile = []
-    for j in range(k, model.ell + 1):
+    for j in range(lv.k, lv.ell + 1):
         i = j - 1
         lx1 = (1.0 + i * rx) * gx
         t1 = lx1 * ((1.0 + i * rz) * gz + lam) / ((1.0 + i * rs) * gs + lam) if lx1 > 0 else 0.0
@@ -149,14 +191,11 @@ def mu_nu(
     return rep.mu, rep.nu, rep.nu_kj
 
 
-def _quadratic(
-    model: SourceModel, k: int, branch: str
-) -> tuple[float, float, float, float]:
+def _quadratic(lv: _Level, branch: str) -> tuple[float, float, float, float]:
     """(A, C, num, den): the matching condition A t(t - 1) + C >= 0 in t = mu
     (cond1) or t = nu (cond2), and the limit num/den of t at maximal distortion.
     """
-    lx1, lx2 = model.x.lambda1(k), model.x.lambda2
-    ls1, ls2 = model.s.lambda1(k), model.s.lambda2
+    k, lx1, lx2, ls1, ls2 = lv.k, lv.lx1, lv.lx2, lv.ls1, lv.ls2
     if branch == "mu":
         return (k - 1) * lx2**2 * ls1**2, k * lx1**2 * ls2**2, ls2, ls1
     return lx1**2 * ls2**2, k * lx2**2 * ls1**2, ls1, ls2
@@ -170,9 +209,12 @@ def classify_regime(model: SourceModel, k: int) -> RegimeReport:
     for every distortion ("always").  Otherwise the two roots in [0, 1] are
     compared against the limiting value of t at maximal distortion.
     """
-    check_level(model, k)
-    branch = "mu" if model.s.rho >= 0 else "nu"
-    lhs, c, num, den = _quadratic(model, k, branch)
+    return _regime(_level(model, k))
+
+
+def _regime(lv: _Level) -> RegimeReport:
+    branch = "mu" if lv.rs >= 0 else "nu"
+    lhs, c, num, den = _quadratic(lv, branch)
     rhs = 4 * c
     # a ratio pinned at 0 or 1, or no real roots: holds over the full range
     if num <= 0 or num == den or lhs <= rhs:
@@ -199,11 +241,9 @@ def check_conditions(model: SourceModel, k: int, d_k: float) -> ConditionReport:
     return conditions_at_lambda(model, k, solve_lambda_q(model, k, d_k))
 
 
-def _weights(model: SourceModel, k: int) -> tuple[float, float]:
+def _weights(lv: _Level) -> tuple[float, float]:
     """p1 = lx1^2 ls2^2 and p2 = lx2^2 ls1^2 at level k, the matching-condition weights."""
-    lx1, lx2 = model.x.lambda1(k), model.x.lambda2
-    ls1, ls2 = model.s.lambda1(k), model.s.lambda2
-    return lx1**2 * ls2**2, lx2**2 * ls1**2
+    return lv.lx1**2 * lv.ls2**2, lv.lx2**2 * lv.ls1**2
 
 
 def ratio_conditions(
@@ -214,15 +254,21 @@ def ratio_conditions(
     cond1 is (k-1) p2 mu(mu - 1) + k p1 >= 0 and cond2 is
     p1 nu(nu - 1) + k p2 >= 0, with p1, p2 from _weights.
     """
-    check_level(model, k)
+    lv = _level(model, k)
     check_lambda_q(lam)
-    p1, p2 = _weights(model, k)
-    ls1, ls2 = model.s.lambda1(k), model.s.lambda2
+    return _ratio(lv, lam)
+
+
+def _ratio(
+    lv: _Level, lam: float
+) -> tuple[Optional[float], Optional[float], Optional[bool], Optional[bool]]:
+    k, ls1, ls2 = lv.k, lv.ls1, lv.ls2
+    p1, p2 = _weights(lv)
     mu = _shrink(ls2, lam) / _shrink(ls1, lam) if ls1 > 0 else None
     nu = _shrink(ls1, lam) / _shrink(ls2, lam) if ls2 > 0 else None
-    cond1 = (k - 1) * p2 * mu * (mu - 1.0) + k * p1 >= 0 if model.s.rho >= 0 else None
+    cond1 = (k - 1) * p2 * mu * (mu - 1.0) + k * p1 >= 0 if lv.rs >= 0 else None
     # rho_s <= 0 makes ls2 >= gamma_s > 0, so nu is defined
-    cond2 = p1 * nu * (nu - 1.0) + k * p2 >= 0 if model.s.rho <= 0 else None
+    cond2 = p1 * nu * (nu - 1.0) + k * p2 >= 0 if lv.rs <= 0 else None
     return mu, nu, cond1, cond2
 
 
@@ -234,10 +280,17 @@ def conditions_at_lambda(model: SourceModel, k: int, lam: float) -> ConditionRep
     (nu_kj - 1) p1 nu^2 + ((k-1) nu_kj + nu) p2 >= 0, one loop over j, with
     lambda_s1(j) written out as in SymmetricSpec.lambda1 and _shrink inlined.
     """
-    mu, nu, cond1, cond2 = ratio_conditions(model, k, lam)
-    js = range(k, model.ell + 1)
+    lv = _level(model, k)
+    check_lambda_q(lam)
+    return _conditions(lv, lam)
+
+
+def _conditions(lv: _Level, lam: float) -> ConditionReport:
+    k = lv.k
+    mu, nu, cond1, cond2 = _ratio(lv, lam)
+    js = range(k, lv.ell + 1)
     nu_kj = cond3 = cond4 = (None,) * len(js)
-    rs, gs, ls2 = model.s.rho, model.s.gamma, model.s.lambda2
+    rs, gs, ls2 = lv.rs, lv.gs, lv.ls2
     if ls2 > 0:
         shrink2 = _shrink(ls2, lam)
         nu_kj = tuple(
@@ -245,14 +298,14 @@ def conditions_at_lambda(model: SourceModel, k: int, lam: float) -> ConditionRep
             for j in js
         )
     if rs <= 0:
-        p1, p2 = _weights(model, k)
+        p1, p2 = _weights(lv)
         q1 = p1 * nu**2
         c3, c4 = [], []
         for v in nu_kj:
             c3.append((v + (k - 1)) * q1 + (k - 1) * (v - nu) * p2 >= 0)
             c4.append((v - 1.0) * q1 + ((k - 1) * v + nu) * p2 >= 0)
         cond3, cond4 = tuple(c3), tuple(c4)
-    reg = classify_regime(model, k)
+    reg = _regime(lv)
     return ConditionReport(
         mu=mu,
         nu=nu,

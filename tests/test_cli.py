@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import math
+import random
 import shlex
 import string
 import sys
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceord import cli, converse, rdcore
+from ceord import bergertung, cli, converse, d_min, rdcore
 from ceord.cli import main
+from ceord.spectra import DomainError
 
 from helpers import make_model
 
@@ -134,7 +136,7 @@ class TestPoint:
 
     def test_region_failure_exit3(self, capsys, monkeypatch):
         # a zero rate fails every subset constraint of the real region check
-        monkeypatch.setattr(rdcore, "rate_at_lambda", lambda *a: 0.0)
+        monkeypatch.setattr(rdcore, "_rate", lambda *a: 0.0)
         code, out, err = run(capsys, "point", *M0, "--k", "2", "--dk", "0.75")
         assert code == 3 and out == ""
         assert "outside the rate region" in err
@@ -422,6 +424,59 @@ class TestSweep:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0][-2:] == ["cond1", "cond2"] and len(rows) == 4
         assert all(row[-2] == "" and row[-1] in {"0", "1"} for row in rows[1:])
+
+    @staticmethod
+    def _span_models():
+        """(model, argv, k, (dk_min, dk_max, steps)): a fixed draw with
+        rho_s < 0, = 0 and > 0, each at k = 1 and k = ell, on spans that start
+        below d_min^(k)."""
+        rng = random.Random(21)
+        for sign in (-1, 0, 1):
+            for at_ell in (False, True):
+                ell = rng.randint(2, 8)
+                gx, gz = rng.uniform(0.3, 3.0), rng.uniform(0.05, 3.0)
+                top = 0.9 if sign > 0 else 0.9 / (ell - 1)
+                if sign:
+                    rx, rz = sign * rng.uniform(0.0, top), sign * rng.uniform(0.0, top)
+                else:
+                    gz, rx = gx, rng.uniform(-top, top)
+                    rz = -rx
+                m = make_model(gx, rx, gz, rz, ell)
+                assert (m.s.rho > 0) - (m.s.rho < 0) == sign
+                k = ell if at_ell else 1
+                lo = d_min(m, k)
+                span = [lo - 0.3 * (gx - lo), lo + 0.95 * (gx - lo), rng.randint(5, 9)]
+                argv = [f"--gamma-x={gx!r}", f"--rho-x={rx!r}", f"--gamma-z={gz!r}",
+                        f"--rho-z={rz!r}", f"--ell={ell}", f"--k={k}",
+                        *(f"--{f}={v!r}" for f, v in zip(("dk-min", "dk-max", "steps"), span))]
+                yield m, argv, k, span
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "bits"])
+    def test_rows_equal_the_point_path(self, capsys, fmt):
+        # each row is achievable_point and ratio_conditions at its d_k, to the
+        # bit, and each skipped d_k is one achievable_point rejects
+        for m, argv, k, (lo, hi, steps) in self._span_models():
+            rows, warnings = [], []
+            for i in range(steps):
+                d = lo + (hi - lo) * i / (steps - 1)
+                try:
+                    pt = bergertung.achievable_point(m, k, d)
+                except DomainError as e:
+                    warnings.append(f"warning: skipping d_k={d:.12g}: {e}\n")
+                    continue
+                _, _, cond1, cond2 = rdcore.ratio_conditions(m, k, pt.lambda_q)
+                rate = pt.rate / cli.LN2 if fmt == "bits" else pt.rate
+                rows.append([pt.d_k, pt.lambda_q, rate, *pt.profile, cond1, cond2])
+            assert warnings and rows, argv
+            extra = {"json": [], "csv": ["--format=csv"], "bits": ["--bits"]}[fmt]
+            code, out, err = run(capsys, "sweep", *argv, *extra)
+            assert code == 0 and err == "".join(warnings)
+            if fmt == "csv":
+                got = list(csv.reader(io.StringIO(out)))[1:]
+                assert got == [[cli._csv_cell(v) for v in row] for row in rows]
+            else:
+                doc = json.loads(out)
+                assert [list(row.values()) for row in doc["rows"]] == rows
 
 
 class TestConditionsAndRegion:
@@ -793,10 +848,11 @@ class TestPerCommandParser:
         assert run(capsys, "point", "--gamma-x=1", "--gamma-z=1", "--ell=3", "--k=2", "--dk=0.75")[0] == 0
         assert calls == []
         # the first argv that needs argparse builds it: top level -h and
-        # --params-json; each command -h, the six model flags and its own flags
+        # --params-json; each command -h and its table, the six model flags
+        # and its own flags
         with pytest.raises(SystemExit):
             main([*self.POINT, "-h"])
-        assert len(calls) == 2 + sum(1 + 6 + len(flags) for _, flags in cli._COMMANDS.values())
+        assert len(calls) == 2 + sum(1 + len(table) for _, table in cli._COMMANDS.values())
         calls.clear()
         with pytest.raises(SystemExit):
             main([*self.POINT, "--bogus"])

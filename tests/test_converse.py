@@ -306,8 +306,8 @@ def reference_reduced(m, k, j, d, case):
         d2 = min(ls2, (budget - a1 * d1) / a2) if a2 > 0 else ls2
         if d1 <= 0 or d1 > ls1 or a1 * d1 > budget or d2 <= 0:
             return math.inf
-        cap2 = d2 if case == CASE_P else _delta_cap(d2, lw, ls2)
-        delta = min(_delta_cap(d1, lw, ls1), cap2)
+        cap2 = d2 if case == CASE_P else _delta_cap(d2, 1.0 / lw - 1.0 / ls2)
+        delta = min(_delta_cap(d1, 1.0 / lw - 1.0 / ls1), cap2)
         return _eta_at(k, lw, ls1, ls2, d1, d2, delta) if delta > 0 else math.inf
 
     return reduced, (ls1 if a1 == 0 else min(ls1, budget / a1))
@@ -378,7 +378,7 @@ class TestOneProgram:
             mult = cert.multipliers
             assert mult.b1 == pytest.approx(ref["b1"], rel=1e-13, abs=0)
             assert mult.b2 == pytest.approx(ref["b2"], rel=1e-13, abs=0)
-            cap2 = _delta_cap(cert.point.d2, lw, m.s.lambda2)
+            cap2 = _delta_cap(cert.point.d2, 1.0 / lw - 1.0 / m.s.lambda2)
             assert cap2 == pytest.approx(ref["cap2"], rel=1e-13, abs=0)
             scale = max(abs(t) for t in ref["terms"])
             assert abs(cert.residuals["stationarity_d2"] - ref["stat_d2"]) <= 1e-14 * scale
@@ -533,7 +533,7 @@ class TestDjLowerBound:
     )
     def test_rejects_delta_at_or_above_the_inner_inverse_threshold(self, delta):
         m = make_model(1, 0.5, 1, 0.0, 3)
-        assert _delta_cap(delta, m.s.lambda1(3), m.s.lambda2) == math.inf
+        assert _delta_cap(delta, 1.0 / m.s.lambda1(3) - 1.0 / m.s.lambda2) == math.inf
         with pytest.raises(DomainError, match="^nonpositive inner inverse in lower bound$"):
             dj_lower_bound(m, 1, 3, delta)
 

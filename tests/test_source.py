@@ -286,19 +286,14 @@ def test_spectra_owns_the_level_rule():
     assert list(_level_rule_comparisons(tree)), "the guard no longer matches spectra's own rule"
 
 
-def test_converse_reads_the_model_in_one_place():
-    # _program reads the eigenvalues the converse program needs, and
-    # select_case reads lambda_s to name the case; every other function takes
-    # its data from _program.  The helpers it replaced do not come back.
-    path = next(p for p in SRC if p.name == "converse.py")
+def _model_reads(module, readers):
+    """Each read of model.x, model.z or model.s in a library module, outside
+    the top-level definitions named in readers, as "name:line reads ..."."""
+    path = next(p for p in SRC if p.name == f"{module}.py")
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    removed = {"_lw", "_distortion_lhs", "objective_eta"}
-    found = []
     for top in tree.body:
         name = getattr(top, "name", "<module>")
-        if name in removed:
-            found.append(f"{name} is defined")
-        if name in {"_program", "select_case"}:
+        if name in readers:
             continue
         for node in ast.walk(top):
             if (
@@ -307,7 +302,18 @@ def test_converse_reads_the_model_in_one_place():
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "model"
             ):
-                found.append(f"{name}:{node.lineno} reads model.{node.attr}")
+                yield f"{name}:{node.lineno} reads model.{node.attr}"
+
+
+def test_converse_reads_the_model_in_one_place():
+    # _program reads the eigenvalues the converse program needs, and
+    # select_case reads lambda_s to name the case; every other function takes
+    # its data from _program.  The helpers it replaced do not come back.
+    path = next(p for p in SRC if p.name == "converse.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    removed = {"_lw", "_distortion_lhs", "objective_eta"}
+    found = [f"{name} is defined" for top in tree.body if (name := getattr(top, "name", None)) in removed]
+    found += _model_reads("converse", {"_program", "select_case"})
     for path in SRC:
         text = path.read_text(encoding="utf-8")
         found += [f"{path.name} names {n}" for n in sorted(removed) if re.search(rf"\b{n}\b", text)]
@@ -315,3 +321,26 @@ def test_converse_reads_the_model_in_one_place():
     import ceord
 
     assert not hasattr(ceord, "_program")
+
+
+def test_frontier_reads_the_level_in_one_place():
+    # rdcore._level reads the level-k spectrum for every lambda-form and the
+    # region check, and the private cores take its result.  In rdcore only
+    # the d_k solve and the two degenerate closed forms read the model
+    # besides; bergertung reads it only through _level; sweep reads no
+    # spectrum itself and calls _level once, before its loop.
+    found = list(
+        _model_reads(
+            "rdcore", {"_level", "solve_lambda_q", "degenerate_rate_s2zero", "degenerate_rate_s1zero"}
+        )
+    )
+    found += _model_reads("bergertung", set())
+    found += [r for r in _model_reads("cli", set()) if r.startswith("cmd_sweep:")]
+    assert not found, f"the frontier reads the model outside rdcore._level: {found}"
+    path = next(p for p in SRC if p.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    sweep = next(top for top in tree.body if getattr(top, "name", None) == "cmd_sweep")
+    loops = [node for node in ast.walk(sweep) if isinstance(node, ast.For)]
+    reads = [node for node in ast.walk(sweep) if isinstance(node, ast.Attribute) and node.attr == "_level"]
+    in_loop = [node for loop in loops for node in ast.walk(loop) if node in reads]
+    assert len(reads) == 1 and not in_loop, "cmd_sweep must read the level once, before its loop"
