@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import rdcore
-from .spectra import DomainError, InconsistencyError, SourceModel, check_lambda_q
+from .spectra import DomainError, InconsistencyError, Level, SourceModel, check_lambda_q, level
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ def subset_mutual_info(model: SourceModel, lam: float, b: int, k: int) -> float:
     if not 1 <= b <= k <= model.ell:
         raise DomainError(f"need 1 <= b <= k <= ell, got b={b}, k={k}")
     check_lambda_q(lam)
-    lv = rdcore._level(model, k)
+    lv = level(model, k)
     return 0.5 * (
         math.log1p(lv.ls1 / lam)
         - math.log1p((1.0 + (k - b - 1) * lv.rs) * lv.gs / lam)
@@ -53,18 +53,16 @@ def check_symmetric_rate(model: SourceModel, k: int, d_k: float) -> RegionCheck:
     Satisfaction allows slack 1e-9 relative to the required sum-rate; the
     full-set constraint is tight by construction.
     """
-    return check_rate_at_lambda(model, k, rdcore.solve_lambda_q(model, k, d_k))
+    return check_rate_at_lambda(level(model, k), rdcore.solve_lambda_q(model, k, d_k))
 
 
-def check_rate_at_lambda(model: SourceModel, k: int, lam: float) -> RegionCheck:
+def check_rate_at_lambda(lv: Level, lam: float) -> RegionCheck:
     """check_symmetric_rate for a given test-channel noise variance."""
-    lv = rdcore._level(model, k)
-    check_lambda_q(lam)
-    rate = rdcore._rate(lv, lam)
-    return RegionCheck(k=k, rate=rate, constraints=_rows(lv, lam, rate))
+    rate = rdcore.rate_at_lambda(lv, lam)
+    return RegionCheck(k=lv.k, rate=rate, constraints=_rows(lv, lam, rate))
 
 
-def _rows(lv: rdcore._Level, lam: float, rate: float) -> tuple[tuple[int, float, bool], ...]:
+def _rows(lv: Level, lam: float, rate: float) -> tuple[tuple[int, float, bool], ...]:
     """The region rows at rate: subset_mutual_info for each b, in one loop.
 
     The full-set and repeated-mode terms do not depend on b, so they are
@@ -83,20 +81,19 @@ def _rows(lv: rdcore._Level, lam: float, rate: float) -> tuple[tuple[int, float,
 
 def achievable_point(model: SourceModel, k: int, d_k: float) -> rdcore.RDPoint:
     """Construct the achievable frontier point, checking region membership."""
-    return rdcore.RDPoint(k, d_k, *_step(model, rdcore._level(model, k), d_k))
+    return rdcore.RDPoint(k, d_k, *frontier_step(model, level(model, k), d_k))
 
 
-def _step(
-    model: SourceModel, lv: rdcore._Level, d_k: float
+def frontier_step(
+    model: SourceModel, lv: Level, d_k: float
 ) -> tuple[float, float, tuple[float, ...]]:
-    """(lambda_q, rate, profile) at d_k on the level lv = rdcore._level(model, k).
+    """(lambda_q, rate, profile) at d_k on the level lv = spectra.level(model, k).
 
-    One solve, the lambda_q rule and the full region check, which raises
-    InconsistencyError if the rate point falls outside the region.
+    One solve and the full region check, which raises InconsistencyError if
+    the rate point falls outside the region.
     """
     lam = rdcore.solve_lambda_q(model, lv.k, d_k)
-    check_lambda_q(lam)
-    rate = rdcore._rate(lv, lam)
+    rate = rdcore.rate_at_lambda(lv, lam)
     if not all(ok for _, _, ok in _rows(lv, lam, rate)):
         raise InconsistencyError(f"rate point outside the rate region at d_k={d_k!r}")
-    return lam, rate, rdcore._profile(lv, lam)
+    return lam, rate, rdcore.profile_at_lambda(lv, lam)

@@ -143,7 +143,7 @@ def _model_dict(model: spectra.SourceModel) -> dict:
 
 def cmd_point(args, model: spectra.SourceModel) -> Result:
     pt = bergertung.achievable_point(model, args.k, args.dk)
-    rep = rdcore.conditions_at_lambda(model, args.k, pt.lambda_q)
+    rep = rdcore.conditions_at_lambda(spectra.level(model, args.k), pt.lambda_q)
     payload = {
         "k": pt.k,
         "d_k": pt.d_k,
@@ -162,7 +162,7 @@ def cmd_sweep(args, model: spectra.SourceModel) -> Result:
     if not (math.isfinite(args.dk_min) and math.isfinite(args.dk_max)):
         raise DomainError(f"--dk-min/--dk-max must be finite, got {args.dk_min}, {args.dk_max}")
     ks = args.k
-    level = rdcore._level(model, ks)
+    level = spectra.level(model, ks)
     header = ["d_k", "lambda_q", "rate"] + [
         f"d_{j}" for j in range(ks, model.ell + 1)
     ] + ["cond1", "cond2"]
@@ -174,11 +174,11 @@ def cmd_sweep(args, model: spectra.SourceModel) -> Result:
         else:
             d = args.dk_min + (args.dk_max - args.dk_min) * i / (args.steps - 1)
         try:
-            lam, rate, profile = bergertung._step(model, level, d)
+            lam, rate, profile = bergertung.frontier_step(model, level, d)
         except DomainError as e:
             skipped.append(f"d_k={d:.12g}: {e}")
             continue
-        _, _, cond1, cond2 = rdcore._ratio(level, lam)
+        _, _, cond1, cond2 = rdcore.ratio_conditions(level, lam)
         data.append([d, lam, _rate(args, rate), *profile, cond1, cond2])
     if not data:
         raise DomainError(f"no sweep point lies in (d_min, gamma_x); first skipped {skipped[0]}")
@@ -203,7 +203,7 @@ def cmd_verify(args, model: spectra.SourceModel) -> Result:
     j = args.j if args.j is not None else args.k
     cert = converse.verify_kkt(model, args.k, j, args.dk, tol=args.tol)
     point, opt = converse.solve_numeric(model, args.k, j, args.dk)
-    rbar = rdcore.rate_at_lambda(model, args.k, cert.lambda_q)
+    rbar = rdcore.rate_at_lambda(spectra.level(model, args.k), cert.lambda_q)
     gap = opt - rbar
     conditions_fail = not cert.multipliers.nonnegative
     if conditions_fail:
@@ -251,7 +251,7 @@ def cmd_bt_check(args, model: spectra.SourceModel) -> Result:
 def cmd_simulate(args, model: spectra.SourceModel) -> Result:
     seed = _seed(args)
     lam = rdcore.solve_lambda_q(model, args.k, args.dk)
-    profile = rdcore.profile_at_lambda(model, args.k, lam)
+    profile = rdcore.profile_at_lambda(spectra.level(model, args.k), lam)
     measured = mcsim.empirical_profile(model, args.k, lam, args.n, seed)
     header = ["j", "analytic", "empirical", "stderr", "sigmas", "pass"]
     data = []

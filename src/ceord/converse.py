@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import rdcore
-from .spectra import DomainError, InconsistencyError, SourceModel, check_dk
+from .spectra import DomainError, InconsistencyError, SourceModel, check_dk, level
 from .spectra import d_min  # only bench/spans.py and tests/test_source.py need it here
 
 CASE_P = "P"
@@ -57,7 +57,8 @@ class KKTCertificate:
 
 def select_case(model: SourceModel, j: int) -> str:
     """Name the program variant from the spectrum ordering at sub-dimension j."""
-    return CASE_P if model.s.lambda1(j) >= model.s.lambda2 else CASE_PHAT
+    lv = level(model, j, "j")
+    return CASE_P if lv.ls1 >= lv.ls2 else CASE_PHAT
 
 
 def _program(model: SourceModel, k: int, j: int) -> tuple[float, ...]:
@@ -65,10 +66,11 @@ def _program(model: SourceModel, k: int, j: int) -> tuple[float, ...]:
 
     lw = lambda_W = min(lambda_s1(j), lambda_s2) > 0, ls1 and lx1 are at level
     k, and f = lx lz / ls per mode is d_min's term, lx - lx^2/ls uncancelled.
+    lambda_s1(j) is written from level k's (gamma_s, rho_s) as SymmetricSpec.lambda1 does.
     """
-    if not 1 <= k <= j <= model.ell:
-        raise DomainError(f"need 1 <= k <= j <= ell, got k={k}, j={j}")
-    ls1j, ls2 = model.s.lambda1(j), model.s.lambda2
+    _pair_rule(model, k, j)
+    lv = level(model, k)
+    ls1j, ls2 = (1.0 + (j - 1) * lv.rs) * lv.gs, lv.ls2
     if ls1j >= ls2 and not ls2 > 0:
         raise DomainError(
             f"case P needs lambda_s1(j) >= lambda_s2 > 0, got {ls1j:.6g}, {ls2:.6g}"
@@ -77,9 +79,14 @@ def _program(model: SourceModel, k: int, j: int) -> tuple[float, ...]:
         raise DomainError(
             f"case P-hat needs lambda_s2 >= lambda_s1(j) > 0, got {ls2:.6g}, {ls1j:.6g}"
         )
-    lx1, lz1, ls1 = model.x.lambda1(k), model.z.lambda1(k), model.s.lambda1(k)
-    lx2, lz2 = model.x.lambda2, model.z.lambda2
-    return min(ls1j, ls2), ls1, ls2, lx1, lx2, lx1 * lz1 / ls1, lx2 * lz2 / ls2
+    lx1, ls1, lx2 = lv.lx1, lv.ls1, lv.lx2
+    return min(ls1j, ls2), ls1, ls2, lx1, lx2, lx1 * lv.lz1 / ls1, lx2 * lv.lz2 / ls2
+
+
+def _pair_rule(model: SourceModel, k: int, j: int) -> None:
+    """The (k, j) rule of every converse entry point: 1 <= k <= j <= ell."""
+    if not 1 <= k <= j <= model.ell:
+        raise DomainError(f"need 1 <= k <= j <= ell, got k={k}, j={j}")
 
 
 def _eta_at(
@@ -238,7 +245,7 @@ def solve_numeric(
     never reads lambda_q or the candidate it is checked against.
     """
     lw, ls1, ls2, lx1, lx2, f1, f2 = _program(model, k, j)
-    check_dk(model, k, d_k)
+    check_dk(level(model, k), d_k)
     a1_coef = lx1**2 / ls1**2
     a2_coef = (k - 1) * lx2**2 / ls2**2
     budget = k * d_k - (f1 + (k - 1) * f2)
@@ -291,7 +298,7 @@ def solve_numeric(
 
 def dj_lower_bound(model: SourceModel, k: int, j: int, delta: float) -> float:
     """Distortion lower bound at sub-dimension j, as a function of delta."""
-    _program(model, k, j)  # the (k, j) rule; the bound reads only level j
+    _pair_rule(model, k, j)  # the bound reads only level j
     lw, ls1, ls2, lx1, lx2, f1, f2 = _program(model, j, j)
     if not 0 < delta < math.inf:
         raise DomainError(f"delta must be positive and finite, got {delta}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from .spectra import DomainError, SourceModel, basis, check_lambda_q, check_level
+from .spectra import DomainError, Level, SourceModel, basis, check_lambda_q, level
 
 # numpy is imported inside each function that uses it, so that importing
 # ceord loads it only once a Monte Carlo command runs.
@@ -135,9 +135,10 @@ def _factor(l1: float, l2: float, j: int) -> np.ndarray:
 def sample(model: SourceModel, n: int, seed: int) -> SampleBatch:
     """Draw n i.i.d. realizations of (X, Z, S = X + Z)."""
     ell = model.ell
+    lv = level(model, ell)
     g = _draw(n, seed, 3 * ell)
-    x = g[:, :ell] @ _factor(model.x.lambda1(ell), model.x.lambda2, ell).T
-    z = g[:, ell : 2 * ell] @ _factor(model.z.lambda1(ell), model.z.lambda2, ell).T
+    x = g[:, :ell] @ _factor(lv.lx1, lv.lx2, ell).T
+    z = g[:, ell : 2 * ell] @ _factor(lv.lz1, lv.lz2, ell).T
     return SampleBatch(n=n, seed=seed, x=x, z=z, s=x + z)
 
 
@@ -154,17 +155,19 @@ def _empirical(
 
     check_lambda_q(lambda_q)
     ell = model.ell
+    top = level(model, ell)
     # X, V and the errors are linear in one row of the draw, so they are
     # built once as coefficient rows over its 3*ell columns
     unit = np.eye(3 * ell)
-    x = _factor(model.x.lambda1(ell), model.x.lambda2, ell) @ unit[:ell]
-    z = _factor(model.z.lambda1(ell), model.z.lambda2, ell) @ unit[ell : 2 * ell]
+    x = _factor(top.lx1, top.lx2, ell) @ unit[:ell]
+    z = _factor(top.lz1, top.lz2, ell) @ unit[ell : 2 * ell]
     v = x + z + np.sqrt(lambda_q) * unit[2 * ell :]
+    a2 = top.lx2 / (top.ls2 + lambda_q)
     errors = []
     for j in js:
         # the conditional mean of X is (Gamma_S + lq I)^{-1} Gamma_X v, per mode
-        a1 = model.x.lambda1(j) / (model.s.lambda1(j) + lambda_q)
-        a2 = model.x.lambda2 / (model.s.lambda2 + lambda_q)
+        lv = level(model, j, "j")
+        a1 = lv.lx1 / (lv.ls1 + lambda_q)
         errors.append(x[:j] - a2 * v[:j] - (a1 - a2) * v[:j].mean(axis=0))
 
     def sums(g: np.ndarray) -> Sums:
@@ -182,7 +185,7 @@ def empirical_profile(
     model: SourceModel, k: int, lambda_q: float, n: int, seed: int
 ) -> list[EmpiricalRD]:
     """Measured MMSE distortion for every j = k..ell from one shared draw."""
-    check_level(model, k)
+    level(model, k)  # the level rule on k
     return _empirical(model, lambda_q, range(k, model.ell + 1), n, seed)
 
 
@@ -196,9 +199,9 @@ def empirical_distortion(
 
 
 def _decomposition_moments(
-    model: SourceModel, j: int, lambda_w: float, lambda_q: float, n: int, seed: int
+    lv: Level, lambda_w: float, lambda_q: float, n: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Second-moment matrices, with standard errors, of the two residuals.
+    """Second-moment matrices, with standard errors, of the two residuals at j = lv.k.
 
     Returns (E[eu eu^T], its SE, E[es es^T], its SE) where eu is the error of
     the U-estimate induced by the S-estimate and es the residual of S given
@@ -207,8 +210,7 @@ def _decomposition_moments(
     import numpy as np
 
     check_lambda_q(lambda_q)
-    ell = model.ell
-    ls1, ls2 = model.s.lambda1(j), model.s.lambda2
+    j, ell, ls1, ls2 = lv.k, lv.ell, lv.ls1, lv.ls2
     # coefficient rows as in _empirical, with Gamma_U = Gamma_S - lambda_w I
     unit = np.eye(3 * ell)
     u = _factor(ls1 - lambda_w, ls2 - lambda_w, j) @ unit[:j]
@@ -252,8 +254,8 @@ def decomposition_check(
     """
     import numpy as np
 
-    check_level(model, j, "j")
-    ls1, ls2 = model.s.lambda1(j), model.s.lambda2
+    lv = level(model, j, "j")
+    ls1, ls2 = lv.ls1, lv.ls2
     bound = min(ls1, ls2)
     if not bound > 0:
         raise DomainError(f"no lambda_w is admissible at j={j}: min(lambda_s1(j), lambda_s2) = 0")
@@ -263,16 +265,17 @@ def decomposition_check(
             f"lambda_w={lambda_w:.6g} must lie in (0, {bound:.6g}) for j={j}"
         )
     sigma_emp, sigma_se, delta_emp, delta_se = _decomposition_moments(
-        model, j, lambda_w, lambda_q, n, seed
+        lv, lambda_w, lambda_q, n, seed
     )
     off = ~np.eye(j, dtype=bool)
     if not (sigma_se.all() and delta_se[off].all()):
         raise DomainError(f"lambda_q={lambda_q:.6g} is too small: a z-score's standard error is 0")
 
     # (a) error covariance of the induced U-estimate vs its closed-form image
-    # of the S-estimation error: per mode (s - lw)(lw + lq)/(s + lq)
-    p1 = (ls1 - lambda_w) * (lambda_w + lambda_q) / (ls1 + lambda_q)
-    p2 = (ls2 - lambda_w) * (lambda_w + lambda_q) / (ls2 + lambda_q)
+    # of the S-estimation error: per mode (s - lw)(lw + lq)/(s + lq), the
+    # quotient first so that a large lambda_q cannot overflow the product
+    p1 = (ls1 - lambda_w) * ((lambda_w + lambda_q) / (ls1 + lambda_q))
+    p2 = (ls2 - lambda_w) * ((lambda_w + lambda_q) / (ls2 + lambda_q))
     sigma_pred = p2 * np.eye(j) + (p1 - p2) / j
     sigma_max = float((np.abs(sigma_emp - sigma_pred) / sigma_se).max())
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .spectra import PSD_SLACK, DomainError, SourceModel, check_dk, check_lambda_q, check_level
+from .spectra import PSD_SLACK, DomainError, Level, SourceModel, check_dk, check_lambda_q, level
 from .spectra import d_min  # only bench/spans.py and tests/test_source.py need it here
 
 
@@ -46,56 +46,17 @@ class ConditionReport:
     regime: str
 
 
-class _Level(NamedTuple):
-    """The level-k spectrum on plain floats: the leading eigenvalues at k,
-    the repeated ones, and (gamma, rho) of each family for the per-j loops."""
-
-    k: int
-    ell: int
-    lx1: float
-    ls1: float
-    lx2: float
-    lz2: float
-    ls2: float
-    gx: float
-    rx: float
-    gz: float
-    rz: float
-    gs: float
-    rs: float
-
-
-def _level(model: SourceModel, k: int, name: str = "k") -> _Level:
-    """The one reader of the model for the frontier's lambda-forms.
-
-    Applies the level rule, then writes each eigenvalue with the float
-    operations of SymmetricSpec.lambda1 and lambda2, so that the private
-    cores on the result give the bytes the methods would.
-    """
-    check_level(model, k, name)
-    x, z, s = model.x, model.z, model.s
-    i = k - 1
-    return _Level(
-        k, model.ell,
-        (1.0 + i * x.rho) * x.gamma, (1.0 + i * s.rho) * s.gamma,
-        (1.0 - x.rho) * x.gamma, (1.0 - z.rho) * z.gamma, (1.0 - s.rho) * s.gamma,
-        x.gamma, x.rho, z.gamma, z.rho, s.gamma, s.rho,
-    )
-
-
-def distortion_at_lambda(model: SourceModel, j: int, lam: float) -> float:
-    """d_j as a function of the test-channel noise variance (strictly increasing)."""
-    lv = _level(model, j, "j")
+def distortion_at_lambda(lv: Level, lam: float) -> float:
+    """d_j at j = lv.k as a function of the test-channel noise variance (strictly increasing)."""
     check_lambda_q(lam)
-    lx1, lx2 = lv.lx1, lv.lx2
-    lz1 = (1.0 + (j - 1) * lv.rz) * lv.gz
-    t1 = lx1 * (lz1 + lam) / (lv.ls1 + lam) if lx1 > 0 else 0.0
+    j, lx1, lx2 = lv.k, lv.lx1, lv.lx2
+    t1 = lx1 * (lv.lz1 + lam) / (lv.ls1 + lam) if lx1 > 0 else 0.0
     t2 = lx2 * (lv.lz2 + lam) / (lv.ls2 + lam) if lx2 > 0 else 0.0
     return t1 / j + (j - 1) * t2 / j
 
 
 def solve_lambda_q(model: SourceModel, k: int, d_k: float) -> float:
-    """Unique positive lambda_q with distortion_at_lambda(k, .) = d_k.
+    """Unique positive lambda_q with distortion_at_lambda(level k, .) = d_k.
 
     Per mode lx(lz + lam)/(ls + lam) = lx - lx^2/(ls + lam), so the equation
     is f(lam) = p/(ls1 + lam) + q/(ls2 + lam) = c with p = lx1^2,
@@ -103,11 +64,12 @@ def solve_lambda_q(model: SourceModel, k: int, d_k: float) -> float:
     ls1 ls2 (c - f(0)) = -k ls1 ls2 (d_k - d_min) <= 0 leaves one positive
     root.  It is taken in cancellation-free form, then one Newton step.
     """
-    lo = check_dk(model, k, d_k)
-    ls1, ls2 = model.s.lambda1(k), model.s.lambda2
-    p = model.x.lambda1(k) ** 2
-    q = (k - 1) * model.x.lambda2**2
-    c = k * (model.x.gamma - d_k)
+    lv = level(model, k)
+    lo = check_dk(lv, d_k)
+    ls1, ls2 = lv.ls1, lv.ls2
+    p = lv.lx1**2
+    q = (k - 1) * lv.lx2**2
+    c = k * (lv.gx - d_k)
     b = c * (ls1 + ls2) - p - q
     c0 = -k * ls1 * ls2 * (d_k - lo)
     root = math.sqrt(b * b - 4.0 * c * c0)
@@ -119,41 +81,32 @@ def solve_lambda_q(model: SourceModel, k: int, d_k: float) -> float:
     if c < k * (d_k - lo):
         res = p / (ls1 + lam) + q / (ls2 + lam) - c
     else:
-        res = k * (d_k - distortion_at_lambda(model, k, lam))
+        res = k * (d_k - distortion_at_lambda(lv, lam))
     lam += res / (p / (ls1 + lam) ** 2 + q / (ls2 + lam) ** 2)
     return float(lam)  # d_k may be a numpy scalar
 
 
-def rate_at_lambda(model: SourceModel, k: int, lam: float) -> float:
+def rate_at_lambda(lv: Level, lam: float) -> float:
     """Per-encoder rate in nats, log det(I + Gamma_S/lam)/(2k), at noise lam."""
-    lv = _level(model, k)
     check_lambda_q(lam)
-    return _rate(lv, lam)
-
-
-def _rate(lv: _Level, lam: float) -> float:
     k = lv.k
     return (math.log1p(lv.ls1 / lam) + (k - 1) * math.log1p(lv.ls2 / lam)) / (2 * k)
 
 
 def rate_bar(model: SourceModel, k: int, d_k: float) -> float:
     """Symmetric per-encoder rate achieving distortion d_k at level k (nats)."""
-    return rate_at_lambda(model, k, solve_lambda_q(model, k, d_k))
+    return rate_at_lambda(level(model, k), solve_lambda_q(model, k, d_k))
 
 
-def profile_at_lambda(model: SourceModel, k: int, lam: float) -> tuple[float, ...]:
-    """Distortions d_j, j = k..ell, of the test channel with noise variance lam."""
-    lv = _level(model, k)
-    check_lambda_q(lam)
-    return _profile(lv, lam)
+def profile_at_lambda(lv: Level, lam: float) -> tuple[float, ...]:
+    """Distortions d_j, j = k..ell, of the test channel with noise variance lam.
 
-
-def _profile(lv: _Level, lam: float) -> tuple[float, ...]:
-    """distortion_at_lambda for each j, in one loop: the repeated-mode term t2
+    distortion_at_lambda for each j, in one loop: the repeated-mode term t2
     does not depend on j, so it is computed once, and the leading
     eigenvalues are written out with the float operations of
     SymmetricSpec.lambda1.
     """
+    check_lambda_q(lam)
     rx, gx, rz, gz, rs, gs = lv.rx, lv.gx, lv.rz, lv.gz, lv.rs, lv.gs
     lx2 = lv.lx2
     t2 = lx2 * (lv.lz2 + lam) / (lv.ls2 + lam) if lx2 > 0 else 0.0
@@ -168,7 +121,7 @@ def _profile(lv: _Level, lam: float) -> tuple[float, ...]:
 
 def distortion_profile(model: SourceModel, k: int, d_k: float) -> tuple[float, ...]:
     """Distortions d_j, j = k..ell, induced by the level-k test channel."""
-    return profile_at_lambda(model, k, solve_lambda_q(model, k, d_k))
+    return profile_at_lambda(level(model, k), solve_lambda_q(model, k, d_k))
 
 
 def _shrink(lam_s: float, lam_q: float) -> float:
@@ -191,7 +144,7 @@ def mu_nu(
     return rep.mu, rep.nu, rep.nu_kj
 
 
-def _quadratic(lv: _Level, branch: str) -> tuple[float, float, float, float]:
+def _quadratic(lv: Level, branch: str) -> tuple[float, float, float, float]:
     """(A, C, num, den): the matching condition A t(t - 1) + C >= 0 in t = mu
     (cond1) or t = nu (cond2), and the limit num/den of t at maximal distortion.
     """
@@ -201,7 +154,7 @@ def _quadratic(lv: _Level, branch: str) -> tuple[float, float, float, float]:
     return lx1**2 * ls2**2, k * lx2**2 * ls1**2, ls1, ls2
 
 
-def classify_regime(model: SourceModel, k: int) -> RegimeReport:
+def classify_regime(lv: Level) -> RegimeReport:
     """Case split on where the matching condition can hold over the d-range.
 
     The condition is a quadratic A t(t - 1) + C in t = mu for rho_s >= 0
@@ -209,10 +162,6 @@ def classify_regime(model: SourceModel, k: int) -> RegimeReport:
     for every distortion ("always").  Otherwise the two roots in [0, 1] are
     compared against the limiting value of t at maximal distortion.
     """
-    return _regime(_level(model, k))
-
-
-def _regime(lv: _Level) -> RegimeReport:
     branch = "mu" if lv.rs >= 0 else "nu"
     lhs, c, num, den = _quadratic(lv, branch)
     rhs = 4 * c
@@ -238,30 +187,23 @@ def check_conditions(model: SourceModel, k: int, d_k: float) -> ConditionReport:
     Branches whose sign hypothesis on rho_s does not apply are reported as
     None rather than False; exact zeros count as satisfied.
     """
-    return conditions_at_lambda(model, k, solve_lambda_q(model, k, d_k))
+    return conditions_at_lambda(level(model, k), solve_lambda_q(model, k, d_k))
 
 
-def _weights(lv: _Level) -> tuple[float, float]:
+def _weights(lv: Level) -> tuple[float, float]:
     """p1 = lx1^2 ls2^2 and p2 = lx2^2 ls1^2 at level k, the matching-condition weights."""
     return lv.lx1**2 * lv.ls2**2, lv.lx2**2 * lv.ls1**2
 
 
 def ratio_conditions(
-    model: SourceModel, k: int, lam: float
+    lv: Level, lam: float
 ) -> tuple[Optional[float], Optional[float], Optional[bool], Optional[bool]]:
     """(mu, nu, cond1, cond2) of conditions_at_lambda, without the O(ell) part.
 
     cond1 is (k-1) p2 mu(mu - 1) + k p1 >= 0 and cond2 is
     p1 nu(nu - 1) + k p2 >= 0, with p1, p2 from _weights.
     """
-    lv = _level(model, k)
     check_lambda_q(lam)
-    return _ratio(lv, lam)
-
-
-def _ratio(
-    lv: _Level, lam: float
-) -> tuple[Optional[float], Optional[float], Optional[bool], Optional[bool]]:
     k, ls1, ls2 = lv.k, lv.ls1, lv.ls2
     p1, p2 = _weights(lv)
     mu = _shrink(ls2, lam) / _shrink(ls1, lam) if ls1 > 0 else None
@@ -272,7 +214,7 @@ def _ratio(
     return mu, nu, cond1, cond2
 
 
-def conditions_at_lambda(model: SourceModel, k: int, lam: float) -> ConditionReport:
+def conditions_at_lambda(lv: Level, lam: float) -> ConditionReport:
     """check_conditions for a given test-channel noise variance.
 
     mu, nu, cond1 and cond2 come from ratio_conditions.  For each j, cond3 is
@@ -280,14 +222,8 @@ def conditions_at_lambda(model: SourceModel, k: int, lam: float) -> ConditionRep
     (nu_kj - 1) p1 nu^2 + ((k-1) nu_kj + nu) p2 >= 0, one loop over j, with
     lambda_s1(j) written out as in SymmetricSpec.lambda1 and _shrink inlined.
     """
-    lv = _level(model, k)
-    check_lambda_q(lam)
-    return _conditions(lv, lam)
-
-
-def _conditions(lv: _Level, lam: float) -> ConditionReport:
     k = lv.k
-    mu, nu, cond1, cond2 = _ratio(lv, lam)
+    mu, nu, cond1, cond2 = ratio_conditions(lv, lam)
     js = range(k, lv.ell + 1)
     nu_kj = cond3 = cond4 = (None,) * len(js)
     rs, gs, ls2 = lv.rs, lv.gs, lv.ls2
@@ -305,7 +241,7 @@ def _conditions(lv: _Level, lam: float) -> ConditionReport:
             c3.append((v + (k - 1)) * q1 + (k - 1) * (v - nu) * p2 >= 0)
             c4.append((v - 1.0) * q1 + ((k - 1) * v + nu) * p2 >= 0)
         cond3, cond4 = tuple(c3), tuple(c4)
-    reg = _regime(lv)
+    reg = classify_regime(lv)
     return ConditionReport(
         mu=mu,
         nu=nu,
@@ -323,12 +259,14 @@ def degenerate_rate_s2zero(
     model: SourceModel, k: int, j: int, d_k: float
 ) -> tuple[float, float]:
     """Closed forms at the fully correlated boundary (repeated eigenvalue 0)."""
-    if model.s.lambda2 > PSD_SLACK * model.s.gamma:
+    top = level(model, model.ell)
+    if top.ls2 > PSD_SLACK * top.gs:
         raise DomainError("requires the repeated observation eigenvalue to be 0")
     if not k <= j <= model.ell:
         raise DomainError(f"j={j} out of range [{k}, {model.ell}]")
-    check_dk(model, k, d_k)
-    gx, gz, gs = model.x.gamma, model.z.gamma, model.s.gamma
+    lv = level(model, k)
+    check_dk(lv, d_k)
+    gx, gz, gs = lv.gx, lv.gz, lv.gs
     arg = gs * d_k - gx * gz
     # near (not at) the boundary this floor, gx gz / gs, can exceed d_min^(k)
     if arg <= 0:
@@ -346,9 +284,10 @@ def degenerate_rate_s1zero(model: SourceModel, d_ell: float) -> float:
     the centralized remote source coding problem.
     """
     ell = model.ell
-    if model.s.lambda1(ell) > PSD_SLACK * model.s.gamma:
+    lv = level(model, ell)
+    if lv.ls1 > PSD_SLACK * lv.gs:
         raise DomainError("requires the leading observation eigenvalue to be 0")
-    check_dk(model, ell, d_ell)
-    lx2, lz2, ls2 = model.x.lambda2, model.z.lambda2, model.s.lambda2
+    check_dk(lv, d_ell)
+    lx2, lz2, ls2 = lv.lx2, lv.lz2, lv.ls2
     arg = ell * ls2 * d_ell - (ell - 1) * lx2 * lz2
     return (ell - 1) / (2 * ell) * math.log((ell - 1) * lx2**2 / arg)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 # numpy is imported inside basis and dense, its only users here, so that
 # importing ceord and running the closed-form frontier loads no numpy.
@@ -158,26 +158,57 @@ def dense(spec: SymmetricSpec, j: int) -> np.ndarray:
     return m
 
 
-def d_min(model: SourceModel, j: int) -> float:
-    """MMSE floor: distortion of estimating j targets from all j observations.
+class Level(NamedTuple):
+    """One level's spectrum on plain floats: the leading eigenvalues at k,
+    the repeated ones, and (gamma, rho) of each family for the per-j loops."""
 
-    Degenerate eigenvalues are handled by explicit zero branches (a vanishing
-    observation eigenvalue forces the matching signal and noise eigenvalues
-    to vanish as well, so the contribution is exactly zero).
+    k: int
+    ell: int
+    lx1: float
+    lz1: float
+    ls1: float
+    lx2: float
+    lz2: float
+    ls2: float
+    gx: float
+    rx: float
+    gz: float
+    rz: float
+    gs: float
+    rs: float
+
+
+def level(model: SourceModel, k: int, name: str = "k") -> Level:
+    """The level rule, 1 <= k <= ell, then the level-k spectrum.
+
+    name labels k in the message ("j" for a sub-dimension).  Each eigenvalue
+    is written with the float operations of SymmetricSpec.lambda1 and
+    lambda2, so every form on the result gives the bytes the methods would.
     """
-    check_level(model, j, "j")
-    ls1 = model.s.lambda1(j)
-    ls2 = model.s.lambda2
-    slack = PSD_SLACK * model.s.gamma
-    d1 = model.x.lambda1(j) * model.z.lambda1(j) / ls1 if ls1 > slack else 0.0
-    d2 = model.x.lambda2 * model.z.lambda2 / ls2 if ls2 > slack else 0.0
-    return (d1 + (j - 1) * d2) / j
-
-
-def check_level(model: SourceModel, k: int, name: str = "k") -> None:
-    """The level rule: 1 <= k <= ell, for a level k or a sub-dimension j."""
     if not 1 <= k <= model.ell:
         raise DomainError(f"{name}={k} out of range [1, {model.ell}]")
+    x, z, s = model.x, model.z, model.s
+    i = k - 1
+    return Level(
+        k, model.ell,
+        (1.0 + i * x.rho) * x.gamma, (1.0 + i * z.rho) * z.gamma, (1.0 + i * s.rho) * s.gamma,
+        (1.0 - x.rho) * x.gamma, (1.0 - z.rho) * z.gamma, (1.0 - s.rho) * s.gamma,
+        x.gamma, x.rho, z.gamma, z.rho, s.gamma, s.rho,
+    )
+
+
+def _floor(lv: Level) -> float:
+    """d_min at level lv.k; a vanishing observation eigenvalue forces the
+    matching signal and noise eigenvalues to vanish, so its term is 0."""
+    slack = PSD_SLACK * lv.gs
+    d1 = lv.lx1 * lv.lz1 / lv.ls1 if lv.ls1 > slack else 0.0
+    d2 = lv.lx2 * lv.lz2 / lv.ls2 if lv.ls2 > slack else 0.0
+    return (d1 + (lv.k - 1) * d2) / lv.k
+
+
+def d_min(model: SourceModel, j: int) -> float:
+    """MMSE floor: distortion of estimating j targets from all j observations."""
+    return _floor(level(model, j, "j"))
 
 
 def check_lambda_q(lam: float) -> None:
@@ -186,15 +217,14 @@ def check_lambda_q(lam: float) -> None:
         raise DomainError(f"lambda_q must be positive and finite, got {lam}")
 
 
-def check_dk(model: SourceModel, k: int, d_k: float) -> float:
-    """The d_k rule: the level rule, then d_min^(k) < d_k < gamma_x; returns d_min^(k)."""
-    check_level(model, k)
+def check_dk(lv: Level, d_k: float) -> float:
+    """The d_k rule at level lv: d_min^(k) < d_k < gamma_x; returns d_min^(k)."""
     if not math.isfinite(d_k):
         raise DomainError(f"d_k must be finite, got {d_k}")
-    lo = d_min(model, k)
-    hi = model.x.gamma
+    lo = _floor(lv)
+    hi = lv.gx
     if d_k <= lo + ENDPOINT_SLACK * max(lo, ENDPOINT_SLACK * hi):
-        raise DomainError(f"d_k={d_k:.12g} must exceed d_min^({k})={lo:.12g}")
+        raise DomainError(f"d_k={d_k:.12g} must exceed d_min^({lv.k})={lo:.12g}")
     if d_k >= hi * (1.0 - ENDPOINT_SLACK):
         raise DomainError(f"d_k={d_k:.12g} must be below gamma_x={hi:.12g}")
     return lo

@@ -5,6 +5,7 @@ import numpy as np
 
 from ceord import SymmetricSpec, d_min, validate
 from ceord.rdcore import distortion_at_lambda
+from ceord.spectra import level
 
 
 def make_model(gx, rx, gz, rz, ell):
@@ -59,11 +60,11 @@ def trace_profile_oracle(model, k, lam):
 def bisect_lambda_oracle(model, k, d_k):
     """lambda_q by bisection on the increasing map lambda -> d_k(lambda)."""
     lo, hi = 0.0, 1.0
-    while distortion_at_lambda(model, k, hi) < d_k:
+    while distortion_at_lambda(level(model, k), hi) < d_k:
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if distortion_at_lambda(model, k, mid) < d_k:
+        if distortion_at_lambda(level(model, k), mid) < d_k:
             lo = mid
         else:
             hi = mid

@@ -27,6 +27,7 @@ from ceord import (
     verify_kkt,
 )
 from ceord.rdcore import distortion_at_lambda
+from ceord.spectra import level
 
 from helpers import m0, make_model, random_dk, random_model, trace_profile_oracle
 
@@ -49,7 +50,7 @@ def test_criterion_1_root_solver_fidelity(capfd):
         k = int(rng.integers(1, m.ell + 1))
         d = random_dk(rng, m, k)
         lam = solve_lambda_q(m, k, d)
-        err = abs(distortion_at_lambda(m, k, lam) - d) / d
+        err = abs(distortion_at_lambda(level(m, k), lam) - d) / d
         worst = max(worst, err)
     report(capfd, 1, worst <= 1e-12, f"resubstitution rel err {worst:.2e} <= 1e-12 on 1000 draws", time.time() - t0, 5)
 

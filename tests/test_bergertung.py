@@ -21,6 +21,7 @@ from ceord import (
 )
 from ceord.bergertung import check_rate_at_lambda
 from ceord.rdcore import distortion_at_lambda, rate_at_lambda
+from ceord.spectra import level
 
 from helpers import m0, make_model, random_dk, random_model
 
@@ -140,8 +141,8 @@ class TestRegionRows:
 
     def test_rows_equal_subset_mutual_info(self):
         for m, k, lam in self.cases():
-            rc = check_rate_at_lambda(m, k, lam)
-            assert rc.rate == rate_at_lambda(m, k, lam)
+            rc = check_rate_at_lambda(level(m, k), lam)
+            assert rc.rate == rate_at_lambda(level(m, k), lam)
             assert [b for b, _, _ in rc.constraints] == list(range(1, k + 1))
             for b, required, ok in rc.constraints:
                 assert required == subset_mutual_info(m, lam, b, k), (m, k, b)
@@ -151,9 +152,9 @@ class TestRegionRows:
         m = m0()
         for k in (0, 4):
             with pytest.raises(DomainError, match="out of range"):
-                check_rate_at_lambda(m, k, 1.0)
+                check_rate_at_lambda(level(m, k), 1.0)
         with pytest.raises(DomainError, match="lambda_q"):
-            check_rate_at_lambda(m, 2, 0.0)
+            check_rate_at_lambda(level(m, 2), 0.0)
 
 
 class TestAchievablePoint:
@@ -195,7 +196,7 @@ class TestClosedFormProperties:
         m, k, d = point
         lam = solve_lambda_q(m, k, d)
         assert lam > 0
-        assert abs(distortion_at_lambda(m, k, lam) - d) <= 1e-12 * d
+        assert abs(distortion_at_lambda(level(m, k), lam) - d) <= 1e-12 * d
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(operating_points())

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from ceord import bergertung, cli, converse, d_min, rdcore
 from ceord.cli import main
-from ceord.spectra import DomainError
+from ceord.spectra import DomainError, level
 
 from helpers import make_model
 
@@ -136,7 +136,7 @@ class TestPoint:
 
     def test_region_failure_exit3(self, capsys, monkeypatch):
         # a zero rate fails every subset constraint of the real region check
-        monkeypatch.setattr(rdcore, "_rate", lambda *a: 0.0)
+        monkeypatch.setattr(rdcore, "rate_at_lambda", lambda *a: 0.0)
         code, out, err = run(capsys, "point", *M0, "--k", "2", "--dk", "0.75")
         assert code == 3 and out == ""
         assert "outside the rate region" in err
@@ -328,7 +328,7 @@ class TestSweep:
         code, doc, _ = run_json(capsys, "sweep", *M0, *argv)
         assert code == 0 and len(doc["rows"]) == 6
         for row in doc["rows"]:
-            rep = rdcore.conditions_at_lambda(model, 3, row["lambda_q"])
+            rep = rdcore.conditions_at_lambda(level(model, 3), row["lambda_q"])
             assert (row["cond1"], row["cond2"]) == (rep.cond1, rep.cond2)
 
     def test_rate_monotone(self, capsys):
@@ -464,7 +464,7 @@ class TestSweep:
                 except DomainError as e:
                     warnings.append(f"warning: skipping d_k={d:.12g}: {e}\n")
                     continue
-                _, _, cond1, cond2 = rdcore.ratio_conditions(m, k, pt.lambda_q)
+                _, _, cond1, cond2 = rdcore.ratio_conditions(level(m, k), pt.lambda_q)
                 rate = pt.rate / cli.LN2 if fmt == "bits" else pt.rate
                 rows.append([pt.d_k, pt.lambda_q, rate, *pt.profile, cond1, cond2])
             assert warnings and rows, argv
@@ -746,6 +746,16 @@ class TestDecompCheck:
         code, out, err = run(capsys, "decomp-check", *argv, "--n=100", "--seed=1", *lambda_w)
         assert (code, out) == (2, "")
         assert err == "error: no lambda_w is admissible at j=3: min(lambda_s1(j), lambda_s2) = 0\n"
+
+    def test_huge_lambda_q_writes_finite_numbers(self, capsys):
+        # (ls - lw)(lw + lq) overflowed at lq = 1e300, and the predicted
+        # covariance, and with it sigma_max_sigmas, became NaN
+        argv = ["--gamma-x=2", "--rho-x=0.5", "--gamma-z=1e50", "--ell=4", "--j=4"]
+        argv += ["--lambda-w=1e-12", "--lambda-q=1e300", "--n=3"]
+        code, out, err = run(capsys, "decomp-check", *argv)
+        assert code in (0, 4) and err == ""
+        assert "NaN" not in out and "Infinity" not in out
+        assert math.isfinite(json.loads(out)["sigma_max_sigmas"])
 
     def test_bad_lambda_w_exit2(self, capsys):
         code, _, err = run(

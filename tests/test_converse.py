@@ -26,6 +26,7 @@ from ceord import (
 from ceord import converse
 from ceord.converse import _delta_cap, _eta_at, _program
 from ceord.rdcore import rate_at_lambda
+from ceord.spectra import level
 
 from helpers import m0, make_model, random_dk, random_model
 from oracles import delta_bound, sigma_identity
@@ -59,6 +60,12 @@ class TestCaseSelection:
         assert select_case(m0(), 2) == CASE_P
         assert select_case(make_model(1, 0.5, 1, 0.1, 3), 3) == CASE_P
         assert select_case(make_model(1, -0.3, 1, -0.1, 3), 3) == CASE_PHAT
+
+    @pytest.mark.parametrize("j", [10, 0, -5])
+    def test_rejects_j_out_of_range(self, j):
+        # no j x j block of an ell = 3 family exists, so there is no case to name
+        with pytest.raises(DomainError, match=rf"^j={j} out of range \[1, 3\]$"):
+            select_case(m0(), j)
 
     @pytest.mark.parametrize(
         "call",
@@ -486,7 +493,7 @@ class TestGoldenSectionOracle:
         # box the search stops 1e-12 * hi short of it
         assert f <= cert.objective + 1e-11
         if min(cert.multipliers.b1, cert.multipliers.b2) >= 1e-8:
-            assert abs(f - rate_at_lambda(m, k, cert.lambda_q)) <= 1e-6
+            assert abs(f - rate_at_lambda(level(m, k), cert.lambda_q)) <= 1e-6
             assert abs(pt.delta - cert.point.delta) <= 1e-5
 
 

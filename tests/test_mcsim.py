@@ -26,6 +26,7 @@ from ceord.mcsim import (
     _stream,
 )
 from ceord.rdcore import distortion_at_lambda
+from ceord.spectra import level
 
 from helpers import m0, make_model
 from oracles import cov_with_se
@@ -102,7 +103,7 @@ class TestEmpiricalDistortion:
         k, d = 2, 0.7
         lam = solve_lambda_q(m, k, d)
         for j in (2, 3):
-            want = distortion_at_lambda(m, j, lam)
+            want = distortion_at_lambda(level(m, j), lam)
             got = empirical_distortion(m, k, lam, j, 150_000, 5)
             assert abs(got.distortion - want) <= 3.0 * got.stderr
             assert got.stderr < 0.01
@@ -253,7 +254,7 @@ class TestStreaming:
         eu, es = _one_shot_residuals(m, j, lw, lq, N_STREAM, seed)
         sig, sig_se = cov_with_se(eu)
         dlt, dlt_se = cov_with_se(es)
-        got = _decomposition_moments(m, j, lw, lq, N_STREAM, seed)
+        got = _decomposition_moments(level(m, j), lw, lq, N_STREAM, seed)
         for streamed, oracle in zip(got, (sig, sig_se, dlt, dlt_se)):
             np.testing.assert_allclose(streamed, oracle, rtol=1e-10, atol=0)
         gs = dense(m.s, j)

@@ -24,6 +24,7 @@ from ceord.rdcore import (
     profile_at_lambda,
     rate_at_lambda,
 )
+from ceord.spectra import level
 
 from helpers import (
     bisect_lambda_oracle,
@@ -64,7 +65,7 @@ class TestSolveLambdaQ:
             k = int(rng.integers(1, m.ell + 1))
             d = random_dk(rng, m, k)
             lam = solve_lambda_q(m, k, d)
-            assert distortion_at_lambda(m, k, lam) == pytest.approx(d, rel=1e-12)
+            assert distortion_at_lambda(level(m, k), lam) == pytest.approx(d, rel=1e-12)
 
     def test_monotone_in_d(self):
         m = make_model(1, 0.5, 1, 0, 3)
@@ -102,7 +103,7 @@ class TestSolveLambdaQ:
             d = lo + t * (m.x.gamma - lo)
             lam = solve_lambda_q(m, k, d)
             assert lam > 0
-            assert distortion_at_lambda(m, k, lam) == pytest.approx(d, rel=1e-12)
+            assert distortion_at_lambda(level(m, k), lam) == pytest.approx(d, rel=1e-12)
             assert lam == pytest.approx(bisect_lambda_oracle(m, k, d), rel=1e-9)
 
     def test_noiseless_floor(self):
@@ -111,7 +112,7 @@ class TestSolveLambdaQ:
         m = make_model(1e6, 0.5, 0.0, 0.0, 3)
         for d in (1e-11, 1e-9, 1e-6):
             lam = solve_lambda_q(m, 2, d)
-            assert distortion_at_lambda(m, 2, lam) == pytest.approx(d, rel=1e-12)
+            assert distortion_at_lambda(level(m, 2), lam) == pytest.approx(d, rel=1e-12)
             assert lam == pytest.approx(bisect_lambda_oracle(m, 2, d), rel=1e-12)
 
     @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
@@ -235,8 +236,8 @@ class TestProfileAtLambda:
 
     @staticmethod
     def assert_matches(m, k, lam):
-        want = tuple(distortion_at_lambda(m, j, lam) for j in range(k, m.ell + 1))
-        assert profile_at_lambda(m, k, lam) == want
+        want = tuple(distortion_at_lambda(level(m, j), lam) for j in range(k, m.ell + 1))
+        assert profile_at_lambda(level(m, k), lam) == want
 
     def test_random_models(self):
         rng = np.random.default_rng(17)
@@ -385,7 +386,7 @@ class TestConditionOracle:
                     _shrink(ls1, lam) / _shrink(ls2, lam) if (ls1 := m.s.lambda1(j)) > 0 else 0.0
                     for j in js
                 )
-            assert conditions_at_lambda(m, k, lam).nu_kj == want, (m, k, d)
+            assert conditions_at_lambda(level(m, k), lam).nu_kj == want, (m, k, d)
 
     def test_mu_nu_is_the_ratio_part(self):
         for m, k, d in self.cases():
@@ -396,16 +397,16 @@ class TestConditionOracle:
 class TestRegimes:
     def test_m0_always(self):
         for k in (1, 2, 3):
-            assert classify_regime(m0(), k).regime == "always"
+            assert classify_regime(level(m0(), k)).regime == "always"
 
     @pytest.mark.parametrize("k", [0, 4])
     def test_rejects_k_out_of_range(self, k):
         with pytest.raises(DomainError, match="out of range"):
-            classify_regime(m0(), k)
+            classify_regime(level(m0(), k))
 
     def test_scenario_a_roots_below_ratio(self):
         m = make_model(1, -0.8, 4, 0.21, 2)
-        rep = classify_regime(m, 2)
+        rep = classify_regime(level(m, 2))
         assert rep.branch == "mu" and rep.regime == "always"
         assert rep.roots is not None
         ratio = m.s.lambda2 / m.s.lambda1(2)
@@ -413,14 +414,14 @@ class TestRegimes:
 
     def test_both_ends_fixture(self):
         m = make_model(1, 0.99, 100, 0.999, 2)
-        rep = classify_regime(m, 2)
+        rep = classify_regime(level(m, 2))
         assert rep.regime == "both-ends"
         assert 0 < rep.roots[0] < rep.roots[1] < 1
 
     def test_degenerate_x(self):
         m = make_model(1, -1.0, 2, 0.6, 2)
         assert m.x.lambda1(2) == pytest.approx(0.0)
-        rep = classify_regime(m, 2)
+        rep = classify_regime(level(m, 2))
         assert rep.regime == "degenerate-x"
         assert rep.roots == pytest.approx((0.0, 1.0))
 
@@ -430,7 +431,7 @@ class TestRegimes:
         while found < 10:
             m = random_model(rng)
             k = int(rng.integers(1, m.ell + 1))
-            rep = classify_regime(m, k)
+            rep = classify_regime(level(m, k))
             if rep.regime != "always":
                 continue
             found += 1

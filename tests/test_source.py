@@ -266,7 +266,7 @@ def _level_rule_comparisons(tree):
 
 def test_spectra_owns_the_level_rule():
     # 1 <= k <= ell, and its "out of range [1, ell]" message, live in
-    # spectra.check_level; a three-way chain such as 1 <= k <= j <= ell is a
+    # spectra.level; a three-way chain such as 1 <= k <= j <= ell is a
     # different rule and is not matched.  TestChannel, a second lambda_q
     # rule, is gone: every lambda-form takes lambda_q as a float.
     found = []
@@ -323,24 +323,51 @@ def test_converse_reads_the_model_in_one_place():
     assert not hasattr(ceord, "_program")
 
 
-def test_frontier_reads_the_level_in_one_place():
-    # rdcore._level reads the level-k spectrum for every lambda-form and the
-    # region check, and the private cores take its result.  In rdcore only
-    # the d_k solve and the two degenerate closed forms read the model
-    # besides; bergertung reads it only through _level; sweep reads no
-    # spectrum itself and calls _level once, before its loop.
-    found = list(
-        _model_reads(
-            "rdcore", {"_level", "solve_lambda_q", "degenerate_rate_s2zero", "degenerate_rate_s1zero"}
-        )
-    )
-    found += _model_reads("bergertung", set())
-    found += [r for r in _model_reads("cli", set()) if r.startswith("cmd_sweep:")]
-    assert not found, f"the frontier reads the model outside rdcore._level: {found}"
+def test_spectrum_is_read_only_through_level():
+    # spectra.level is the one reader of a level's spectrum: every lambda-form
+    # takes its result, and no module outside spectra calls lambda1 or
+    # lambda2 or reads model.x, model.z or model.s (cli._model_dict only
+    # echoes the parameters).  No module reaches into rdcore's or
+    # bergertung's private names, the readers and cores the level replaced
+    # are gone, and sweep calls level once, before its loop.
+    from ceord import rdcore, spectra
+
+    found = []
+    for path in SRC:
+        if path.name == "spectra.py":
+            continue
+        module = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += _model_reads(module, {"_model_dict"} if module == "cli" else set())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in {"lambda1", "lambda2"}:
+                found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in {"rdcore", "bergertung"} - {module}
+            ):
+                found.append(f"{path.name}:{node.lineno} uses {node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module in {"rdcore", "bergertung"}:
+                found += [
+                    f"{path.name}:{node.lineno} imports {node.module}.{a.name}"
+                    for a in node.names
+                    if a.name.startswith("_")
+                ]
+    gone = {"_level", "_Level", "_rate", "_profile", "_ratio", "_conditions", "_regime"}
+    found += [f"rdcore.{n} is defined" for n in sorted(gone) if hasattr(rdcore, n)]
+    if hasattr(spectra, "check_level"):
+        found.append("spectra.check_level is defined")
+    assert not found, f"the spectrum is read outside spectra.level: {found}"
     path = next(p for p in SRC if p.name == "cli.py")
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     sweep = next(top for top in tree.body if getattr(top, "name", None) == "cmd_sweep")
     loops = [node for node in ast.walk(sweep) if isinstance(node, ast.For)]
-    reads = [node for node in ast.walk(sweep) if isinstance(node, ast.Attribute) and node.attr == "_level"]
+    reads = [
+        node
+        for node in ast.walk(sweep)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in {"spectra.level", "level"}
+    ]
     in_loop = [node for loop in loops for node in ast.walk(loop) if node in reads]
     assert len(reads) == 1 and not in_loop, "cmd_sweep must read the level once, before its loop"

@@ -24,7 +24,7 @@ from ceord.rdcore import (
     rate_at_lambda,
     ratio_conditions,
 )
-from ceord.spectra import ELL_MAX
+from ceord.spectra import ELL_MAX, level
 
 from helpers import make_model, random_model
 
@@ -105,6 +105,43 @@ class TestEigenvalues:
             assert np.allclose(got, want, atol=1e-10)
 
 
+class TestLevel:
+    """spectra.level writes each eigenvalue with the float operations of the
+    SymmetricSpec methods, which is what keeps every output's bytes."""
+
+    @staticmethod
+    def models():
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            yield random_model(rng)
+        for ell in (2, 3, 7, 1000):
+            lo = -1.0 / (ell - 1)
+            # both rho boundaries of each family and of the observation
+            for rx, rz in ((1.0, 1.0), (lo, lo), (1.0, lo), (lo, 0.3)):
+                yield make_model(1.3e-7, rx, 0.7e5, rz, ell)
+                yield make_model(2.9, rx, 0.0, rz, ell)
+
+    def test_fields_equal_the_methods_bit_for_bit(self):
+        for m in self.models():
+            for k in range(1, m.ell + 1):
+                lv = level(m, k)
+                want = (
+                    k, m.ell,
+                    m.x.lambda1(k), m.z.lambda1(k), m.s.lambda1(k),
+                    m.x.lambda2, m.z.lambda2, m.s.lambda2,
+                    m.x.gamma, m.x.rho, m.z.gamma, m.z.rho, m.s.gamma, m.s.rho,
+                )
+                assert [float(v).hex() for v in lv] == [float(v).hex() for v in want], (m, k)
+
+    @pytest.mark.parametrize("k", [0, -1, 4, 10**6])
+    def test_rejects_a_level_outside_1_ell(self, k):
+        m = make_model(1, 0, 1, 0, 3)
+        with pytest.raises(DomainError, match=rf"^k={k} out of range \[1, 3\]$"):
+            level(m, k)
+        with pytest.raises(DomainError, match=rf"^j={k} out of range \[1, 3\]$"):
+            level(m, k, "j")
+
+
 class TestBasis:
     def test_j1(self):
         assert basis(1) == pytest.approx(np.array([[1.0]]))
@@ -177,15 +214,16 @@ class TestDMin:
 
 
 class TestDomainRules:
-    """Every public lambda-form checks the level rule and the lambda_q rule of spectra."""
+    """Every public lambda-form checks the level rule and the lambda_q rule of
+    spectra; the forms on a level get the level rule from spectra.level."""
 
     FORMS = {
-        "distortion_at_lambda": distortion_at_lambda,
-        "rate_at_lambda": rate_at_lambda,
-        "profile_at_lambda": profile_at_lambda,
-        "ratio_conditions": ratio_conditions,
-        "conditions_at_lambda": conditions_at_lambda,
-        "check_rate_at_lambda": check_rate_at_lambda,
+        "distortion_at_lambda": lambda m, j, lam: distortion_at_lambda(level(m, j, "j"), lam),
+        "rate_at_lambda": lambda m, k, lam: rate_at_lambda(level(m, k), lam),
+        "profile_at_lambda": lambda m, k, lam: profile_at_lambda(level(m, k), lam),
+        "ratio_conditions": lambda m, k, lam: ratio_conditions(level(m, k), lam),
+        "conditions_at_lambda": lambda m, k, lam: conditions_at_lambda(level(m, k), lam),
+        "check_rate_at_lambda": lambda m, k, lam: check_rate_at_lambda(level(m, k), lam),
         "subset_mutual_info": lambda m, k, lam: subset_mutual_info(m, lam, 1, k),
         "empirical_profile": lambda m, k, lam: empirical_profile(m, k, lam, 100, 0),
         "empirical_distortion": lambda m, k, lam: empirical_distortion(m, k, lam, m.ell, 100, 0),
