@@ -10,6 +10,7 @@ from .spectra import (
     basis,
     d_min,
     dense,
+    level,
     validate,
 )
 from .rdcore import (
@@ -40,7 +41,6 @@ from .converse import (
     candidate_minimizer,
     dj_lower_bound,
     kkt_multipliers,
-    select_case,
     solve_numeric,
     verify_kkt,
 )

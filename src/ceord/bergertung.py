@@ -53,7 +53,8 @@ def check_symmetric_rate(model: SourceModel, k: int, d_k: float) -> RegionCheck:
     Satisfaction allows slack 1e-9 relative to the required sum-rate; the
     full-set constraint is tight by construction.
     """
-    return check_rate_at_lambda(level(model, k), rdcore.solve_lambda_q(model, k, d_k))
+    lv = level(model, k)
+    return check_rate_at_lambda(lv, rdcore.solve_lambda_q(lv, d_k))
 
 
 def check_rate_at_lambda(lv: Level, lam: float) -> RegionCheck:
@@ -81,18 +82,16 @@ def _rows(lv: Level, lam: float, rate: float) -> tuple[tuple[int, float, bool], 
 
 def achievable_point(model: SourceModel, k: int, d_k: float) -> rdcore.RDPoint:
     """Construct the achievable frontier point, checking region membership."""
-    return rdcore.RDPoint(k, d_k, *frontier_step(model, level(model, k), d_k))
+    return rdcore.RDPoint(k, d_k, *frontier_step(level(model, k), d_k))
 
 
-def frontier_step(
-    model: SourceModel, lv: Level, d_k: float
-) -> tuple[float, float, tuple[float, ...]]:
+def frontier_step(lv: Level, d_k: float) -> tuple[float, float, tuple[float, ...]]:
     """(lambda_q, rate, profile) at d_k on the level lv = spectra.level(model, k).
 
     One solve and the full region check, which raises InconsistencyError if
     the rate point falls outside the region.
     """
-    lam = rdcore.solve_lambda_q(model, lv.k, d_k)
+    lam = rdcore.solve_lambda_q(lv, d_k)
     rate = rdcore.rate_at_lambda(lv, lam)
     if not all(ok for _, _, ok in _rows(lv, lam, rate)):
         raise InconsistencyError(f"rate point outside the rate region at d_k={d_k!r}")

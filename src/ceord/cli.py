@@ -142,16 +142,16 @@ def _model_dict(model: spectra.SourceModel) -> dict:
 
 
 def cmd_point(args, model: spectra.SourceModel) -> Result:
-    pt = bergertung.achievable_point(model, args.k, args.dk)
-    rep = rdcore.conditions_at_lambda(spectra.level(model, args.k), pt.lambda_q)
+    lv = spectra.level(model, args.k)
+    lam, rate, profile = bergertung.frontier_step(lv, args.dk)
     payload = {
-        "k": pt.k,
-        "d_k": pt.d_k,
-        "lambda_q": pt.lambda_q,
-        "rate": _rate(args, pt.rate),
+        "k": args.k,
+        "d_k": args.dk,
+        "lambda_q": lam,
+        "rate": _rate(args, rate),
         "rate_units": "bits" if args.bits else "nats",
-        "profile": {str(j): d for j, d in zip(range(args.k, model.ell + 1), pt.profile)},
-        "conditions": vars(rep),
+        "profile": {str(j): d for j, d in zip(range(args.k, model.ell + 1), profile)},
+        "conditions": vars(rdcore.conditions_at_lambda(lv, lam)),
     }
     return payload, None, 0
 
@@ -174,7 +174,7 @@ def cmd_sweep(args, model: spectra.SourceModel) -> Result:
         else:
             d = args.dk_min + (args.dk_max - args.dk_min) * i / (args.steps - 1)
         try:
-            lam, rate, profile = bergertung.frontier_step(model, level, d)
+            lam, rate, profile = bergertung.frontier_step(level, d)
         except DomainError as e:
             skipped.append(f"d_k={d:.12g}: {e}")
             continue
@@ -201,9 +201,11 @@ def cmd_conditions(args, model: spectra.SourceModel) -> Result:
 
 def cmd_verify(args, model: spectra.SourceModel) -> Result:
     j = args.j if args.j is not None else args.k
-    cert = converse.verify_kkt(model, args.k, j, args.dk, tol=args.tol)
-    point, opt = converse.solve_numeric(model, args.k, j, args.dk)
-    rbar = rdcore.rate_at_lambda(spectra.level(model, args.k), cert.lambda_q)
+    lv = spectra.level(model, args.k)
+    lam = rdcore.solve_lambda_q(lv, args.dk)
+    cert = converse.verify_at_lambda(lv, j, lam, args.dk, tol=args.tol)
+    point, opt = converse.solve_numeric(lv, j, args.dk)
+    rbar = rdcore.rate_at_lambda(lv, lam)
     gap = opt - rbar
     conditions_fail = not cert.multipliers.nonnegative
     if conditions_fail:
@@ -250,8 +252,9 @@ def cmd_bt_check(args, model: spectra.SourceModel) -> Result:
 
 def cmd_simulate(args, model: spectra.SourceModel) -> Result:
     seed = _seed(args)
-    lam = rdcore.solve_lambda_q(model, args.k, args.dk)
-    profile = rdcore.profile_at_lambda(spectra.level(model, args.k), lam)
+    lv = spectra.level(model, args.k)
+    lam = rdcore.solve_lambda_q(lv, args.dk)
+    profile = rdcore.profile_at_lambda(lv, lam)
     measured = mcsim.empirical_profile(model, args.k, lam, args.n, seed)
     header = ["j", "analytic", "empirical", "stderr", "sigmas", "pass"]
     data = []

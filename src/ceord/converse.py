@@ -5,8 +5,8 @@ The lower-bound argument reduces to one three-variable convex program over
 per-encoder residual, with the fictitious residual noise lambda_W taken at
 the smaller observation eigenvalue, min(lambda_s1(j), lambda_s2).  The
 paper's programs P and P-hat are this program at lambda_W = lambda_s2 and
-at lambda_W = lambda_s1(j).  Every entry point derives lambda_W from
-(model, k, j); the case label on the certificate only names which one is
+at lambda_W = lambda_s1(j).  Every entry point derives lambda_W from the
+level k and j; the case label on the certificate only names which one is
 the minimum.  The closed-form candidate minimizer and its multipliers are
 checked against an independent numerical minimizer.
 """
@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 
 from . import rdcore
-from .spectra import DomainError, InconsistencyError, SourceModel, check_dk, level
+from .spectra import DomainError, InconsistencyError, Level, SourceModel, check_dk, check_lambda_q
+from .spectra import check_pair, level
 from .spectra import d_min  # only bench/spans.py and tests/test_source.py need it here
 
 CASE_P = "P"
@@ -45,7 +46,7 @@ class Multipliers:
 
 @dataclass(frozen=True)
 class KKTCertificate:
-    case: str  # select_case(model, j), reported only
+    case: str  # CASE_P if lambda_W = lambda_s2, else CASE_PHAT; reported only
     lambda_q: float  # the test-channel noise variance the candidate is built from
     point: FeasiblePoint
     multipliers: Multipliers
@@ -55,38 +56,25 @@ class KKTCertificate:
     violations: tuple[str, ...]
 
 
-def select_case(model: SourceModel, j: int) -> str:
-    """Name the program variant from the spectrum ordering at sub-dimension j."""
-    lv = level(model, j, "j")
-    return CASE_P if lv.ls1 >= lv.ls2 else CASE_PHAT
-
-
-def _program(model: SourceModel, k: int, j: int) -> tuple[float, ...]:
-    """The converse's one reading of the model: (lw, ls1, ls2, lx1, lx2, f1, f2).
+def _program(lv: Level, j: int) -> tuple:
+    """The (k, j) rule, then the program at level k = lv.k and sub-dimension j:
+    (lw, ls1, ls2, lx1, lx2, f1, f2, case).
 
     lw = lambda_W = min(lambda_s1(j), lambda_s2) > 0, ls1 and lx1 are at level
-    k, and f = lx lz / ls per mode is d_min's term, lx - lx^2/ls uncancelled.
-    lambda_s1(j) is written from level k's (gamma_s, rho_s) as SymmetricSpec.lambda1 does.
+    k, f = lx lz / ls per mode is d_min's term, lx - lx^2/ls uncancelled, and
+    case names the minimum.  lambda_s1(j) is written from the level's
+    (gamma_s, rho_s) as SymmetricSpec.lambda1 does.
     """
-    _pair_rule(model, k, j)
-    lv = level(model, k)
+    check_pair(lv.k, j, lv.ell)
     ls1j, ls2 = (1.0 + (j - 1) * lv.rs) * lv.gs, lv.ls2
-    if ls1j >= ls2 and not ls2 > 0:
-        raise DomainError(
-            f"case P needs lambda_s1(j) >= lambda_s2 > 0, got {ls1j:.6g}, {ls2:.6g}"
-        )
-    if ls2 > ls1j and not ls1j > 0:
-        raise DomainError(
-            f"case P-hat needs lambda_s2 >= lambda_s1(j) > 0, got {ls2:.6g}, {ls1j:.6g}"
-        )
+    if ls1j >= ls2:
+        case, lw, other, order = CASE_P, ls2, ls1j, "lambda_s1(j) >= lambda_s2"
+    else:
+        case, lw, other, order = CASE_PHAT, ls1j, ls2, "lambda_s2 >= lambda_s1(j)"
+    if not lw > 0:
+        raise DomainError(f"case {case} needs {order} > 0, got {other:.6g}, {lw:.6g}")
     lx1, ls1, lx2 = lv.lx1, lv.ls1, lv.lx2
-    return min(ls1j, ls2), ls1, ls2, lx1, lx2, lx1 * lv.lz1 / ls1, lx2 * lv.lz2 / ls2
-
-
-def _pair_rule(model: SourceModel, k: int, j: int) -> None:
-    """The (k, j) rule of every converse entry point: 1 <= k <= j <= ell."""
-    if not 1 <= k <= j <= model.ell:
-        raise DomainError(f"need 1 <= k <= j <= ell, got k={k}, j={j}")
+    return lw, ls1, ls2, lx1, lx2, lx1 * lv.lz1 / ls1, lx2 * lv.lz2 / ls2, case
 
 
 def _eta_at(
@@ -157,30 +145,35 @@ def _delta_cap(d: float, inv: float) -> float:
 
 
 def verify_kkt(
-    model: SourceModel,
-    k: int,
-    j: int,
-    d_k: float,
-    tol: float = 1e-9,
+    model: SourceModel, k: int, j: int, d_k: float, tol: float = 1e-9
 ) -> KKTCertificate:
-    """Assemble and check the full KKT system at the candidate point.
+    """verify_at_lambda at the lambda_q that meets d_k on level k."""
+    lv = level(model, k)
+    return verify_at_lambda(lv, j, rdcore.solve_lambda_q(lv, d_k), d_k, tol)
+
+
+def verify_at_lambda(
+    lv: Level, j: int, lam: float, d_k: float, tol: float = 1e-9
+) -> KKTCertificate:
+    """Assemble and check the full KKT system at the candidate built from lam.
 
     Evaluates the three stationarity equations, the five complementary-
-    slackness products, and primal feasibility; the certificate is valid iff
-    every residual is within tol and all multipliers are nonnegative.
+    slackness products, and primal feasibility against the budget k d_k;
+    the certificate is valid iff every residual is within tol and all
+    multipliers are nonnegative.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    lw, ls1, ls2, lx1, lx2, f1, f2 = _program(model, k, j)
-    lam = rdcore.solve_lambda_q(model, k, d_k)
-    a1_coef = lx1**2 / ls1**2
-    a2_coef = lx2**2 / ls2**2
+    lw, ls1, ls2, lx1, lx2, f1, f2, case = _program(lv, j)
+    check_lambda_q(lam)
+    check_dk(lv, d_k)
+    k = lv.k
+    a1_coef, a2_coef = lx1**2 / ls1**2, lx2**2 / ls2**2
     p = _candidate(ls1, ls2, lw, lam)
     m = _multipliers(k, a1_coef, a2_coef, p)
 
     inv1, inv2 = 1.0 / lw - 1.0 / ls1, 1.0 / lw - 1.0 / ls2
-    cap1 = _delta_cap(p.d1, inv1)
-    cap2 = _delta_cap(p.d2, inv2)
+    cap1, cap2 = _delta_cap(p.d1, inv1), _delta_cap(p.d2, inv2)
 
     def stationarity(mult, d, ls, inv, a, b, coef):  # in d1 (mult 1) or d2 (mult k-1)
         t = (
@@ -221,7 +214,7 @@ def verify_kkt(
         violations.append("negative_multiplier")
     objective = _eta_at(k, lw, ls1, ls2, p.d1, p.d2, p.delta)
     return KKTCertificate(
-        case=select_case(model, j),
+        case=case,
         lambda_q=lam,
         point=p,
         multipliers=m,
@@ -232,9 +225,7 @@ def verify_kkt(
     )
 
 
-def solve_numeric(
-    model: SourceModel, k: int, j: int, d_k: float
-) -> tuple[FeasiblePoint, float]:
+def solve_numeric(lv: Level, j: int, d_k: float) -> tuple[FeasiblePoint, float]:
     """Independent numerical minimizer for the convex programs.
 
     The objective never benefits from slack in d2 or delta, so the problem
@@ -244,8 +235,9 @@ def solve_numeric(
     golden-section search finds its minimum (Kiefer, 1953).  The search
     never reads lambda_q or the candidate it is checked against.
     """
-    lw, ls1, ls2, lx1, lx2, f1, f2 = _program(model, k, j)
-    check_dk(level(model, k), d_k)
+    lw, ls1, ls2, lx1, lx2, f1, f2, _ = _program(lv, j)
+    check_dk(lv, d_k)
+    k = lv.k
     a1_coef = lx1**2 / ls1**2
     a2_coef = (k - 1) * lx2**2 / ls2**2
     budget = k * d_k - (f1 + (k - 1) * f2)
@@ -298,8 +290,8 @@ def solve_numeric(
 
 def dj_lower_bound(model: SourceModel, k: int, j: int, delta: float) -> float:
     """Distortion lower bound at sub-dimension j, as a function of delta."""
-    _pair_rule(model, k, j)  # the bound reads only level j
-    lw, ls1, ls2, lx1, lx2, f1, f2 = _program(model, j, j)
+    check_pair(k, j, model.ell)  # the bound reads only level j
+    lw, ls1, ls2, lx1, lx2, f1, f2, _ = _program(level(model, j), j)
     if not 0 < delta < math.inf:
         raise DomainError(f"delta must be positive and finite, got {delta}")
     # per mode, the d that delta caps: (1/delta + 1/ls - 1/lw)^-1

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from .spectra import DomainError, Level, SourceModel, basis, check_lambda_q, level
+from .spectra import DomainError, Level, SourceModel, basis, check_lambda_q, check_pair, level
 
 # numpy is imported inside each function that uses it, so that importing
 # ceord loads it only once a Monte Carlo command runs.
@@ -193,8 +193,7 @@ def empirical_distortion(
     model: SourceModel, k: int, lambda_q: float, j: int, n: int, seed: int
 ) -> EmpiricalRD:
     """Measured MMSE distortion at sub-dimension j; the j row of empirical_profile."""
-    if not 1 <= k <= j <= model.ell:
-        raise DomainError(f"need 1 <= k <= j <= ell, got k={k}, j={j}")
+    check_pair(k, j, model.ell)
     return _empirical(model, lambda_q, [j], n, seed)[0]
 
 

@@ -55,8 +55,8 @@ def distortion_at_lambda(lv: Level, lam: float) -> float:
     return t1 / j + (j - 1) * t2 / j
 
 
-def solve_lambda_q(model: SourceModel, k: int, d_k: float) -> float:
-    """Unique positive lambda_q with distortion_at_lambda(level k, .) = d_k.
+def solve_lambda_q(lv: Level, d_k: float) -> float:
+    """Unique positive lambda_q with distortion_at_lambda(lv, .) = d_k.
 
     Per mode lx(lz + lam)/(ls + lam) = lx - lx^2/(ls + lam), so the equation
     is f(lam) = p/(ls1 + lam) + q/(ls2 + lam) = c with p = lx1^2,
@@ -64,8 +64,7 @@ def solve_lambda_q(model: SourceModel, k: int, d_k: float) -> float:
     ls1 ls2 (c - f(0)) = -k ls1 ls2 (d_k - d_min) <= 0 leaves one positive
     root.  It is taken in cancellation-free form, then one Newton step.
     """
-    lv = level(model, k)
-    lo = check_dk(lv, d_k)
+    k, lo = lv.k, check_dk(lv, d_k)
     ls1, ls2 = lv.ls1, lv.ls2
     p = lv.lx1**2
     q = (k - 1) * lv.lx2**2
@@ -95,7 +94,8 @@ def rate_at_lambda(lv: Level, lam: float) -> float:
 
 def rate_bar(model: SourceModel, k: int, d_k: float) -> float:
     """Symmetric per-encoder rate achieving distortion d_k at level k (nats)."""
-    return rate_at_lambda(level(model, k), solve_lambda_q(model, k, d_k))
+    lv = level(model, k)
+    return rate_at_lambda(lv, solve_lambda_q(lv, d_k))
 
 
 def profile_at_lambda(lv: Level, lam: float) -> tuple[float, ...]:
@@ -121,7 +121,8 @@ def profile_at_lambda(lv: Level, lam: float) -> tuple[float, ...]:
 
 def distortion_profile(model: SourceModel, k: int, d_k: float) -> tuple[float, ...]:
     """Distortions d_j, j = k..ell, induced by the level-k test channel."""
-    return profile_at_lambda(level(model, k), solve_lambda_q(model, k, d_k))
+    lv = level(model, k)
+    return profile_at_lambda(lv, solve_lambda_q(lv, d_k))
 
 
 def _shrink(lam_s: float, lam_q: float) -> float:
@@ -187,7 +188,8 @@ def check_conditions(model: SourceModel, k: int, d_k: float) -> ConditionReport:
     Branches whose sign hypothesis on rho_s does not apply are reported as
     None rather than False; exact zeros count as satisfied.
     """
-    return conditions_at_lambda(level(model, k), solve_lambda_q(model, k, d_k))
+    lv = level(model, k)
+    return conditions_at_lambda(lv, solve_lambda_q(lv, d_k))
 
 
 def _weights(lv: Level) -> tuple[float, float]:
@@ -259,12 +261,11 @@ def degenerate_rate_s2zero(
     model: SourceModel, k: int, j: int, d_k: float
 ) -> tuple[float, float]:
     """Closed forms at the fully correlated boundary (repeated eigenvalue 0)."""
-    top = level(model, model.ell)
-    if top.ls2 > PSD_SLACK * top.gs:
+    lv = level(model, k)
+    if lv.ls2 > PSD_SLACK * lv.gs:
         raise DomainError("requires the repeated observation eigenvalue to be 0")
     if not k <= j <= model.ell:
         raise DomainError(f"j={j} out of range [{k}, {model.ell}]")
-    lv = level(model, k)
     check_dk(lv, d_k)
     gx, gz, gs = lv.gx, lv.gz, lv.gs
     arg = gs * d_k - gx * gz

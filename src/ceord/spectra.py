@@ -197,6 +197,12 @@ def level(model: SourceModel, k: int, name: str = "k") -> Level:
     )
 
 
+def check_pair(k: int, j: int, ell: int) -> None:
+    """The (k, j) rule of the converse and of a measured d_j: 1 <= k <= j <= ell."""
+    if not 1 <= k <= j <= ell:
+        raise DomainError(f"need 1 <= k <= j <= ell, got k={k}, j={j}")
+
+
 def _floor(lv: Level) -> float:
     """d_min at level lv.k; a vanishing observation eigenvalue forces the
     matching signal and noise eigenvalues to vanish, so its term is 0."""

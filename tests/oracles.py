@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ceord import DomainError
+from ceord import CASE_P, CASE_PHAT, DomainError
+
+
+def case_oracle(model, j: int) -> str:
+    """The converse's case at sub-dimension j, from the observation spec's own
+    eigenvalue methods: P where lambda_W = lambda_s2 <= lambda_s1(j), else P-hat."""
+    return CASE_P if model.s.lambda1(j) >= model.s.lambda2 else CASE_PHAT
 
 
 def sigma_identity(gamma_u: np.ndarray, gamma_s: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -49,7 +49,7 @@ def test_criterion_1_root_solver_fidelity(capfd):
         m = random_model(rng)
         k = int(rng.integers(1, m.ell + 1))
         d = random_dk(rng, m, k)
-        lam = solve_lambda_q(m, k, d)
+        lam = solve_lambda_q(level(m, k), d)
         err = abs(distortion_at_lambda(level(m, k), lam) - d) / d
         worst = max(worst, err)
     report(capfd, 1, worst <= 1e-12, f"resubstitution rel err {worst:.2e} <= 1e-12 on 1000 draws", time.time() - t0, 5)
@@ -63,7 +63,7 @@ def test_criterion_2_trace_oracle_equivalence(capfd):
         m = random_model(rng, ell=int(rng.integers(2, 9)))
         k = int(rng.integers(1, m.ell + 1))
         d = random_dk(rng, m, k)
-        lam = solve_lambda_q(m, k, d)
+        lam = solve_lambda_q(level(m, k), d)
         got = distortion_profile(m, k, d)
         want = trace_profile_oracle(m, k, lam)
         worst = max(worst, max(abs(a - b) for a, b in zip(got, want)))
@@ -73,7 +73,7 @@ def test_criterion_2_trace_oracle_equivalence(capfd):
 def test_criterion_3_worked_fixture(capfd):
     t0 = time.time()
     m = m0()
-    lam = solve_lambda_q(m, 2, 0.75)
+    lam = solve_lambda_q(level(m, 2), 0.75)
     rate = rate_bar(m, 2, 0.75)
     prof = distortion_profile(m, 2, 0.75)
     mult = kkt_multipliers(m, 2, 2, 0.75)
@@ -110,7 +110,7 @@ def test_criterion_4_kkt_oracle_agreement(capfd):
         mult = kkt_multipliers(m, k, j, d)
         if min(mult.b1, mult.b2) < 1e-8:
             continue
-        pt, f = solve_numeric(m, k, j, d)
+        pt, f = solve_numeric(level(m, k), j, d)
         cand = candidate_minimizer(m, k, j, d)
         worst_obj = max(worst_obj, abs(f - rate_bar(m, k, d)))
         worst_delta = max(worst_delta, abs(pt.delta - cand.delta))
@@ -217,7 +217,7 @@ def test_criterion_9_monte_carlo(capfd):
     worst_sigmas = 0.0
     for idx, (m, k) in enumerate(suite):
         d = 0.5 * (d_min(m, k) + m.x.gamma)
-        lam = solve_lambda_q(m, k, d)
+        lam = solve_lambda_q(level(m, k), d)
         prof = distortion_profile(m, k, d)
         for j, analytic in zip(range(k, m.ell + 1), prof):
             emp = empirical_distortion(m, k, lam, j, n, seed=900 + idx)
@@ -226,7 +226,7 @@ def test_criterion_9_monte_carlo(capfd):
     worst_decomp = 0.0
     for idx, (m, k) in enumerate([(suite[1][0], 2), (suite[3][0], 2), (suite[2][0], 2)]):
         d = 0.5 * (d_min(m, k) + m.x.gamma)
-        lam = solve_lambda_q(m, k, d)
+        lam = solve_lambda_q(level(m, k), d)
         j = m.ell
         lw = 0.5 * min(m.s.lambda1(j), m.s.lambda2)
         rep = decomposition_check(m, j, lw, lam, n, seed=950 + idx)

@@ -129,7 +129,7 @@ class TestRegionRows:
         for _ in range(300):
             m = random_model(rng, ell=int(rng.integers(2, 70)))
             k = int(rng.integers(1, m.ell + 1))
-            yield m, k, solve_lambda_q(m, k, random_dk(rng, m, k))
+            yield m, k, solve_lambda_q(level(m, k), random_dk(rng, m, k))
         for ell in (2, 3, 7, 64):
             lo = -1.0 / (ell - 1)
             # rho_s = 1 (lambda_s2 = 0), rho_s = -1/(ell-1), gamma_z = 0
@@ -167,7 +167,7 @@ class TestAchievablePoint:
     def test_consistency_with_solver(self):
         m = make_model(2, 0.5, 0.5, -0.2, 3)
         pt = achievable_point(m, 2, 1.2)
-        assert pt.lambda_q == pytest.approx(solve_lambda_q(m, 2, 1.2), rel=1e-12)
+        assert pt.lambda_q == pytest.approx(solve_lambda_q(level(m, 2), 1.2), rel=1e-12)
         assert isinstance(check_symmetric_rate(m, 2, 1.2), RegionCheck)
 
 
@@ -194,7 +194,7 @@ class TestClosedFormProperties:
     @given(operating_points())
     def test_lambda_resubstitution(self, point):
         m, k, d = point
-        lam = solve_lambda_q(m, k, d)
+        lam = solve_lambda_q(level(m, k), d)
         assert lam > 0
         assert abs(distortion_at_lambda(level(m, k), lam) - d) <= 1e-12 * d
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceord import bergertung, cli, converse, d_min, rdcore
+from ceord import bergertung, cli, converse, d_min, rdcore, spectra
 from ceord.cli import main
 from ceord.spectra import DomainError, level
 
@@ -131,7 +131,7 @@ class TestPoint:
         m = make_model(1.3, 0.37, 0.7, -0.004, 200)
         argv = ["--gamma-x", "1.3", "--rho-x", "0.37", "--gamma-z", "0.7", "--rho-z", "-0.004"]
         _, doc, _ = run_json(capsys, "point", *argv, "--ell", "200", "--k", "61", "--dk", "0.4")
-        assert doc["lambda_q"] == rdcore.solve_lambda_q(m, 61, 0.4)
+        assert doc["lambda_q"] == rdcore.solve_lambda_q(level(m, 61), 0.4)
         assert doc["rate"] == rdcore.rate_bar(m, 61, 0.4)
 
     def test_region_failure_exit3(self, capsys, monkeypatch):
@@ -214,6 +214,34 @@ class TestInvalidOptions:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "tol" in err
 
+    @pytest.mark.parametrize("k", ["0", "4"])
+    @pytest.mark.parametrize("cmd", ["point", "sweep", "region", "conditions", "verify", "bt-check"])
+    def test_bad_k_names_the_level_rule(self, capsys, cmd, k):
+        # every frontier command reads its level first, so each reports a
+        # bad --k through the level rule
+        if cmd == "sweep":
+            tail = ["--dk-min", "0.6", "--dk-max", "0.9", "--steps", "3"]
+        else:
+            tail = ["--dk", "0.75"]
+        code, out, err = run(capsys, cmd, *M0, f"--k={k}", *tail)
+        assert (code, out, err) == (2, "", f"error: k={k} out of range [1, 3]\n")
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (["--k=0", "--dk=nan", "--tol=nan", "--j=9"], "k=0 out of range"),
+            (["--k=2", "--dk=nan", "--tol=nan", "--j=9"], "d_k must be finite"),
+            (["--k=2", "--dk=0.75", "--tol=nan", "--j=9"], "tol must be positive"),
+            (["--k=2", "--dk=0.75", "--tol=1e-9", "--j=9"], "need 1 <= k <= j <= ell"),
+        ],
+        ids=["level", "d_k", "tol", "pair"],
+    )
+    def test_verify_rule_order(self, capsys, bad, message):
+        # verify reads the level, solves lambda_q at d_k, then builds the
+        # certificate: the level, d_k, tol and (k, j) rules report in that order
+        code, out, err = run(capsys, "verify", *M0, *bad)
+        assert (code, out) == (2, "") and err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("argv", [SIMULATE, DECOMP], ids=["simulate", "decomp"])
     @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
     def test_negative_seed_exit2(self, capsys, monkeypatch, argv, via_env):
@@ -281,6 +309,24 @@ class TestOneSolvePerOperatingPoint:
         monkeypatch.setattr(rdcore, "solve_lambda_q", counted)
         return calls
 
+    @pytest.fixture
+    def levels(self, monkeypatch):
+        # spectra.level through every binding: spectra.level itself and the
+        # name each module imported
+        calls = []
+        read = spectra.level
+
+        def counted(*args):
+            calls.append(args)
+            return read(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name == "ceord" or name.startswith("ceord."):
+                for attr, val in list(vars(module).items()):
+                    if val is read:
+                        monkeypatch.setattr(module, attr, counted)
+        return calls
+
     @pytest.mark.parametrize(
         "cmd, extra",
         [
@@ -303,6 +349,29 @@ class TestOneSolvePerOperatingPoint:
         code, doc, _ = run_json(capsys, "sweep", *self.ARGV, "--k", "4", *span)
         assert code == 0 and len(doc["rows"]) == 7
         assert len(solves) == 7
+
+    @pytest.mark.parametrize(
+        "cmd, extra",
+        [
+            ("point", []),
+            ("region", []),
+            ("conditions", []),
+            ("verify", []),
+            ("verify", ["--j", "5"]),
+            ("bt-check", []),
+        ],
+    )
+    def test_frontier_command_reads_its_level_once(self, capsys, levels, cmd, extra):
+        code, _, _ = run(capsys, cmd, *self.ARGV, "--k", "4", "--dk", "0.6", *extra)
+        assert code == 0
+        assert levels == [(levels[0][0], 4)]
+
+    @pytest.mark.parametrize("steps", ["1", "7"])
+    def test_sweep_reads_its_level_once(self, capsys, levels, steps):
+        span = ["--dk-min", "0.5", "--dk-max", "0.9", "--steps", steps]
+        code, doc, _ = run_json(capsys, "sweep", *self.ARGV, "--k", "4", *span)
+        assert code == 0 and len(doc["rows"]) == int(steps)
+        assert levels == [(levels[0][0], 4)]
 
     def test_sweep_skips_the_per_j_conditions(self, capsys, monkeypatch):
         calls = []

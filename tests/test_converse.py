@@ -18,18 +18,17 @@ from ceord import (
     dj_lower_bound,
     kkt_multipliers,
     rate_bar,
-    select_case,
     solve_lambda_q,
     solve_numeric,
     verify_kkt,
 )
 from ceord import converse
-from ceord.converse import _delta_cap, _eta_at, _program
+from ceord.converse import _delta_cap, _eta_at, _program, verify_at_lambda
 from ceord.rdcore import rate_at_lambda
 from ceord.spectra import level
 
 from helpers import m0, make_model, random_dk, random_model
-from oracles import delta_bound, sigma_identity
+from oracles import case_oracle, delta_bound, sigma_identity
 
 
 def both_ends_bad_d():
@@ -41,7 +40,7 @@ def both_ends_bad_d():
 
 def eta(m, k, j, p):
     """The program's objective at the point p, on _program's data."""
-    lw, ls1, ls2, *_ = _program(m, k, j)
+    lw, ls1, ls2, *_ = _program(level(m, k), j)
     return _eta_at(k, lw, ls1, ls2, p.d1, p.d2, p.delta)
 
 
@@ -55,17 +54,24 @@ def distortion_lhs(m, k, d1, d2):
     return t1 + (k - 1) * t2
 
 
+def certificate_case(m, j):
+    """The case on a certificate at sub-dimension j; it does not depend on
+    k <= j, lambda_q or d_k, so this takes k = 1, lambda_q = 1 and a mid d_1."""
+    return verify_at_lambda(level(m, 1), j, 1.0, 0.5 * (d_min(m, 1) + m.x.gamma)).case
+
+
 class TestCaseSelection:
     def test_signs(self):
-        assert select_case(m0(), 2) == CASE_P
-        assert select_case(make_model(1, 0.5, 1, 0.1, 3), 3) == CASE_P
-        assert select_case(make_model(1, -0.3, 1, -0.1, 3), 3) == CASE_PHAT
+        for case in (certificate_case, case_oracle):
+            assert case(m0(), 2) == CASE_P
+            assert case(make_model(1, 0.5, 1, 0.1, 3), 3) == CASE_P
+            assert case(make_model(1, -0.3, 1, -0.1, 3), 3) == CASE_PHAT
 
     @pytest.mark.parametrize("j", [10, 0, -5])
     def test_rejects_j_out_of_range(self, j):
         # no j x j block of an ell = 3 family exists, so there is no case to name
-        with pytest.raises(DomainError, match=rf"^j={j} out of range \[1, 3\]$"):
-            select_case(m0(), j)
+        with pytest.raises(DomainError, match=rf"^need 1 <= k <= j <= ell, got k=1, j={j}$"):
+            certificate_case(m0(), j)
 
     @pytest.mark.parametrize(
         "call",
@@ -73,11 +79,12 @@ class TestCaseSelection:
             lambda m, j: candidate_minimizer(m, 2, j, 0.75),
             lambda m, j: kkt_multipliers(m, 2, j, 0.75),
             lambda m, j: verify_kkt(m, 2, j, 0.75),
-            lambda m, j: solve_numeric(m, 2, j, 0.75),
+            lambda m, j: verify_at_lambda(level(m, 2), j, 1.0, 0.75),
+            lambda m, j: solve_numeric(level(m, 2), j, 0.75),
             lambda m, j: dj_lower_bound(m, 2, j, 0.5),
-            lambda m, j: _program(m, 2, j),
+            lambda m, j: _program(level(m, 2), j),
         ],
-        ids=["candidate", "multipliers", "verify", "numeric", "dj", "program"],
+        ids=["candidate", "multipliers", "verify", "at-lambda", "numeric", "dj", "program"],
     )
     @pytest.mark.parametrize(
         "rho, j, message",
@@ -105,7 +112,7 @@ class TestObjective:
             d = random_dk(rng, m, k)
             j = int(rng.integers(k, m.ell + 1))
             val = verify_kkt(m, k, j, d).objective
-            if select_case(m, j) == CASE_P:
+            if case_oracle(m, j) == CASE_P:
                 # program P evaluates at lw = lambda_s2, where delta = d2 and
                 # the objective collapses to the achievable rate
                 assert val == pytest.approx(rate_bar(m, k, d), rel=1e-10)
@@ -251,6 +258,48 @@ class TestVerifyKKT:
         assert cert.point.d1 != cert2.point.d1
 
 
+class TestVerifyAtLambda:
+    """The certificate on a level and a lambda_q, of which verify_kkt is the
+    d_k form."""
+
+    @pytest.mark.parametrize("sign", ["+", "-"], ids=["rho_s-positive", "rho_s-negative"])
+    def test_equals_verify_kkt_at_every_j(self, sign):
+        rng = np.random.default_rng(48 if sign == "+" else 49)
+        cases = set()
+        for _ in range(40):
+            m = random_model(rng, rho_s_sign=sign)
+            k = int(rng.integers(1, m.ell + 1))
+            d = random_dk(rng, m, k)
+            lv = level(m, k)
+            lam = solve_lambda_q(lv, d)
+            for j in range(k, m.ell + 1):
+                cert = verify_at_lambda(lv, j, lam, d)
+                assert cert == verify_kkt(m, k, j, d)
+                assert cert.case == case_oracle(m, j)
+                cases.add(cert.case)
+        assert cases == {CASE_P if sign == "+" else CASE_PHAT}
+
+    @pytest.mark.parametrize(
+        "lam, d, tol, message",
+        [
+            (0.0, 0.75, 1e-9, "lambda_q must be positive"),
+            (math.nan, 0.75, 1e-9, "lambda_q must be positive"),
+            (math.inf, 0.75, 1e-9, "lambda_q must be positive"),
+            (2.0, math.nan, 1e-9, "d_k must be finite"),
+            (2.0, 0.5, 1e-9, "must exceed d_min"),
+            (2.0, 1.0, 1e-9, "must be below gamma_x"),
+            (2.0, 0.75, math.nan, "tol must be positive"),
+            (2.0, 0.75, 0.0, "tol must be positive"),
+        ],
+        ids=["lam0", "lam-nan", "lam-inf", "d-nan", "d-floor", "d-gamma-x", "tol-nan", "tol0"],
+    )
+    def test_rejects_outside_the_domain(self, lam, d, tol, message):
+        # a NaN lambda_q, d_k or tol would otherwise leave every residual NaN,
+        # which no tolerance flags
+        with pytest.raises(DomainError, match=message):
+            verify_at_lambda(level(m0(), 2), 3, lam, d, tol)
+
+
 class TestSolveNumeric:
     def test_agrees_with_candidate_when_valid(self):
         rng = np.random.default_rng(36)
@@ -263,7 +312,7 @@ class TestSolveNumeric:
             cert = verify_kkt(m, k, j, d)
             if not cert.valid:
                 continue
-            pt, f = solve_numeric(m, k, j, d)
+            pt, f = solve_numeric(level(m, k), j, d)
             assert f == pytest.approx(cert.objective, abs=1e-6)
             assert pt.delta == pytest.approx(cert.point.delta, abs=1e-5)
             checked += 1
@@ -272,7 +321,7 @@ class TestSolveNumeric:
         m, d = both_ends_bad_d()
         cert = verify_kkt(m, 2, 2, d)
         assert not cert.valid
-        _, f = solve_numeric(m, 2, 2, d)
+        _, f = solve_numeric(level(m, 2), 2, d)
         assert cert.objective - f > 0.1
 
     def test_k1(self):
@@ -280,7 +329,7 @@ class TestSolveNumeric:
         for d in (0.55, 0.7, 0.85):
             cert = verify_kkt(m, 1, 1, d)
             assert cert.valid
-            _, f = solve_numeric(m, 1, 1, d)
+            _, f = solve_numeric(level(m, 1), 1, d)
             assert f == pytest.approx(cert.objective, abs=1e-6)
 
     def test_numeric_never_above_candidate(self):
@@ -291,7 +340,7 @@ class TestSolveNumeric:
             d = random_dk(rng, m, k, lo_frac=0.15, hi_frac=0.85)
             j = int(rng.integers(k, m.ell + 1))
             obj = verify_kkt(m, k, j, d).objective
-            _, f = solve_numeric(m, k, j, d)
+            _, f = solve_numeric(level(m, k), j, d)
             assert f <= obj + 1e-8
 
 
@@ -377,7 +426,7 @@ class TestOneProgram:
             k = int(rng.integers(1, m.ell + 1))
             d = random_dk(rng, m, k, lo_frac=0.01, hi_frac=0.99)
             j = int(rng.integers(k, m.ell + 1))
-            assert select_case(m, j) == case
+            assert case_oracle(m, j) == case
             ref = reference_two_branch(m, k, j, d, case)
             cert = verify_kkt(m, k, j, d)
             lw = m.s.lambda2 if case == CASE_P else m.s.lambda1(j)
@@ -438,7 +487,7 @@ class TestGoldenSectionOracle:
             k = int(rng.integers(1, m.ell + 1))
             d = random_dk(rng, m, k, lo_frac=0.01, hi_frac=0.99)
             j = int(rng.integers(k, m.ell + 1))
-            reduced, hi = reference_reduced(m, k, j, d, select_case(m, j))
+            reduced, hi = reference_reduced(m, k, j, d, case_oracle(m, j))
             f = np.array([reduced(t) for t in np.linspace(hi * 1e-9, hi * (1 - 1e-12), 401)])
             assert np.isfinite(f).all()
             assert (f[:-2] - 2 * f[1:-1] + f[2:]).min() >= 0.0
@@ -450,8 +499,8 @@ class TestGoldenSectionOracle:
             k = int(rng.integers(1, m.ell + 1))
             d = random_dk(rng, m, k)
             j = int(rng.integers(k, m.ell + 1))
-            case = select_case(m, j)
-            pt, f = solve_numeric(m, k, j, d)
+            case = case_oracle(m, j)
+            pt, f = solve_numeric(level(m, k), j, d)
             reduced, _ = reference_reduced(m, k, j, d, case)
             assert f == reduced(pt.d1)
 
@@ -464,11 +513,11 @@ class TestGoldenSectionOracle:
             k = int(rng.integers(1, m.ell + 1))
             d = random_dk(rng, m, k, lo_frac=0.1, hi_frac=0.9)
             j = int(rng.integers(k, m.ell + 1))
-            case = select_case(m, j)
+            case = case_oracle(m, j)
             mult = kkt_multipliers(m, k, j, d)
             if min(mult.b1, mult.b2) < 1e-8:
                 continue
-            _, f = solve_numeric(m, k, j, d)
+            _, f = solve_numeric(level(m, k), j, d)
             assert f <= reference_solve_numeric(m, k, j, d, case) + 1e-12
             checked += 1
 
@@ -480,7 +529,7 @@ class TestGoldenSectionOracle:
             m = random_model(rng, rho_s_sign="+-"[i % 2])
             d = random_dk(rng, m, 1, lo_frac=0.01, hi_frac=0.99)
             j = int(rng.integers(1, m.ell + 1))
-            _, f = solve_numeric(m, 1, j, d)
+            _, f = solve_numeric(level(m, 1), j, d)
             assert f <= verify_kkt(m, 1, j, d).objective + 1e-13
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -488,7 +537,7 @@ class TestGoldenSectionOracle:
     def test_agrees_with_certificate(self, instance):
         m, k, j, d = instance
         cert = verify_kkt(m, k, j, d)
-        pt, f = solve_numeric(m, k, j, d)
+        pt, f = solve_numeric(level(m, k), j, d)
         # the candidate is feasible; where the minimum sits at the top of the
         # box the search stops 1e-12 * hi short of it
         assert f <= cert.objective + 1e-11

@@ -101,7 +101,7 @@ class TestEmpiricalDistortion:
     def test_matches_closed_form(self):
         m = make_model(1, 0.4, 1, 0.1, 3)
         k, d = 2, 0.7
-        lam = solve_lambda_q(m, k, d)
+        lam = solve_lambda_q(level(m, k), d)
         for j in (2, 3):
             want = distortion_at_lambda(level(m, j), lam)
             got = empirical_distortion(m, k, lam, j, 150_000, 5)
@@ -109,7 +109,7 @@ class TestEmpiricalDistortion:
             assert got.stderr < 0.01
 
     def test_m0(self):
-        lam = solve_lambda_q(m0(), 2, 0.75)
+        lam = solve_lambda_q(level(m0(), 2), 0.75)
         got = empirical_distortion(m0(), 2, lam, 2, 150_000, 9)
         assert abs(got.distortion - 0.75) <= 3.0 * got.stderr
 
@@ -126,14 +126,14 @@ class TestEmpiricalDistortion:
 class TestDecomposition:
     def test_passes_positive_rho(self):
         m = make_model(1, 0.4, 1, 0.1, 3)
-        lam = solve_lambda_q(m, 2, 0.7)
+        lam = solve_lambda_q(level(m, 2), 0.7)
         bound = min(m.s.lambda1(3), m.s.lambda2)
         rep = decomposition_check(m, 3, 0.5 * bound, lam, 150_000, 13)
         assert rep.sigma_ok and rep.delta_diag_ok
 
     def test_passes_negative_rho(self):
         m = make_model(1, -0.3, 1, -0.1, 3)
-        lam = solve_lambda_q(m, 2, 0.7)
+        lam = solve_lambda_q(level(m, 2), 0.7)
         bound = min(m.s.lambda1(3), m.s.lambda2)
         rep = decomposition_check(m, 3, 0.5 * bound, lam, 150_000, 17)
         assert rep.sigma_ok and rep.delta_diag_ok
@@ -225,7 +225,7 @@ class TestStreaming:
     def test_profile_matches_one_shot_oracle(self, params):
         m = make_model(*params)
         k = 2
-        lam = solve_lambda_q(m, k, 0.7)
+        lam = solve_lambda_q(level(m, k), 0.7)
         rows = empirical_profile(m, k, lam, N_STREAM, 21)
         assert [r.j for r in rows] == list(range(k, m.ell + 1))
         for row in rows:
@@ -348,7 +348,7 @@ class TestMemory:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda m, n: empirical_profile(m, 1, solve_lambda_q(m, 1, 0.6), n, 3),
+            lambda m, n: empirical_profile(m, 1, solve_lambda_q(level(m, 1), 0.6), n, 3),
             lambda m, n: decomposition_check(
                 m, 5, 0.5 * min(m.s.lambda1(5), m.s.lambda2), 1.3, n, 3
             ),
@@ -381,7 +381,7 @@ class TestMemory:
 
 class TestDegenerateInputs:
     def test_rejects_single_sample(self):
-        lam = solve_lambda_q(m0(), 2, 0.75)
+        lam = solve_lambda_q(level(m0(), 2), 0.75)
         with pytest.raises(DomainError, match="n must be >= 2"):
             empirical_profile(m0(), 2, lam, 1, 0)
         with pytest.raises(DomainError, match="n must be >= 2"):

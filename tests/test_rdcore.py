@@ -40,7 +40,7 @@ from oracles import matching_conditions
 class TestSolveLambdaQ:
     def test_m0_closed_form(self):
         # at rho = 0 every mode is identical: (1 + lam)/(2 + lam) = d
-        assert solve_lambda_q(m0(), 2, 0.75) == pytest.approx(2.0, rel=1e-12)
+        assert solve_lambda_q(level(m0(), 2), 0.75) == pytest.approx(2.0, rel=1e-12)
 
     def test_k1_closed_form(self):
         rng = np.random.default_rng(3)
@@ -49,14 +49,14 @@ class TestSolveLambdaQ:
             d = random_dk(rng, m, 1)
             gx, gz, gs = m.x.gamma, m.z.gamma, m.s.gamma
             want = (d * gs - gx * gz) / (gx - d)
-            assert solve_lambda_q(m, 1, d) == pytest.approx(want, rel=1e-12)
+            assert solve_lambda_q(level(m, 1), d) == pytest.approx(want, rel=1e-12)
 
     def test_boundary_rejected(self):
         m = m0()
         with pytest.raises(DomainError, match="d_min"):
-            solve_lambda_q(m, 2, 0.5)
+            solve_lambda_q(level(m, 2), 0.5)
         with pytest.raises(DomainError, match="gamma_x"):
-            solve_lambda_q(m, 2, 1.0)
+            solve_lambda_q(level(m, 2), 1.0)
 
     def test_resubstitution(self):
         rng = np.random.default_rng(4)
@@ -64,14 +64,14 @@ class TestSolveLambdaQ:
             m = random_model(rng)
             k = int(rng.integers(1, m.ell + 1))
             d = random_dk(rng, m, k)
-            lam = solve_lambda_q(m, k, d)
+            lam = solve_lambda_q(level(m, k), d)
             assert distortion_at_lambda(level(m, k), lam) == pytest.approx(d, rel=1e-12)
 
     def test_monotone_in_d(self):
         m = make_model(1, 0.5, 1, 0, 3)
         lo = d_min(m, 2)
         grid = np.linspace(lo + 0.01, 1 - 0.01, 50)
-        lams = [solve_lambda_q(m, 2, d) for d in grid]
+        lams = [solve_lambda_q(level(m, 2), d) for d in grid]
         assert all(a < b for a, b in zip(lams, lams[1:]))
 
     def test_matches_bisection_oracle(self):
@@ -81,7 +81,7 @@ class TestSolveLambdaQ:
             k = int(rng.integers(1, m.ell + 1))
             d = random_dk(rng, m, k, lo_frac=1e-6, hi_frac=1 - 1e-6)
             want = bisect_lambda_oracle(m, k, d)
-            assert solve_lambda_q(m, k, d) == pytest.approx(want, rel=1e-12)
+            assert solve_lambda_q(level(m, k), d) == pytest.approx(want, rel=1e-12)
 
     # Each case zeroes the constant term of the quadratic, so the wrong
     # root there is 0; resubstitution shows the positive one is returned.
@@ -101,7 +101,7 @@ class TestSolveLambdaQ:
         lo = d_min(m, k)
         for t in (1e-6, 0.3, 0.7, 1 - 1e-6):
             d = lo + t * (m.x.gamma - lo)
-            lam = solve_lambda_q(m, k, d)
+            lam = solve_lambda_q(level(m, k), d)
             assert lam > 0
             assert distortion_at_lambda(level(m, k), lam) == pytest.approx(d, rel=1e-12)
             assert lam == pytest.approx(bisect_lambda_oracle(m, k, d), rel=1e-9)
@@ -111,14 +111,14 @@ class TestSolveLambdaQ:
         # carries no trace of d_k, the distance to d_min must
         m = make_model(1e6, 0.5, 0.0, 0.0, 3)
         for d in (1e-11, 1e-9, 1e-6):
-            lam = solve_lambda_q(m, 2, d)
+            lam = solve_lambda_q(level(m, 2), d)
             assert distortion_at_lambda(level(m, 2), lam) == pytest.approx(d, rel=1e-12)
             assert lam == pytest.approx(bisect_lambda_oracle(m, 2, d), rel=1e-12)
 
     @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
     def test_non_finite_dk_rejected(self, d):
         with pytest.raises(DomainError, match="finite"):
-            solve_lambda_q(m0(), 2, d)
+            solve_lambda_q(level(m0(), 2), d)
 
 
 class TestScaleInvariance:
@@ -184,7 +184,7 @@ class TestRateBar:
             m = random_model(rng)
             k = int(rng.integers(1, m.ell + 1))
             d = random_dk(rng, m, k)
-            lam = solve_lambda_q(m, k, d)
+            lam = solve_lambda_q(level(m, k), d)
             cov = dense(m.s, k) + lam * np.eye(k)
             want = (np.linalg.slogdet(cov)[1] - k * math.log(lam)) / (2 * k)
             assert rate_bar(m, k, d) == pytest.approx(want, abs=1e-10)
@@ -215,7 +215,7 @@ class TestDistortionProfile:
 
     def test_trace_oracle_correlated_fixture(self):
         m = make_model(1, 0.5, 1, 0, 3)
-        lam = solve_lambda_q(m, 2, 0.6)
+        lam = solve_lambda_q(level(m, 2), 0.6)
         want = trace_profile_oracle(m, 2, lam)
         assert distortion_profile(m, 2, 0.6) == pytest.approx(want, abs=1e-10)
 
@@ -244,7 +244,7 @@ class TestProfileAtLambda:
         for _ in range(300):
             m = random_model(rng, ell=int(rng.integers(2, 70)))
             k = int(rng.integers(1, m.ell + 1))
-            self.assert_matches(m, k, solve_lambda_q(m, k, random_dk(rng, m, k)))
+            self.assert_matches(m, k, solve_lambda_q(level(m, k), random_dk(rng, m, k)))
 
     @pytest.mark.parametrize("ell", [2, 3, 7, 64])
     @pytest.mark.parametrize("lam", [1e-9, 0.3, 2.0, 1e9])
@@ -280,7 +280,7 @@ class TestMuNu:
             k = int(rng.integers(1, mm.ell + 1))
             cases.append((mm, k, random_dk(rng, mm, k)))
         for m, k, d in cases:
-            lam = solve_lambda_q(m, k, d)
+            lam = solve_lambda_q(level(m, k), d)
             ls1, ls2 = m.s.lambda1(k), m.s.lambda2
             mu_raw = (ls2 - ls2 * ls2 / (ls2 + lam)) / (ls1 - ls1 * ls1 / (ls1 + lam))
             mu = mu_nu(m, k, d)[0]
@@ -361,7 +361,7 @@ class TestConditionOracle:
         n_false = 0
         for m, k, d in self.cases():
             rep = check_conditions(m, k, d)
-            want = matching_conditions(m, k, solve_lambda_q(m, k, d))
+            want = matching_conditions(m, k, solve_lambda_q(level(m, k), d))
             for key in ("cond1", "cond2", "cond3", "cond4"):
                 assert getattr(rep, key) == want[key], (m, k, d, key)
             for key in ("mu", "nu"):
@@ -378,7 +378,7 @@ class TestConditionOracle:
     def test_nu_kj_is_the_shrinkage_ratio(self):
         # the inlined loop against _shrink and SymmetricSpec.lambda1, to the bit
         for m, k, d in self.cases():
-            lam = solve_lambda_q(m, k, d)
+            lam = solve_lambda_q(level(m, k), d)
             ls2, js = m.s.lambda2, range(k, m.ell + 1)
             want = (None,) * len(js)
             if ls2 > 0:

@@ -147,11 +147,12 @@ def test_simulate_loads_numpy_on_first_draw(capsys):
 
 
 def test_converse_branches_on_case_only_in_case_helpers():
-    # one program at lambda_W = min(lambda_s1(j), lambda_s2): the case label
-    # is derived and reported, and nothing else branches on it
+    # one program at lambda_W = min(lambda_s1(j), lambda_s2): _program names
+    # the case from the comparison that picks lambda_W, the certificate
+    # reports it, and nothing else branches on it
     path = next(p for p in SRC if p.name == "converse.py")
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    allowed = {"select_case"}
+    allowed = {"_program"}
     found = []
     for top in tree.body:
         if getattr(top, "name", None) in allowed:
@@ -173,7 +174,7 @@ def test_converse_branches_on_case_only_in_case_helpers():
 
 
 def test_converse_takes_no_case_argument():
-    # lambda_W, and with it the case, follows from (model, k, j)
+    # lambda_W, and with it the case, follows from the level k and j
     from ceord import converse
 
     found = [
@@ -264,11 +265,15 @@ def _level_rule_comparisons(tree):
             yield node.lineno
 
 
+PAIR_MESSAGE = "need 1 <= k <= j <= ell"
+
+
 def test_spectra_owns_the_level_rule():
     # 1 <= k <= ell, and its "out of range [1, ell]" message, live in
     # spectra.level; a three-way chain such as 1 <= k <= j <= ell is a
-    # different rule and is not matched.  TestChannel, a second lambda_q
-    # rule, is gone: every lambda-form takes lambda_q as a float.
+    # different rule and is not matched.  That (k, j) rule is spectra's
+    # check_pair, the one place its message is written.  TestChannel, a
+    # second lambda_q rule, is gone: every lambda-form takes lambda_q as a float.
     found = []
     for path in SRC:
         text = path.read_text(encoding="utf-8")
@@ -280,10 +285,14 @@ def test_spectra_owns_the_level_rule():
         found += [f"{path.name}:{line}" for line in _level_rule_comparisons(tree)]
         if "out of range [1, " in text:
             found.append(f"{path.name}: the level rule's message")
-    assert not found, f"level rule or TestChannel outside spectra: {found}"
+        if PAIR_MESSAGE in text:
+            found.append(f"{path.name}: the (k, j) rule's message")
+    assert not found, f"level rule, (k, j) rule or TestChannel outside spectra: {found}"
     spectra = next(p for p in SRC if p.name == "spectra.py")
-    tree = ast.parse(spectra.read_text(encoding="utf-8"), filename=str(spectra))
+    text = spectra.read_text(encoding="utf-8")
+    tree = ast.parse(text, filename=str(spectra))
     assert list(_level_rule_comparisons(tree)), "the guard no longer matches spectra's own rule"
+    assert text.count(PAIR_MESSAGE) == 1, "spectra must write the (k, j) rule's message once"
 
 
 def _model_reads(module, readers):
@@ -305,22 +314,41 @@ def _model_reads(module, readers):
                 yield f"{name}:{node.lineno} reads model.{node.attr}"
 
 
-def test_converse_reads_the_model_in_one_place():
-    # _program reads the eigenvalues the converse program needs, and
-    # select_case reads lambda_s to name the case; every other function takes
-    # its data from _program.  The helpers it replaced do not come back.
-    path = next(p for p in SRC if p.name == "converse.py")
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    removed = {"_lw", "_distortion_lhs", "objective_eta"}
-    found = [f"{name} is defined" for top in tree.body if (name := getattr(top, "name", None)) in removed]
-    found += _model_reads("converse", {"_program", "select_case"})
+def test_forms_on_a_level_read_no_model():
+    # a form that takes a level (first parameter lv) works on it alone: it
+    # never reads a level itself, so a command that reads its level once
+    # reads it once in all.  The converse program, the certificate at a
+    # given lambda_q and the oracle read no model at all.  The helpers they
+    # replaced do not come back.
+    on_level, found = set(), []
+    for path in SRC:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or not fn.args.args or fn.args.args[0].arg != "lv":
+                continue
+            on_level.add(fn.name)
+            found += [
+                f"{path.name}:{node.lineno} {fn.name} calls {ast.unparse(node.func)}"
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+                and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "level"
+            ]
+            if fn.name in {"_program", "verify_at_lambda", "solve_numeric"}:
+                found += [
+                    f"{path.name}:{node.lineno} {fn.name} reads model"
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Name) and node.id == "model"
+                ]
+    removed = {"_lw", "_distortion_lhs", "objective_eta", "select_case", "_pair_rule"}
     for path in SRC:
         text = path.read_text(encoding="utf-8")
         found += [f"{path.name} names {n}" for n in sorted(removed) if re.search(rf"\b{n}\b", text)]
-    assert not found, f"the converse reads the model outside _program: {found}"
+    assert not found, f"a form on a level reads a level or the model: {found}"
+    want = {"solve_lambda_q", "frontier_step", "_program", "verify_at_lambda", "solve_numeric"}
+    assert want <= on_level, f"the guard no longer sees {sorted(want - on_level)}"
     import ceord
 
-    assert not hasattr(ceord, "_program")
+    assert not hasattr(ceord, "_program") and not hasattr(ceord, "select_case")
 
 
 def test_spectrum_is_read_only_through_level():

@@ -17,6 +17,7 @@ from ceord import (
     validate,
 )
 from ceord.bergertung import check_rate_at_lambda
+from ceord.converse import verify_at_lambda
 from ceord.rdcore import (
     conditions_at_lambda,
     distortion_at_lambda,
@@ -224,6 +225,7 @@ class TestDomainRules:
         "ratio_conditions": lambda m, k, lam: ratio_conditions(level(m, k), lam),
         "conditions_at_lambda": lambda m, k, lam: conditions_at_lambda(level(m, k), lam),
         "check_rate_at_lambda": lambda m, k, lam: check_rate_at_lambda(level(m, k), lam),
+        "verify_at_lambda": lambda m, k, lam: verify_at_lambda(level(m, k), m.ell, lam, 0.9),
         "subset_mutual_info": lambda m, k, lam: subset_mutual_info(m, lam, 1, k),
         "empirical_profile": lambda m, k, lam: empirical_profile(m, k, lam, 100, 0),
         "empirical_distortion": lambda m, k, lam: empirical_distortion(m, k, lam, m.ell, 100, 0),
