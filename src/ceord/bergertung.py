@@ -9,14 +9,13 @@ the symmetric rate point is checked by one closed form per cardinality, O(k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import rdcore
 from .spectra import DomainError, InconsistencyError, Level, SourceModel, check_lambda_q, level
 
 
-@dataclass(frozen=True)
-class RegionCheck:
+class RegionCheck(NamedTuple):
     k: int
     rate: float
     # (cardinality, required sum-rate, satisfied) per subset size 1..k

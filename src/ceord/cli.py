@@ -151,7 +151,7 @@ def cmd_point(args, model: spectra.SourceModel) -> Result:
         "rate": _rate(args, rate),
         "rate_units": "bits" if args.bits else "nats",
         "profile": {str(j): d for j, d in zip(range(args.k, model.ell + 1), profile)},
-        "conditions": vars(rdcore.conditions_at_lambda(lv, lam)),
+        "conditions": rdcore.conditions_at_lambda(lv, lam)._asdict(),
     }
     return payload, None, 0
 
@@ -196,7 +196,7 @@ def cmd_region(args, model: spectra.SourceModel) -> Result:
 
 def cmd_conditions(args, model: spectra.SourceModel) -> Result:
     rep = rdcore.check_conditions(model, args.k, args.dk)
-    return {"k": args.k, "d_k": args.dk, "conditions": vars(rep)}, None, 0
+    return {"k": args.k, "d_k": args.dk, "conditions": rep._asdict()}, None, 0
 
 
 def cmd_verify(args, model: spectra.SourceModel) -> Result:
@@ -222,14 +222,14 @@ def cmd_verify(args, model: spectra.SourceModel) -> Result:
         "status": status,
         "certificate_valid": cert.valid,
         "violations": list(cert.violations),
-        "point": vars(cert.point),
-        "multipliers": vars(cert.multipliers),
+        "point": cert.point._asdict(),
+        "multipliers": cert.multipliers._asdict(),
         "residuals": cert.residuals,
         "objective": _rate(args, cert.objective),
         "rate_bar": _rate(args, rbar),
         "numeric_optimum": _rate(args, opt),
         "numeric_gap": gap,
-        "numeric_argmin": vars(point),
+        "numeric_argmin": point._asdict(),
     }
     return payload, None, EXIT_INCONSISTENT if status == "inconsistent" else 0
 
@@ -279,7 +279,7 @@ def cmd_decomp_check(args, model: spectra.SourceModel) -> Result:
     j = args.j if args.j is not None else model.ell
     rep = mcsim.decomposition_check(model, j, args.lambda_w, args.lambda_q, args.n, _seed(args))
     ok = rep.sigma_ok and rep.delta_diag_ok
-    return {"j": j, **vars(rep), "all_pass": ok}, None, 0 if ok else EXIT_STATISTICAL
+    return {"j": j, **rep._asdict(), "all_pass": ok}, None, 0 if ok else EXIT_STATISTICAL
 
 
 def _seed(args) -> int:

@@ -13,7 +13,7 @@ checked against an independent numerical minimizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import rdcore
 from .spectra import DomainError, InconsistencyError, Level, SourceModel, check_dk, check_lambda_q
@@ -24,15 +24,13 @@ CASE_P = "P"
 CASE_PHAT = "P-hat"
 
 
-@dataclass(frozen=True)
-class FeasiblePoint:
+class FeasiblePoint(NamedTuple):
     d1: float
     d2: float
     delta: float
 
 
-@dataclass(frozen=True)
-class Multipliers:
+class Multipliers(NamedTuple):
     a1: float
     a2: float
     b1: float
@@ -44,8 +42,7 @@ class Multipliers:
         return min(self.a1, self.a2, self.b1, self.b2, self.c) >= 0
 
 
-@dataclass(frozen=True)
-class KKTCertificate:
+class KKTCertificate(NamedTuple):
     case: str  # CASE_P if lambda_W = lambda_s2, else CASE_PHAT; reported only
     lambda_q: float  # the test-channel noise variance the candidate is built from
     point: FeasiblePoint

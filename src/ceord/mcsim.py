@@ -21,8 +21,7 @@ in closed form, a2*v + (a1 - a2)*mean(v): no dense covariance, no solve.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .spectra import DomainError, Level, SourceModel, basis, check_lambda_q, check_pair, level
 
@@ -37,8 +36,7 @@ CHUNK = 1 << 16  # rows per Philox stream
 BLOCK_FLOATS = 1 << 16  # normals per block drawn from a stream
 
 
-@dataclass(frozen=True)
-class SampleBatch:
+class SampleBatch(NamedTuple):
     n: int
     seed: int
     x: np.ndarray  # n x ell
@@ -46,8 +44,7 @@ class SampleBatch:
     s: np.ndarray
 
 
-@dataclass(frozen=True)
-class EmpiricalRD:
+class EmpiricalRD(NamedTuple):
     lambda_q: float
     j: int
     n: int
@@ -55,8 +52,7 @@ class EmpiricalRD:
     stderr: float
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     lambda_w: float
     lambda_q: float
     n: int

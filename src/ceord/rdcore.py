@@ -8,15 +8,14 @@ when the achievable rate is provably optimal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .spectra import PSD_SLACK, DomainError, Level, SourceModel, check_dk, check_lambda_q, level
+from .spectra import PSD_SLACK, DomainError, Level, SourceModel, check_dk, check_lambda_q
+from .spectra import check_pair, level
 from .spectra import d_min  # only bench/spans.py and tests/test_source.py need it here
 
 
-@dataclass(frozen=True)
-class RDPoint:
+class RDPoint(NamedTuple):
     """One point on the rate-distortion frontier for cooperation level k."""
 
     k: int
@@ -26,15 +25,13 @@ class RDPoint:
     profile: tuple[float, ...]  # d_j for j = k..ell
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     branch: str  # "mu" (rho_s >= 0) or "nu" (rho_s <= 0)
     regime: str  # always | near-dmin | both-ends | degenerate-x
     roots: Optional[tuple[float, float]]
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     mu: Optional[float]
     nu: Optional[float]
     nu_kj: tuple[Optional[float], ...]  # for j = k..ell
@@ -264,8 +261,7 @@ def degenerate_rate_s2zero(
     lv = level(model, k)
     if lv.ls2 > PSD_SLACK * lv.gs:
         raise DomainError("requires the repeated observation eigenvalue to be 0")
-    if not k <= j <= model.ell:
-        raise DomainError(f"j={j} out of range [{k}, {model.ell}]")
+    check_pair(k, j, model.ell)
     check_dk(lv, d_k)
     gx, gz, gs = lv.gx, lv.gz, lv.gs
     arg = gs * d_k - gx * gz

@@ -13,7 +13,6 @@ column is the normalized all-ones vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 # numpy is imported inside basis and dense, its only users here, so that
@@ -56,8 +55,7 @@ class InconsistencyError(RuntimeError):
     """Two routes to the same quantity disagree (an internal fault, not bad input)."""
 
 
-@dataclass(frozen=True)
-class SymmetricSpec:
+class SymmetricSpec(NamedTuple):
     """One symmetric covariance family: variance, correlation, dimension."""
 
     gamma: float
@@ -72,8 +70,7 @@ class SymmetricSpec:
         return (1.0 - self.rho) * self.gamma
 
 
-@dataclass(frozen=True)
-class SourceModel:
+class SourceModel(NamedTuple):
     """Signal spec x, noise spec z, and the derived observation spec s = x + z."""
 
     x: SymmetricSpec

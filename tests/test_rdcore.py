@@ -484,7 +484,7 @@ class TestDegenerate:
 
     @pytest.mark.parametrize("j", [1, 4])
     def test_s2zero_rejects_j_out_of_range(self, j):
-        with pytest.raises(DomainError, match="out of range"):
+        with pytest.raises(DomainError, match="need 1 <= k <= j <= ell"):
             degenerate_rate_s2zero(make_model(1, 1.0, 1, 1.0, 3), 2, j, 0.75)
 
     @pytest.mark.parametrize(

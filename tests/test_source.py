@@ -128,6 +128,19 @@ def test_frontier_commands_leave_numpy_unloaded():
     assert proc.stderr.strip() == f"{[0] * len(FRONTIER)} False"
 
 
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # the records are NamedTuples: a dataclass exec-compiles its methods when
+    # its class is built, and dataclasses imports inspect, ast, dis and
+    # tokenize; modules loaded before the script (site, .pth files) do not count
+    script = (
+        "import sys; startup = set(sys.modules); import ceord.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - startup)), file=sys.stderr)"
+    )
+    proc = _fresh(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "[]"
+
+
 def test_simulate_loads_numpy_on_first_draw(capsys):
     # the draw imports numpy where it is used, and gives the same output as
     # in a process that has it loaded already
@@ -209,6 +222,71 @@ def test_cli_handlers_only_compute():
                     found.append(f"{top.name}:{node.lineno} prints to stdout")
             elif isinstance(node, ast.Attribute) and node.attr == "stdout":
                 found.append(f"{top.name}:{node.lineno} uses stdout")
+    assert not found, found
+
+
+RECORDS = [
+    "spectra.SymmetricSpec",
+    "spectra.SourceModel",
+    "spectra.Level",
+    "rdcore.RDPoint",
+    "rdcore.RegimeReport",
+    "rdcore.ConditionReport",
+    "bergertung.RegionCheck",
+    "converse.FeasiblePoint",
+    "converse.Multipliers",
+    "converse.KKTCertificate",
+    "mcsim.SampleBatch",
+    "mcsim.EmpiricalRD",
+    "mcsim.DecompositionReport",
+]
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_reject_assignment(name):
+    # a record is immutable: neither a field nor a new attribute can be set
+    mod, cls = name.split(".")
+    record_type = getattr(importlib.import_module(f"ceord.{mod}"), cls)
+    rec = record_type(*[0.0] * len(record_type._fields))
+    for field in (*record_type._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rec, field, 1.0)
+    assert rec == (0.0,) * len(record_type._fields)
+
+
+def _values(obj):
+    """obj and every value, key and element nested in it."""
+    yield obj
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            yield key
+            yield from _values(val)
+    elif isinstance(obj, (list, tuple)):
+        for val in obj:
+            yield from _values(val)
+
+
+def test_no_handler_result_holds_a_record(monkeypatch):
+    # a record is a tuple, which json and _dumps would silently write as an
+    # array of its values; the handlers write each record with _asdict
+    from ceord import cli
+
+    runs = [
+        *FRONTIER,
+        ["simulate", *M0, "--k", "2", "--dk", "0.75", "--n", "1000", "--seed", "1"],
+        ["decomp-check", *M0, "--lambda-q", "2", "--n", "1000", "--seed", "1"],
+    ]
+    results = []
+    monkeypatch.setattr(cli, "_emit", lambda args, model, result: results.append(result) or 0)
+    for argv in runs:
+        assert cli.main(argv) == 0, argv
+    assert len(results) == len(runs)
+    found = [
+        f"{argv[0]}: {type(val).__name__}"
+        for argv, (payload, table, _) in zip(runs, results)
+        for val in _values([payload, table])
+        if isinstance(val, tuple) and type(val) is not tuple
+    ]
     assert not found, found
 
 
