@@ -6,18 +6,20 @@ Exit codes: 0 success, 2 domain/validation error, 3 internal inconsistency
 """
 from __future__ import annotations
 
-import argparse
-import csv
 import functools
 import io
 import json
 import math
 import os
 import sys
-from typing import Any, Optional
+import types
+from typing import TYPE_CHECKING, Any, Optional
 
 from . import bergertung, converse, mcsim, rdcore, spectra
 from .spectra import DomainError, InconsistencyError, ModelError
+
+if TYPE_CHECKING:
+    import argparse
 
 SCHEMA_VERSION = 1
 
@@ -40,11 +42,17 @@ def _csv_cell(v: Any) -> str:
 
 @functools.cache
 def _encoder(depth: int):
-    """json's encoder, separating the members of a container at depth as
-    json.dumps(indent=2) does; with indent None, encode runs in C."""
-    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": ")).encode
+    """json's C encoder (or, without one, its Python encoder), separating the
+    members of a container at depth as json.dumps(indent=2) does."""
+    enc = json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "))
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return enc.encode
+    c = make(None, enc.default, _key, None, ": ", enc.item_separator, False, False, True)
+    return lambda obj: "".join(c(obj, 0))
 
 
+_key = json.encoder.encode_basestring_ascii
 # exact types: an instance of a subclass takes the general path of _dumps
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
@@ -57,8 +65,9 @@ def _dumps(obj, depth: int = 0) -> str:
     """json.dumps(obj, indent=2), byte for byte, for a document with str keys.
 
     A scalar, an empty container, a container of scalars or a list of flat
-    dicts (a table's rows) is one C encoder call; only other containers of
-    containers recurse here.
+    dicts (a table's rows) is one C encoder call.  In any other container,
+    each run of members that are not non-empty containers is one call, and
+    each member that is recurses here.
     """
     if not (obj and isinstance(obj, (dict, list, tuple))):
         return _encoder(depth)(obj)
@@ -72,11 +81,19 @@ def _dumps(obj, depth: int = 0) -> str:
         rows = _encoder(depth + 1)(obj)[2:-2]
         body = "{" + sep + rows.replace("}," + sep + "{", inner + "}," + inner + "{" + sep)
         body += inner + "}"
-    elif is_dict:
-        key = _encoder(0)
-        body = ("," + inner).join(f"{key(k)}: {_dumps(v, depth + 1)}" for k, v in obj.items())
     else:
-        body = ("," + inner).join(_dumps(v, depth + 1) for v in obj)
+        enc, parts, run = _encoder(depth), [], {}
+        for k, v in obj.items() if is_dict else enumerate(obj):
+            if not (isinstance(v, (dict, list, tuple)) and v):
+                run[k] = v
+                continue
+            if run:
+                parts.append(enc(run if is_dict else [*run.values()])[1:-1])
+                run = {}
+            parts.append(f"{_key(k)}: {_dumps(v, depth + 1)}" if is_dict else _dumps(v, depth + 1))
+        if run:
+            parts.append(enc(run if is_dict else [*run.values()])[1:-1])
+        body = ("," + inner).join(parts)
     brackets = "{}" if is_dict else "[]"
     return brackets[0] + inner + body + "\n" + "  " * depth + brackets[1]
 
@@ -95,6 +112,8 @@ def _emit(args, model: spectra.SourceModel, result: Result) -> int:
     """
     payload, table, code = result
     if table is not None and args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         header, data = table
@@ -344,11 +363,30 @@ _COMMANDS = {
 }
 
 
+def _compile(name: str, func, table: dict) -> tuple[dict, dict, frozenset]:
+    """A command's option table as _read_args reads it: each flag's (dest,
+    type, choices, store_true), the namespace's defaults, the required dests."""
+    flags, required = {}, set()
+    defaults = {"params_json": None, "command": name, "func": func}
+    for flag, kw in table.items():
+        dest = flag[2:].replace("-", "_")
+        flags[flag] = dest, kw.get("type", str), kw.get("choices"), kw.get("action") == "store_true"
+        defaults[dest] = kw.get("default")
+        if kw.get("required"):
+            required.add(dest)
+    return flags, defaults, frozenset(required)
+
+
+_READER = {name: _compile(name, fn, table) for name, (fn, table) in _COMMANDS.items()}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``ceord`` parser, built on first use (main uses it only for argv
     that _read_args declines) and shared by every caller, so no caller may
     modify it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ceord",
         description=__doc__,
@@ -368,31 +406,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_args(argv: list[str]) -> Optional[argparse.Namespace]:
-    """build_parser().parse_args(argv), read from the option table, for the
-    spelling every script uses: a command, then each of its flags exactly
-    once, as "--flag=value", "--flag value" (value not starting with "-") or
-    a bare store_true flag, with every required flag present and every value
-    converted and within its choices.
+def _read_args(argv: list[str]) -> Optional[types.SimpleNamespace]:
+    """build_parser().parse_args(argv), read from the compiled option table,
+    for the spelling every script uses: a command, then each of its flags
+    exactly once, as "--flag=value", "--flag value" (value not starting with
+    "-") or a bare store_true flag, with every required flag present and
+    every value converted and within its choices.
 
     None for any other argv, which argparse then parses, so that help,
     errors and every other spelling (abbreviations, "--", a repeated flag)
     come from the parser alone.
     """
-    if not argv or argv[0] not in _COMMANDS:
+    if not argv or argv[0] not in _READER:
         return None
-    func, table = _COMMANDS[argv[0]]
+    flags, defaults, required = _READER[argv[0]]
     given: dict[str, Any] = {}
     tokens = iter(argv[1:])
     for token in tokens:
         flag, eq, value = token.partition("=")
-        kw = table.get(flag)
-        if kw is None or flag in given:
+        opt = flags.get(flag)
+        if opt is None or opt[0] in given:
             return None
-        if kw.get("action") == "store_true":
+        dest, convert, choices, store_true = opt
+        if store_true:
             if eq:
                 return None
-            given[flag] = True
+            given[dest] = True
             continue
         if not eq:
             value = next(tokens, "-")
@@ -401,18 +440,15 @@ def _read_args(argv: list[str]) -> Optional[argparse.Namespace]:
         elif value == "--":  # argparse drops it and stores []
             return None
         try:
-            value = kw.get("type", str)(value)
+            value = convert(value)
         except ValueError:
             return None
-        if "choices" in kw and value not in kw["choices"]:
+        if choices is not None and value not in choices:
             return None
-        given[flag] = value
-    values = {"params_json": None, "command": argv[0]}
-    for flag, kw in table.items():
-        if kw.get("required") and flag not in given:
-            return None
-        values[flag[2:].replace("-", "_")] = given.get(flag, kw.get("default"))
-    return argparse.Namespace(**values, func=func)
+        given[dest] = value
+    if not required.issubset(given):
+        return None
+    return types.SimpleNamespace(**{**defaults, **given})
 
 
 def _params_json_index(argv: list[str]) -> Optional[int]:

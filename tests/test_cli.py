@@ -10,6 +10,8 @@ import shlex
 import string
 import sys
 from pathlib import Path
+from typing import Any, NamedTuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -1056,7 +1058,9 @@ class TestCsvTables:
 
 # Documents for the JSON writer: keys that look like its own separators, and
 # every scalar that json spells in a way of its own.
-_DOC_KEYS = st.text(max_size=6) | st.sampled_from(["\n", "},", "},\n    {", "é", " ", '"', "\\"])
+_DOC_KEYS = st.text(max_size=6) | st.sampled_from(
+    ["\n", "},", "},\n    {", "é", " ", '"', "\\", "\x00", 'a"\x00', '"\\u0000"']
+)
 _DOC_SCALARS = (
     st.none()
     | st.booleans()
@@ -1066,11 +1070,34 @@ _DOC_SCALARS = (
     | _DOC_KEYS
 )
 _DOC_ROWS = st.lists(st.dictionaries(_DOC_KEYS, _DOC_SCALARS, min_size=1, max_size=4), max_size=4)
+
+
+class _DocPair(NamedTuple):
+    """A record member: a tuple subclass, which json writes as an array."""
+
+    first: Any
+    second: Any
+
+
+def _alternating(inner):
+    """Lists and dicts whose members alternate between a scalar and a
+    non-empty container."""
+    nested = st.lists(inner, min_size=1, max_size=3) | st.dictionaries(
+        _DOC_KEYS, inner, min_size=1, max_size=3
+    )
+    pairs = st.lists(st.tuples(_DOC_KEYS, _DOC_SCALARS, _DOC_KEYS, nested), min_size=1, max_size=3)
+    return pairs.map(lambda ps: [m for _, a, _, b in ps for m in (a, b)]) | pairs.map(
+        lambda ps: {k: v for ka, a, kb, b in ps for k, v in ((ka, a), (kb, b))}
+    )
+
+
 _DOCS = st.recursive(
     _DOC_SCALARS | _DOC_ROWS | st.sampled_from([{}, [], ()]),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(_DOC_KEYS, inner, max_size=4),
+    | st.dictionaries(_DOC_KEYS, inner, max_size=4)
+    | st.builds(_DocPair, inner, inner)
+    | _alternating(inner),
     max_leaves=40,
 )
 _ELL64 = {"--gamma-x": "1", "--rho-x": "0.2", "--gamma-z": "1", "--rho-z": "0.1", "--ell": "64"}
@@ -1082,6 +1109,19 @@ class TestJsonWriter:
     @given(doc=_DOCS)
     def test_equals_json_dumps_indent_2(self, doc):
         assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(doc=_DOCS)
+    def test_equals_json_dumps_indent_2_without_c_encoder(self, doc):
+        # an interpreter without _json: each depth's encoder, chosen when it
+        # is built, is json's Python one
+        cli._encoder.cache_clear()
+        try:
+            with mock.patch.object(json.encoder, "c_make_encoder", None):
+                assert isinstance(cli._encoder(0).__self__, json.JSONEncoder)
+                assert cli._dumps(doc) == json.dumps(doc, indent=2)
+        finally:
+            cli._encoder.cache_clear()
 
     @pytest.mark.parametrize("ell", [3, 64])
     @pytest.mark.parametrize("cmd", sorted(VALID_BASES))
@@ -1347,3 +1387,24 @@ class TestReader:
     )
     def test_leaves_the_rest_to_argparse(self, argv):
         assert cli._read_args(argv) is None
+
+
+@pytest.mark.parametrize("cmd", sorted(cli._COMMANDS))
+def test_compiled_table_agrees_with_the_parser(cmd):
+    # the reader's table, compiled once from _COMMANDS, against the parser
+    # argparse builds from the same option table
+    flags, defaults, required = cli._READER[cmd]
+    func, table = cli._COMMANDS[cmd]
+    parser = _subparsers(cli.build_parser.__wrapped__())[cmd]
+    actions = {a.option_strings[0]: a for a in parser._actions if a.dest != "help"}
+    assert flags.keys() == actions.keys() == table.keys()
+    for flag, (dest, convert, choices, store_true) in flags.items():
+        action = actions[flag]
+        assert dest == action.dest
+        assert store_true == isinstance(action, argparse._StoreTrueAction)
+        assert convert is (action.type or str)
+        assert choices == action.choices
+        assert type(defaults[dest]) is type(action.default) and defaults[dest] == action.default
+        assert (dest in required) == action.required
+    assert defaults.keys() == {"params_json", "command", "func", *(opt[0] for opt in flags.values())}
+    assert (defaults["params_json"], defaults["command"], defaults["func"]) == (None, cmd, func)

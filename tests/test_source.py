@@ -141,6 +141,35 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert proc.stderr.strip() == "[]"
 
 
+def test_cli_loads_argparse_and_csv_only_on_use(capsys, monkeypatch):
+    # a well-formed argv is read from the compiled option table and written
+    # as JSON, so neither module loads; help and a bad argv still go to
+    # argparse, with its output and exit codes
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    point = ["point", *M0, "--k", "2", "--dk", "0.75"]
+    others = [["-h"], ["point", "--bogus"]]
+    script = (
+        "import contextlib, io, sys; startup = set(sys.modules); from ceord.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): rc = main({point!r})\n"
+        "print(rc, sorted({'argparse', 'csv'} & (set(sys.modules) - startup)), file=sys.stderr)\n"
+        f"for argv in {others!r}:\n"
+        "    try: main(argv)\n"
+        "    except SystemExit as e: print('exit', e.code, file=sys.stderr)\n"
+    )
+    proc = _fresh(script)
+    assert proc.returncode == 0, proc.stderr
+    from ceord.cli import main
+
+    want_out, want_err = "", "0 []\n"
+    for argv in others:
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        cap = capsys.readouterr()
+        want_out, want_err = want_out + cap.out, want_err + cap.err + f"exit {exit_.value.code}\n"
+    assert (proc.stdout, proc.stderr) == (want_out, want_err)
+    assert "exit 0\n" in want_err and want_err.endswith("exit 2\n")
+
+
 def test_simulate_loads_numpy_on_first_draw(capsys):
     # the draw imports numpy where it is used, and gives the same output as
     # in a process that has it loaded already
