@@ -15,7 +15,6 @@ from .spectra import (
 )
 from .rdcore import (
     ConditionReport,
-    RDPoint,
     RegimeReport,
     check_conditions,
     classify_regime,

@@ -16,7 +16,6 @@ from .spectra import DomainError, InconsistencyError, Level, SourceModel, check_
 
 
 class RegionCheck(NamedTuple):
-    k: int
     rate: float
     # (cardinality, required sum-rate, satisfied) per subset size 1..k
     constraints: tuple[tuple[int, float, bool], ...]
@@ -33,17 +32,12 @@ def subset_mutual_info(model: SourceModel, lam: float, b: int, k: int) -> float:
     the j = k block of Gamma_S + lam I, det = (ls1(j) + lam)(ls2 + lam)^(j-1),
     less that of the j = k-b block and of the channel noise lam^b:
     1/2 [log1p(ls1(k)/lam) - log1p(ls1(k-b)/lam) + b log1p(ls2/lam)], where
-    ls1(0) = ls2 covers b = k.
+    ls1(0) = ls2 covers b = k: row b of the region check, _rows.
     """
     if not 1 <= b <= k <= model.ell:
         raise DomainError(f"need 1 <= b <= k <= ell, got b={b}, k={k}")
     check_lambda_q(lam)
-    lv = level(model, k)
-    return 0.5 * (
-        math.log1p(lv.ls1 / lam)
-        - math.log1p((1.0 + (k - b - 1) * lv.rs) * lv.gs / lam)
-        + b * math.log1p(lv.ls2 / lam)
-    )
+    return _rows(level(model, k), lam, 0.0)[b - 1][1]
 
 
 def check_symmetric_rate(model: SourceModel, k: int, d_k: float) -> RegionCheck:
@@ -59,11 +53,12 @@ def check_symmetric_rate(model: SourceModel, k: int, d_k: float) -> RegionCheck:
 def check_rate_at_lambda(lv: Level, lam: float) -> RegionCheck:
     """check_symmetric_rate for a given test-channel noise variance."""
     rate = rdcore.rate_at_lambda(lv, lam)
-    return RegionCheck(k=lv.k, rate=rate, constraints=_rows(lv, lam, rate))
+    return RegionCheck(rate=rate, constraints=_rows(lv, lam, rate))
 
 
 def _rows(lv: Level, lam: float, rate: float) -> tuple[tuple[int, float, bool], ...]:
-    """The region rows at rate: subset_mutual_info for each b, in one loop.
+    """The region rows at rate: for each b = 1..k, (b, the required sum-rate
+    subset_mutual_info, whether b * rate meets it), in one loop.
 
     The full-set and repeated-mode terms do not depend on b, so they are
     computed once, and ls1(k-b) is written out with the float operations of
@@ -79,9 +74,11 @@ def _rows(lv: Level, lam: float, rate: float) -> tuple[tuple[int, float, bool], 
     return tuple(rows)
 
 
-def achievable_point(model: SourceModel, k: int, d_k: float) -> rdcore.RDPoint:
-    """Construct the achievable frontier point, checking region membership."""
-    return rdcore.RDPoint(k, d_k, *frontier_step(level(model, k), d_k))
+def achievable_point(
+    model: SourceModel, k: int, d_k: float
+) -> tuple[float, float, tuple[float, ...]]:
+    """frontier_step at d_k on level k: (lambda_q, rate, profile d_j, j = k..ell)."""
+    return frontier_step(level(model, k), d_k)
 
 
 def frontier_step(lv: Level, d_k: float) -> tuple[float, float, tuple[float, ...]]:

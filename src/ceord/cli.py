@@ -1,8 +1,9 @@
 """Command-line frontend: frontier sweeps, condition reports, KKT
 verification, and Monte Carlo validation, as JSON or CSV.
 
-Exit codes: 0 success, 2 domain/validation error, 3 internal inconsistency
-(certificate and numerical oracle disagree), 4 statistical gate failure.
+Exit codes: 0 success, 2 domain/validation error (a Monte Carlo array too
+large to allocate included), 3 internal inconsistency (certificate and
+numerical oracle disagree), 4 statistical gate failure.
 """
 from __future__ import annotations
 
@@ -207,9 +208,9 @@ def cmd_sweep(args, model: spectra.SourceModel) -> Result:
 
 
 def cmd_region(args, model: spectra.SourceModel) -> Result:
-    pt = bergertung.achievable_point(model, args.k, args.dk)
-    data = [[j, d] for j, d in zip(range(args.k, model.ell + 1), pt.profile)]
-    payload = {"k": args.k, "d_k": args.dk, "lambda_q": pt.lambda_q}
+    lam, _, profile = bergertung.achievable_point(model, args.k, args.dk)
+    data = [[j, d] for j, d in zip(range(args.k, model.ell + 1), profile)]
+    payload = {"k": args.k, "d_k": args.dk, "lambda_q": lam}
     return payload, (["j", "d_j"], data), 0
 
 
@@ -273,16 +274,18 @@ def cmd_simulate(args, model: spectra.SourceModel) -> Result:
     seed = _seed(args)
     lv = spectra.level(model, args.k)
     lam = rdcore.solve_lambda_q(lv, args.dk)
-    profile = rdcore.profile_at_lambda(lv, lam)
+    # the draw first: it refuses an ell too large for its arrays before the
+    # O(ell - k) profile runs
     measured = mcsim.empirical_profile(model, args.k, lam, args.n, seed)
+    profile = rdcore.profile_at_lambda(lv, lam)
     header = ["j", "analytic", "empirical", "stderr", "sigmas", "pass"]
     data = []
     ok_all = True
-    for emp, analytic in zip(measured, profile):
+    for j, emp, analytic in zip(range(args.k, model.ell + 1), measured, profile):
         sigmas = abs(emp.distortion - analytic) / emp.stderr
         ok = sigmas <= 3.0
         ok_all = ok_all and ok
-        data.append([emp.j, analytic, emp.distortion, emp.stderr, sigmas, ok])
+        data.append([j, analytic, emp.distortion, emp.stderr, sigmas, ok])
     payload = {
         "k": args.k,
         "d_k": args.dk,
@@ -496,8 +499,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise DomainError(f"{empty[0]} needs a value, got '--'")
         model = _model(args)
         return _emit(args, model, args.func(args, model))
-    except (DomainError, ModelError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (DomainError, ModelError, MemoryError) as e:  # MemoryError: numpy could not allocate
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_DOMAIN
     except InconsistencyError as e:
         print(f"internal inconsistency: {e}", file=sys.stderr)

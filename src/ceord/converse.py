@@ -44,7 +44,6 @@ class Multipliers(NamedTuple):
 
 class KKTCertificate(NamedTuple):
     case: str  # CASE_P if lambda_W = lambda_s2, else CASE_PHAT; reported only
-    lambda_q: float  # the test-channel noise variance the candidate is built from
     point: FeasiblePoint
     multipliers: Multipliers
     residuals: dict[str, float]
@@ -212,7 +211,6 @@ def verify_at_lambda(
     objective = _eta_at(k, lw, ls1, ls2, p.d1, p.d2, p.delta)
     return KKTCertificate(
         case=case,
-        lambda_q=lam,
         point=p,
         multipliers=m,
         residuals=residuals,

@@ -1,8 +1,10 @@
 """Monte Carlo validation of the closed forms.
 
-The draw for a given (seed, n) is an n x 3*ell array of standard normals in
+The draw for a given (seed, n) is an n x 3*m array of standard normals in
 chunks of CHUNK rows, one counter-based Philox stream per (seed, chunk
-index); its column thirds drive X, Z (or U, W) and the test-channel noise Q.
+index), with m = ell for the distortion profile and m = j for the
+decomposition check, which reads level j alone; its column thirds drive X,
+Z (or U, W) and the test-channel noise Q.
 Each command makes this draw exactly once, whatever the number of rows it
 reports.  Each chunk's stream is drawn in consecutive blocks of at most
 BLOCK_FLOATS normals (one row when a row is longer); consecutive draws from
@@ -14,6 +16,8 @@ n: one block is held at a time, beside the estimators' coefficient rows.
 Those are 3 * ell floats per row of every reported sub-dimension j, so the
 profile j = k..ell holds 3 * ell * (k + ... + ell) of them: O(ell^3) at
 k = 1, or 12 MB at ell = 100, 325 MB at ell = 300 and 12 GB at ell = 1000.
+They are cut from a 3m x 3m identity, which is refused with DomainError
+where its bytes exceed the platform's address space.
 
 Every covariance, estimator and error covariance here has one eigenvalue on
 the all-ones vector and one on its complement, so the estimators are built
@@ -21,6 +25,7 @@ in closed form, a2*v + (a1 - a2)*mean(v): no dense covariance, no solve.
 """
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .spectra import DomainError, Level, SourceModel, basis, check_lambda_q, check_pair, level
@@ -37,17 +42,12 @@ BLOCK_FLOATS = 1 << 16  # normals per block drawn from a stream
 
 
 class SampleBatch(NamedTuple):
-    n: int
-    seed: int
     x: np.ndarray  # n x ell
     z: np.ndarray
     s: np.ndarray
 
 
 class EmpiricalRD(NamedTuple):
-    lambda_q: float
-    j: int
-    n: int
     distortion: float
     stderr: float
 
@@ -119,6 +119,17 @@ def _stream(
     return mean, np.sqrt(np.maximum(s2 - n * mean**2, 0.0) / (n - 1) / n)
 
 
+def _unit(cols: int) -> np.ndarray:
+    """The cols x cols identity the coefficient rows are cut from, the largest
+    array a command builds; DomainError where its bytes exceed what this
+    platform can address, so that numpy is never asked for it."""
+    import numpy as np
+
+    if 8 * cols * cols > sys.maxsize:
+        raise DomainError(f"{cols} x {cols} floats exceed this platform's address space")
+    return np.eye(cols)
+
+
 def _factor(l1: float, l2: float, j: int) -> np.ndarray:
     """Spectral square root of the j x j covariance with eigenvalues l1, l2."""
     import numpy as np
@@ -135,7 +146,7 @@ def sample(model: SourceModel, n: int, seed: int) -> SampleBatch:
     g = _draw(n, seed, 3 * ell)
     x = g[:, :ell] @ _factor(lv.lx1, lv.lx2, ell).T
     z = g[:, ell : 2 * ell] @ _factor(lv.lz1, lv.lz2, ell).T
-    return SampleBatch(n=n, seed=seed, x=x, z=z, s=x + z)
+    return SampleBatch(x=x, z=z, s=x + z)
 
 
 def _empirical(
@@ -154,7 +165,7 @@ def _empirical(
     top = level(model, ell)
     # X, V and the errors are linear in one row of the draw, so they are
     # built once as coefficient rows over its 3*ell columns
-    unit = np.eye(3 * ell)
+    unit = _unit(3 * ell)
     x = _factor(top.lx1, top.lx2, ell) @ unit[:ell]
     z = _factor(top.lz1, top.lz2, ell) @ unit[ell : 2 * ell]
     v = x + z + np.sqrt(lambda_q) * unit[2 * ell :]
@@ -171,10 +182,7 @@ def _empirical(
         return p.sum(axis=1), (p * p).sum(axis=1)
 
     mean, se = _stream(n, seed, 3 * ell, sums)
-    return [
-        EmpiricalRD(lambda_q=lambda_q, j=j, n=n, distortion=float(d), stderr=float(e))
-        for j, d, e in zip(js, mean, se)
-    ]
+    return [EmpiricalRD(distortion=float(d), stderr=float(e)) for d, e in zip(mean, se)]
 
 
 def empirical_profile(
@@ -200,17 +208,18 @@ def _decomposition_moments(
 
     Returns (E[eu eu^T], its SE, E[es es^T], its SE) where eu is the error of
     the U-estimate induced by the S-estimate and es the residual of S given
-    (U, decoder output); j x j each.
+    (U, decoder output); j x j each.  They read level j alone, from an
+    n x 3j draw.
     """
     import numpy as np
 
     check_lambda_q(lambda_q)
-    j, ell, ls1, ls2 = lv.k, lv.ell, lv.ls1, lv.ls2
+    j, ls1, ls2 = lv.k, lv.ls1, lv.ls2
     # coefficient rows as in _empirical, with Gamma_U = Gamma_S - lambda_w I
-    unit = np.eye(3 * ell)
+    unit = _unit(3 * j)
     u = _factor(ls1 - lambda_w, ls2 - lambda_w, j) @ unit[:j]
-    s = u + np.sqrt(lambda_w) * unit[ell : ell + j]
-    v = s + np.sqrt(lambda_q) * unit[2 * ell : 2 * ell + j]
+    s = u + np.sqrt(lambda_w) * unit[j : 2 * j]
+    v = s + np.sqrt(lambda_q) * unit[2 * j :]
     # the S-estimate, then the U-estimate from it: (Gamma_S + lq I)^{-1} Gamma_U,
     # per mode (s - lw)/(s + lq)
     b1 = (ls1 - lambda_w) / (ls1 + lambda_q)
@@ -227,7 +236,7 @@ def _decomposition_moments(
         e = residuals @ g.T
         return grams(e), grams(e * e)
 
-    mean, se = _stream(n, seed, 3 * ell, sums)
+    mean, se = _stream(n, seed, 3 * j, sums)
     return mean[0], se[0], mean[1], se[1]
 
 

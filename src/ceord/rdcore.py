@@ -15,18 +15,7 @@ from .spectra import check_pair, level
 from .spectra import d_min  # only bench/spans.py and tests/test_source.py need it here
 
 
-class RDPoint(NamedTuple):
-    """One point on the rate-distortion frontier for cooperation level k."""
-
-    k: int
-    d_k: float
-    lambda_q: float
-    rate: float
-    profile: tuple[float, ...]  # d_j for j = k..ell
-
-
 class RegimeReport(NamedTuple):
-    branch: str  # "mu" (rho_s >= 0) or "nu" (rho_s <= 0)
     regime: str  # always | near-dmin | both-ends | degenerate-x
     roots: Optional[tuple[float, float]]
 
@@ -142,16 +131,6 @@ def mu_nu(
     return rep.mu, rep.nu, rep.nu_kj
 
 
-def _quadratic(lv: Level, branch: str) -> tuple[float, float, float, float]:
-    """(A, C, num, den): the matching condition A t(t - 1) + C >= 0 in t = mu
-    (cond1) or t = nu (cond2), and the limit num/den of t at maximal distortion.
-    """
-    k, lx1, lx2, ls1, ls2 = lv.k, lv.lx1, lv.lx2, lv.ls1, lv.ls2
-    if branch == "mu":
-        return (k - 1) * lx2**2 * ls1**2, k * lx1**2 * ls2**2, ls2, ls1
-    return lx1**2 * ls2**2, k * lx2**2 * ls1**2, ls1, ls2
-
-
 def classify_regime(lv: Level) -> RegimeReport:
     """Case split on where the matching condition can hold over the d-range.
 
@@ -160,23 +139,27 @@ def classify_regime(lv: Level) -> RegimeReport:
     for every distortion ("always").  Otherwise the two roots in [0, 1] are
     compared against the limiting value of t at maximal distortion.
     """
-    branch = "mu" if lv.rs >= 0 else "nu"
-    lhs, c, num, den = _quadratic(lv, branch)
+    k, lx1, lx2, ls1, ls2 = lv.k, lv.lx1, lv.lx2, lv.ls1, lv.ls2
+    # (A, C) of cond1 in t = mu or of cond2 in t = nu, and t's limit num/den
+    if lv.rs >= 0:
+        lhs, c, num, den = (k - 1) * lx2**2 * ls1**2, k * lx1**2 * ls2**2, ls2, ls1
+    else:
+        lhs, c, num, den = lx1**2 * ls2**2, k * lx2**2 * ls1**2, ls1, ls2
     rhs = 4 * c
     # a ratio pinned at 0 or 1, or no real roots: holds over the full range
     if num <= 0 or num == den or lhs <= rhs:
-        return RegimeReport(branch, "always", None)
+        return RegimeReport("always", None)
     disc = math.sqrt(1.0 - rhs / lhs)
     r1, r2 = 0.5 - 0.5 * disc, 0.5 + 0.5 * disc
     ratio = num / den
     if rhs == 0.0:
         # roots degenerate to (0, 1): vanishing leading signal eigenvalue
-        return RegimeReport(branch, "degenerate-x", (r1, r2))
+        return RegimeReport("degenerate-x", (r1, r2))
     if r2 <= ratio:
-        return RegimeReport(branch, "always", (r1, r2))
+        return RegimeReport("always", (r1, r2))
     if r1 <= ratio:
-        return RegimeReport(branch, "near-dmin", (r1, r2))
-    return RegimeReport(branch, "both-ends", (r1, r2))
+        return RegimeReport("near-dmin", (r1, r2))
+    return RegimeReport("both-ends", (r1, r2))
 
 
 def check_conditions(model: SourceModel, k: int, d_k: float) -> ConditionReport:

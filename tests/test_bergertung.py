@@ -159,15 +159,15 @@ class TestRegionRows:
 
 class TestAchievablePoint:
     def test_m0(self):
-        pt = achievable_point(m0(), 2, 0.75)
-        assert pt.lambda_q == pytest.approx(2.0, rel=1e-12)
-        assert pt.rate == pytest.approx(0.25 * math.log(4), abs=1e-12)
-        assert pt.profile == pytest.approx((0.75, 0.75))
+        lam, rate, profile = achievable_point(m0(), 2, 0.75)
+        assert lam == pytest.approx(2.0, rel=1e-12)
+        assert rate == pytest.approx(0.25 * math.log(4), abs=1e-12)
+        assert profile == pytest.approx((0.75, 0.75))
 
     def test_consistency_with_solver(self):
         m = make_model(2, 0.5, 0.5, -0.2, 3)
-        pt = achievable_point(m, 2, 1.2)
-        assert pt.lambda_q == pytest.approx(solve_lambda_q(level(m, 2), 1.2), rel=1e-12)
+        lam, _, _ = achievable_point(m, 2, 1.2)
+        assert lam == pytest.approx(solve_lambda_q(level(m, 2), 1.2), rel=1e-12)
         assert isinstance(check_symmetric_rate(m, 2, 1.2), RegionCheck)
 
 

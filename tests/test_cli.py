@@ -531,13 +531,13 @@ class TestSweep:
             for i in range(steps):
                 d = lo + (hi - lo) * i / (steps - 1)
                 try:
-                    pt = bergertung.achievable_point(m, k, d)
+                    lam, rate, profile = bergertung.achievable_point(m, k, d)
                 except DomainError as e:
                     warnings.append(f"warning: skipping d_k={d:.12g}: {e}\n")
                     continue
-                _, _, cond1, cond2 = rdcore.ratio_conditions(level(m, k), pt.lambda_q)
-                rate = pt.rate / cli.LN2 if fmt == "bits" else pt.rate
-                rows.append([pt.d_k, pt.lambda_q, rate, *pt.profile, cond1, cond2])
+                _, _, cond1, cond2 = rdcore.ratio_conditions(level(m, k), lam)
+                rate = rate / cli.LN2 if fmt == "bits" else rate
+                rows.append([d, lam, rate, *profile, cond1, cond2])
             assert warnings and rows, argv
             extra = {"json": [], "csv": ["--format=csv"], "bits": ["--bits"]}[fmt]
             code, out, err = run(capsys, "sweep", *argv, *extra)
@@ -759,6 +759,49 @@ class TestMonteCarloDomain:
         assert "NaN" not in out
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", f"--k={2**53}", "--dk=0.75", "--n=100"],
+            ["decomp-check", f"--j={2**53}", "--lambda-q=1"],
+        ],
+        ids=["simulate", "decomp-check"],
+    )
+    def test_unaddressable_arrays_exit2(self, capsys, argv):
+        # at ell = 2**53 every O(ell^2) array is past numpy's size limit, so
+        # the command is refused before numpy is asked for one; at k = ell
+        # (j = ell) each per-j loop runs once
+        model = ["--gamma-x=1", "--gamma-z=1", f"--ell={2**53}"]
+        code, out, err = run(capsys, argv[0], *model, *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "address space" in err
+
+    def test_unaddressable_simulate_stops_before_the_profile(self, capsys, monkeypatch):
+        # the O(ell - k) closed-form profile is computed only once the draw's
+        # arrays are known to fit, so a k far below ell = 2**53 exits 2 at
+        # once instead of looping first
+        calls = []
+        monkeypatch.setattr(rdcore, "profile_at_lambda", lambda *a: calls.append(a))
+        argv = ["--gamma-x=1", "--gamma-z=1", f"--ell={2**53}", f"--k={2**53 - 1000}"]
+        code, out, err = run(capsys, "simulate", *argv, "--dk=0.75", "--n=100")
+        assert (code, out, calls) == (2, "", [])
+        assert "address space" in err
+
+    @pytest.mark.parametrize(
+        "exc, msg",
+        [(MemoryError("Unable to allocate 639. PiB"), "Unable to allocate 639. PiB"),
+         (MemoryError(), "out of memory")],
+        ids=["numpy", "bare"],
+    )
+    def test_memory_error_exit2(self, capsys, monkeypatch, exc, msg):
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli.mcsim, "empirical_profile", fail)
+        code, out, err = run(capsys, "simulate", *M0, "--k", "2", "--dk", "0.75", "--n", "100")
+        assert (code, out, err) == (2, "", f"error: {msg}\n")
+
     def test_decomp_single_component(self, capsys):
         code, doc, _ = run_json(
             capsys, "decomp-check", *M0, "--lambda-q", "2.0", "--j", "1", "--n", "20000"
@@ -827,6 +870,18 @@ class TestDecompCheck:
         assert code in (0, 4) and err == ""
         assert "NaN" not in out and "Infinity" not in out
         assert math.isfinite(json.loads(out)["sigma_max_sigmas"])
+
+    @pytest.mark.parametrize("ell", [5, 2**53])
+    def test_reads_level_j_alone(self, capsys, ell):
+        # the draw is n x 3j, so (ell, j) writes the bytes of (j, j) but for
+        # model.ell; rho >= 0 keeps both models valid
+        argv = ["--gamma-x=1", "--rho-x=0.4", "--gamma-z=2", "--rho-z=0.1", "--j=2"]
+        argv += ["--lambda-q=1.3", "--n=1000"]
+        code, doc, err = run_json(capsys, "decomp-check", *argv, f"--ell={ell}")
+        want = run_json(capsys, "decomp-check", *argv, "--ell=2")
+        assert doc["model"].pop("ell") == ell and want[1]["model"].pop("ell") == 2
+        assert (code, doc, err) == want
+        assert code == 0
 
     def test_bad_lambda_w_exit2(self, capsys):
         code, _, err = run(

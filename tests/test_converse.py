@@ -542,7 +542,8 @@ class TestGoldenSectionOracle:
         # box the search stops 1e-12 * hi short of it
         assert f <= cert.objective + 1e-11
         if min(cert.multipliers.b1, cert.multipliers.b2) >= 1e-8:
-            assert abs(f - rate_at_lambda(level(m, k), cert.lambda_q)) <= 1e-6
+            lam = solve_lambda_q(level(m, k), d)
+            assert abs(f - rate_at_lambda(level(m, k), lam)) <= 1e-6
             assert abs(pt.delta - cert.point.delta) <= 1e-5
 
 

