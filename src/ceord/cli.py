@@ -11,7 +11,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 import types
 from typing import TYPE_CHECKING, Any, Optional
@@ -271,12 +270,11 @@ def cmd_bt_check(args, model: spectra.SourceModel) -> Result:
 
 
 def cmd_simulate(args, model: spectra.SourceModel) -> Result:
-    seed = _seed(args)
     lv = spectra.level(model, args.k)
     lam = rdcore.solve_lambda_q(lv, args.dk)
     # the draw first: it refuses an ell too large for its arrays before the
     # O(ell - k) profile runs
-    measured = mcsim.empirical_profile(model, args.k, lam, args.n, seed)
+    measured = mcsim.empirical_profile(model, args.k, lam, args.n, args.seed)
     profile = rdcore.profile_at_lambda(lv, lam)
     header = ["j", "analytic", "empirical", "stderr", "sigmas", "pass"]
     data = []
@@ -291,7 +289,7 @@ def cmd_simulate(args, model: spectra.SourceModel) -> Result:
         "d_k": args.dk,
         "lambda_q": lam,
         "n": args.n,
-        "seed": seed,
+        "seed": args.seed,
         "all_pass": ok_all,
     }
     return payload, (header, data), 0 if ok_all else EXIT_STATISTICAL
@@ -299,20 +297,9 @@ def cmd_simulate(args, model: spectra.SourceModel) -> Result:
 
 def cmd_decomp_check(args, model: spectra.SourceModel) -> Result:
     j = args.j if args.j is not None else model.ell
-    rep = mcsim.decomposition_check(model, j, args.lambda_w, args.lambda_q, args.n, _seed(args))
+    rep = mcsim.decomposition_check(model, j, args.lambda_w, args.lambda_q, args.n, args.seed)
     ok = rep.sigma_ok and rep.delta_diag_ok
     return {"j": j, **rep._asdict(), "all_pass": ok}, None, 0 if ok else EXIT_STATISTICAL
-
-
-def _seed(args) -> int:
-    """--seed if given, else the CEO_RD_SEED environment variable, else 0."""
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("CEO_RD_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"CEO_RD_SEED must be an integer, got {raw!r}") from None
 
 
 # flag: add_argument keywords.  Every command takes the model flags first.
@@ -329,7 +316,7 @@ _DK = {"--dk": dict(type=float, required=True)}
 _J = {"--j": dict(type=int, default=None)}
 _N = {"--n": dict(type=int, default=1000000)}
 _TOL = {"--tol": dict(type=float, default=1e-9)}
-_SEED = {"--seed": dict(type=int, default=None, help="default: $CEO_RD_SEED or 0")}
+_SEED = {"--seed": dict(type=int, default=0)}
 _FORMAT = {"--format": dict(choices=["json", "csv"], default="json")}
 _BITS = {"--bits": dict(action="store_true", default=False, help="report rates in bits")}
 
@@ -370,7 +357,7 @@ def _compile(name: str, func, table: dict) -> tuple[dict, dict, frozenset]:
     """A command's option table as _read_args reads it: each flag's (dest,
     type, choices, store_true), the namespace's defaults, the required dests."""
     flags, required = {}, set()
-    defaults = {"params_json": None, "command": name, "func": func}
+    defaults = {"command": name, "func": func}
     for flag, kw in table.items():
         dest = flag[2:].replace("-", "_")
         flags[flag] = dest, kw.get("type", str), kw.get("choices"), kw.get("action") == "store_true"
@@ -394,11 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ceord",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument(
-        "--params-json",
-        default=None,
-        help="JSON object of parameters, applied before flag parsing",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (fn, table) in _COMMANDS.items():
@@ -454,44 +436,9 @@ def _read_args(argv: list[str]) -> Optional[types.SimpleNamespace]:
     return types.SimpleNamespace(**{**defaults, **given})
 
 
-def _params_json_index(argv: list[str]) -> Optional[int]:
-    """Where the parser would read --params-json: the flag or any prefix
-    argparse expands to it, with or without "=VALUE"."""
-    for i, token in enumerate(argv):
-        if token.startswith("--p") and "--params-json".startswith(token.split("=", 1)[0]):
-            return i
-    return None
-
-
-def _apply_params_json(argv: list[str]) -> list[str]:
-    """Expand each --params-json into equivalent flags (scripting convenience)."""
-    extra: list[str] = []
-    while True:
-        idx = _params_json_index(argv)
-        if idx is None:
-            return argv + extra
-        attached = "=" in argv[idx]
-        raw = argv[idx].split("=", 1)[1:] if attached else argv[idx + 1 : idx + 2]
-        try:
-            params = json.loads(raw[0])
-        except (IndexError, json.JSONDecodeError) as e:
-            raise DomainError(f"--params-json needs a JSON object: {e}") from None
-        if not isinstance(params, dict):
-            raise DomainError(f"--params-json needs a JSON object, got {raw[0]}")
-        argv = argv[:idx] + argv[idx + (1 if attached else 2) :]
-        for key, val in params.items():
-            flag = "--" + key.replace("_", "-")
-            if isinstance(val, bool):
-                if val:
-                    extra.append(flag)
-            else:
-                extra.extend([flag, str(val)])
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_params_json(argv)
         args = _read_args(argv)
         if args is None:  # argparse drops "--" from an attached "--flag=--" and stores []
             args = build_parser().parse_args(argv)

@@ -85,50 +85,6 @@ class TestPoint:
         assert code == 2
         assert "eigenvalue" in err
 
-    def test_params_json(self, capsys):
-        blob = json.dumps(
-            {"gamma_x": 1, "gamma_z": 1, "ell": 3, "k": 2, "dk": 0.75}
-        )
-        code, doc, _ = run_json(capsys, "point", "--params-json", blob)
-        assert code == 0 and doc["lambda_q"] == pytest.approx(2.0)
-
-    def test_params_json_every_spelling_the_parser_reads(self, capsys):
-        # each prefix that argparse expands to --params-json, with the value
-        # attached or separate, before the command (where the full parser
-        # reads it, and where '--params-json={...}' and '--params {...}'
-        # were once ignored) or after it
-        blob = '{"dk": 0.8}'
-        point = ["point", *M0, "--k", "2", "--dk", "0.75"]
-        for n in range(3, len("--params-json") + 1):
-            flag = "--params-json"[:n]
-            for spelling in ([f"{flag}={blob}"], [flag, blob]):
-                assert cli.build_parser().parse_args(spelling + point).params_json == blob
-                for argv in (spelling + point, point + spelling):
-                    code, doc, _ = run_json(capsys, *argv)
-                    assert code == 0 and doc["d_k"] == 0.8, argv
-
-    @pytest.mark.parametrize(
-        "tail, message",
-        [(["{bad"], "Expecting"), ([], "needs a JSON object"), (["[1]"], "got [1]")],
-        ids=["malformed", "missing-value", "not-an-object"],
-    )
-    def test_params_json_errors_exit2(self, capsys, tail, message):
-        argv = ["point", *M0, "--k", "2", "--dk", "0.75", "--params-json", *tail]
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and message in err
-
-    @pytest.mark.parametrize("bits, units", [(True, "bits"), (False, "nats")])
-    def test_params_json_boolean_is_a_bare_flag(self, capsys, bits, units):
-        # true adds the flag alone, false adds nothing
-        blob = json.dumps({"bits": bits})
-        assert cli._apply_params_json(["point", "--params-json", blob]) == (
-            ["point", "--bits"] if bits else ["point"]
-        )
-        argv = ["point", *M0, "--k", "2", "--dk", "0.75", "--params-json", blob]
-        code, doc, _ = run_json(capsys, *argv)
-        assert code == 0 and doc["rate_units"] == units
-
     def test_values_equal_library_exactly(self, capsys):
         m = make_model(1.3, 0.37, 0.7, -0.004, 200)
         argv = ["--gamma-x", "1.3", "--rho-x", "0.37", "--gamma-z", "0.7", "--rho-z", "-0.004"]
@@ -244,16 +200,25 @@ class TestInvalidOptions:
         code, out, err = run(capsys, "verify", *M0, *bad)
         assert (code, out) == (2, "") and err.startswith(f"error: {message}")
 
-    @pytest.mark.parametrize("argv", [SIMULATE, DECOMP], ids=["simulate", "decomp"])
-    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
-    def test_negative_seed_exit2(self, capsys, monkeypatch, argv, via_env):
-        if via_env:
-            monkeypatch.setenv("CEO_RD_SEED", "-3")
-        else:
-            argv = [*argv, "--seed", "-1"]
-        code, out, err = run(capsys, *argv)
+    @pytest.mark.parametrize("argv", [SIMULATE, DECOMP], ids=["flag-simulate", "flag-decomp"])
+    def test_negative_seed_exit2(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--seed", "-1")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "seed" in err
+
+    @pytest.mark.parametrize("blob", ['{"out": null}', '{"dk": 0.8}'])
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    def test_params_json_is_no_option(self, capsys, monkeypatch, tmp_path, blob, before):
+        # each input is set by the command's own flag alone; a JSON object of
+        # flags is an argument argparse refuses, and nothing is written
+        monkeypatch.chdir(tmp_path)
+        point = ["point", *M0, "--k", "2", "--dk", "0.75"]
+        option = ["--params-json", blob]
+        with pytest.raises(SystemExit) as exc:
+            main(option + point if before else point + option)
+        cap = capsys.readouterr()
+        assert (exc.value.code, cap.out, list(tmp_path.iterdir())) == (2, "", [])
+        assert cap.err.startswith("usage: ceord")
 
 
 class TestCorrelationBoundaries:
@@ -688,8 +653,7 @@ def _readme_cli_examples():
 
 class TestReadme:
     @pytest.mark.parametrize("argv", _readme_cli_examples(), ids=lambda argv: argv[0])
-    def test_cli_example_runs(self, capsys, monkeypatch, tmp_path, argv):
-        monkeypatch.delenv("CEO_RD_SEED", raising=False)
+    def test_cli_example_runs(self, capsys, tmp_path, argv):
         argv = list(argv)
         if "--out" in argv:
             i = argv.index("--out") + 1
@@ -734,13 +698,22 @@ class TestSimulate:
         assert doc["all_pass"] is True
         assert {r["j"] for r in doc["rows"]} == {2, 3}
 
-    def test_seed_env_default(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", *M0, "--k", "2", "--dk", "0.75", "--n", "2000"],
+            ["decomp-check", *M0, "--lambda-q", "2", "--n", "2000"],
+        ],
+        ids=["simulate", "decomp-check"],
+    )
+    def test_seed_default_ignores_the_environment(self, capsys, monkeypatch, argv):
+        # a draw depends on (seed, n) alone: without --seed the seed is 0,
+        # whatever CEO_RD_SEED holds
         monkeypatch.setenv("CEO_RD_SEED", "3")
-        argv = ["simulate", *M0, "--k", "2", "--dk", "0.75", "--n", "50000"]
-        _, out_env, _ = run(capsys, *argv)
-        monkeypatch.delenv("CEO_RD_SEED")
-        _, out_seeded, _ = run(capsys, *argv, "--seed", "3")
-        assert json.loads(out_env)["rows"] == json.loads(out_seeded)["rows"]
+        unseeded = run(capsys, *argv)
+        assert unseeded == run(capsys, *argv, "--seed", "0")
+        if argv[0] == "simulate":
+            assert json.loads(unseeded[1])["seed"] == 0
 
 
 class TestMonteCarloDomain:
@@ -809,18 +782,6 @@ class TestMonteCarloDomain:
         assert code in (0, 4)
         assert doc["delta_offdiag_max_sigmas"] == 0.0
         assert math.isfinite(doc["sigma_max_sigmas"])
-
-    def test_bad_seed_env_exit2(self, capsys, monkeypatch):
-        monkeypatch.setenv("CEO_RD_SEED", "abc")
-        argv = ["simulate", *M0, "--k", "2", "--dk", "0.75", "--n", "100"]
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert "CEO_RD_SEED" in err
-        # an explicit --seed wins, and commands without randomness ignore it
-        code, _, _ = run(capsys, *argv, "--seed", "1")
-        assert code in (0, 4)
-        code, _, _ = run(capsys, "point", *M0, "--k", "2", "--dk", "0.75")
-        assert code == 0
 
 
 class TestDecompCheck:
@@ -983,12 +944,11 @@ class TestPerCommandParser:
         # a well-formed argv is read from the option table: no parser built
         assert run(capsys, "point", "--gamma-x=1", "--gamma-z=1", "--ell=3", "--k=2", "--dk=0.75")[0] == 0
         assert calls == []
-        # the first argv that needs argparse builds it: top level -h and
-        # --params-json; each command -h and its table, the six model flags
-        # and its own flags
+        # the first argv that needs argparse builds it: top level -h; each
+        # command -h and its table, the six model flags and its own flags
         with pytest.raises(SystemExit):
             main([*self.POINT, "-h"])
-        assert len(calls) == 2 + sum(1 + len(table) for _, table in cli._COMMANDS.values())
+        assert len(calls) == 1 + sum(1 + len(table) for _, table in cli._COMMANDS.values())
         calls.clear()
         with pytest.raises(SystemExit):
             main([*self.POINT, "--bogus"])
@@ -1342,32 +1302,13 @@ def _drop(draw, argv):
     return argv
 
 
-def _to_params_json(draw, argv):
-    # move some flags into one --params-json object, under any spelling
-    # argparse expands to it, before or after the command
-    keep, params = [argv[0]], {}
-    for token in argv[1:]:
-        flag, eq, value = token.partition("=")
-        if flag.startswith("--") and draw(st.booleans()):
-            try:
-                params[flag[2:].replace("-", "_")] = json.loads(value) if eq else True
-            except ValueError:
-                params[flag[2:].replace("-", "_")] = value
-        else:
-            keep.append(token)
-    spelling = "--params-json"[: draw(st.integers(3, len("--params-json")))]
-    blob = json.dumps(params)
-    option = draw(st.sampled_from([[f"{spelling}={blob}"], [spelling, blob]]))
-    return option + keep if draw(st.booleans()) else keep + option
-
-
 _EDITS = [_abbreviate, _repeat, _revalue, _insert, _recommand, _drop]
 
 
 @st.composite
 def _mutated_argv(draw):
     """A workload argv of seed 7, maybe with --out (the one flag without a
-    type), with up to three edits, then maybe a --params-json expansion."""
+    type), with up to three edits."""
     pool = _workload_argv(draw(st.sampled_from(["frontier-small", "frontier-wide", "montecarlo"])))
     # an index, not sampled_from: that would hash the whole pool per draw
     argv = list(pool[draw(st.integers(0, len(pool) - 1))])
@@ -1377,8 +1318,6 @@ def _mutated_argv(draw):
     for _ in range(draw(st.integers(0, 3))):
         if len(argv) > 1:
             argv = draw(st.sampled_from(_EDITS))(draw, argv)
-    if len(argv) > 1 and draw(st.booleans()):
-        argv = _to_params_json(draw, argv)
     return argv
 
 
@@ -1388,10 +1327,6 @@ class TestReader:
     def test_agrees_with_argparse(self, argv):
         # where the reader returns a namespace, it is argparse's; where
         # argparse exits (help or an error), the reader returned None
-        try:
-            argv = cli._apply_params_json(argv)
-        except cli.DomainError:
-            return  # main exits 2 before either reads argv
         read = cli._read_args(argv)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
@@ -1461,5 +1396,5 @@ def test_compiled_table_agrees_with_the_parser(cmd):
         assert choices == action.choices
         assert type(defaults[dest]) is type(action.default) and defaults[dest] == action.default
         assert (dest in required) == action.required
-    assert defaults.keys() == {"params_json", "command", "func", *(opt[0] for opt in flags.values())}
-    assert (defaults["params_json"], defaults["command"], defaults["func"]) == (None, cmd, func)
+    assert defaults.keys() == {"command", "func", *(opt[0] for opt in flags.values())}
+    assert (defaults["command"], defaults["func"]) == (cmd, func)

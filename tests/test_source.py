@@ -32,6 +32,26 @@ def test_no_assert_in_library(path):
     assert not lines, f"{path.name}: assert at line(s) {lines}"
 
 
+ENVIRONMENT = {"environ", "getenv", "putenv"}
+
+
+def _reads_environment(node):
+    """Whether a node is os.environ, os.getenv or os.putenv, or imports one."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in ENVIRONMENT and isinstance(node.value, ast.Name) and node.value.id == "os"
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(alias.name in ENVIRONMENT for alias in node.names)
+    return False
+
+
+@pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
+def test_library_reads_no_environment(path):
+    # every input is a command-line flag, so a result depends on argv alone
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [node.lineno for node in ast.walk(tree) if _reads_environment(node)]
+    assert not found, f"{path.name}: the environment read at line(s) {found}"
+
+
 def test_mcsim_has_no_dense_algebra():
     # every mcsim estimator is closed form in the two eigenvalues; dense
     # covariances and linear solves belong to the test oracles
