@@ -18,8 +18,6 @@ from .rdcore import (
     RegimeReport,
     check_conditions,
     classify_regime,
-    degenerate_rate_s1zero,
-    degenerate_rate_s2zero,
     distortion_profile,
     mu_nu,
     rate_bar,

@@ -8,7 +8,6 @@ numerical oracle disagree), 4 statistical gate failure.
 from __future__ import annotations
 
 import functools
-import io
 import json
 import math
 import sys
@@ -112,15 +111,8 @@ def _emit(args, model: spectra.SourceModel, result: Result) -> int:
     """
     payload, table, code = result
     if table is not None and args.format == "csv":
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
         header, data = table
-        writer.writerow(header)
-        for row in data:
-            writer.writerow([_csv_cell(v) for v in row])
-        text = buf.getvalue()
+        text = "".join(",".join(map(_csv_cell, row)) + "\r\n" for row in (header, *data))
     else:
         doc = {"schema_version": SCHEMA_VERSION, "model": _model_dict(model), **payload}
         if table is not None:

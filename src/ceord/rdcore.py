@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .spectra import PSD_SLACK, DomainError, Level, SourceModel, check_dk, check_lambda_q
-from .spectra import check_pair, level
+from .spectra import DomainError, Level, SourceModel, check_dk, check_lambda_q, level
 from .spectra import d_min  # only bench/spans.py and tests/test_source.py need it here
 
 
@@ -146,8 +145,9 @@ def classify_regime(lv: Level) -> RegimeReport:
     else:
         lhs, c, num, den = lx1**2 * ls2**2, k * lx2**2 * ls1**2, ls1, ls2
     rhs = 4 * c
-    # a ratio pinned at 0 or 1, or no real roots: holds over the full range
-    if num <= 0 or num == den or lhs <= rhs:
+    # k = 1 (no repeated mode, see ratio_conditions), a ratio pinned at 0 or
+    # 1, or no real roots: holds over the full range
+    if k == 1 or num <= 0 or num == den or lhs <= rhs:
         return RegimeReport("always", None)
     disc = math.sqrt(1.0 - rhs / lhs)
     r1, r2 = 0.5 - 0.5 * disc, 0.5 + 0.5 * disc
@@ -183,7 +183,9 @@ def ratio_conditions(
     """(mu, nu, cond1, cond2) of conditions_at_lambda, without the O(ell) part.
 
     cond1 is (k-1) p2 mu(mu - 1) + k p1 >= 0 and cond2 is
-    p1 nu(nu - 1) + k p2 >= 0, with p1, p2 from _weights.
+    p1 nu(nu - 1) + k p2 >= 0, with p1, p2 from _weights.  At k = 1 the
+    level has no repeated mode: the multiplier b2 that cond2 and cond4 sign
+    is (k-1)(...) = 0, so both hold.
     """
     check_lambda_q(lam)
     k, ls1, ls2 = lv.k, lv.ls1, lv.ls2
@@ -192,7 +194,7 @@ def ratio_conditions(
     nu = _shrink(ls1, lam) / _shrink(ls2, lam) if ls2 > 0 else None
     cond1 = (k - 1) * p2 * mu * (mu - 1.0) + k * p1 >= 0 if lv.rs >= 0 else None
     # rho_s <= 0 makes ls2 >= gamma_s > 0, so nu is defined
-    cond2 = p1 * nu * (nu - 1.0) + k * p2 >= 0 if lv.rs <= 0 else None
+    cond2 = (k == 1 or p1 * nu * (nu - 1.0) + k * p2 >= 0) if lv.rs <= 0 else None
     return mu, nu, cond1, cond2
 
 
@@ -203,6 +205,7 @@ def conditions_at_lambda(lv: Level, lam: float) -> ConditionReport:
     (nu_kj + k-1) p1 nu^2 + (k-1)(nu_kj - nu) p2 >= 0 and cond4 is
     (nu_kj - 1) p1 nu^2 + ((k-1) nu_kj + nu) p2 >= 0, one loop over j, with
     lambda_s1(j) written out as in SymmetricSpec.lambda1 and _shrink inlined.
+    At k = 1 every cond4 entry holds, as cond2 does.
     """
     k = lv.k
     mu, nu, cond1, cond2 = ratio_conditions(lv, lam)
@@ -222,7 +225,7 @@ def conditions_at_lambda(lv: Level, lam: float) -> ConditionReport:
         for v in nu_kj:
             c3.append((v + (k - 1)) * q1 + (k - 1) * (v - nu) * p2 >= 0)
             c4.append((v - 1.0) * q1 + ((k - 1) * v + nu) * p2 >= 0)
-        cond3, cond4 = tuple(c3), tuple(c4)
+        cond3, cond4 = tuple(c3), (tuple(c4) if k > 1 else (True,) * len(js))
     reg = classify_regime(lv)
     return ConditionReport(
         mu=mu,
@@ -236,38 +239,3 @@ def conditions_at_lambda(lv: Level, lam: float) -> ConditionReport:
         regime=reg.regime,
     )
 
-
-def degenerate_rate_s2zero(
-    model: SourceModel, k: int, j: int, d_k: float
-) -> tuple[float, float]:
-    """Closed forms at the fully correlated boundary (repeated eigenvalue 0)."""
-    lv = level(model, k)
-    if lv.ls2 > PSD_SLACK * lv.gs:
-        raise DomainError("requires the repeated observation eigenvalue to be 0")
-    check_pair(k, j, model.ell)
-    check_dk(lv, d_k)
-    gx, gz, gs = lv.gx, lv.gz, lv.gs
-    arg = gs * d_k - gx * gz
-    # near (not at) the boundary this floor, gx gz / gs, can exceed d_min^(k)
-    if arg <= 0:
-        raise DomainError(f"d_k={d_k:.12g} at or below the distortion floor")
-    rate = math.log(gx * gx / arg) / (2 * k)
-    num = (j - k) * gx * gx * gz + (k * gs - j * gz) * gx * d_k
-    den = (j * gs - k * gz) * gx - (j - k) * gs * d_k
-    return rate, num / den
-
-
-def degenerate_rate_s1zero(model: SourceModel, d_ell: float) -> float:
-    """Closed form at the fully anti-correlated boundary (leading eigenvalue 0).
-
-    Coincides with the (per-encoder normalized) rate-distortion function of
-    the centralized remote source coding problem.
-    """
-    ell = model.ell
-    lv = level(model, ell)
-    if lv.ls1 > PSD_SLACK * lv.gs:
-        raise DomainError("requires the leading observation eigenvalue to be 0")
-    check_dk(lv, d_ell)
-    lx2, lz2, ls2 = lv.lx2, lv.lz2, lv.ls2
-    arg = ell * ls2 * d_ell - (ell - 1) * lx2 * lz2
-    return (ell - 1) / (2 * ell) * math.log((ell - 1) * lx2**2 / arg)

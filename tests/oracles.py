@@ -4,9 +4,13 @@ The library works with the two closed-form eigenvalues of each symmetric
 family; most of these functions materialize the matrices instead, so that
 tests can check the closed forms against plain linear algebra.  The
 matching conditions are written out one polynomial at a time, as a check on
-the library's single pass over them.
+the library's single pass over them.  The paper's closed forms for the
+frontier at the two boundary correlations check the library's one general
+solve there.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,6 +21,34 @@ def case_oracle(model, j: int) -> str:
     """The converse's case at sub-dimension j, from the observation spec's own
     eigenvalue methods: P where lambda_W = lambda_s2 <= lambda_s1(j), else P-hat."""
     return CASE_P if model.s.lambda1(j) >= model.s.lambda2 else CASE_PHAT
+
+
+def degenerate_rate_s2zero(model, k: int, j: int, d_k: float) -> tuple[float, float]:
+    """(rate, d_j) at the fully correlated boundary, rho_s = 1 (lambda_s2 = 0).
+
+    The rate in nats and d_j are closed forms in the three variances; the
+    input is not checked, so d_k must lie above the floor gamma_x gamma_z /
+    gamma_s and below gamma_x.
+    """
+    gx, gz, gs = model.x.gamma, model.z.gamma, model.s.gamma
+    arg = gs * d_k - gx * gz
+    rate = math.log(gx * gx / arg) / (2 * k)
+    num = (j - k) * gx * gx * gz + (k * gs - j * gz) * gx * d_k
+    den = (j * gs - k * gz) * gx - (j - k) * gs * d_k
+    return rate, num / den
+
+
+def degenerate_rate_s1zero(model, d_ell: float) -> float:
+    """The rate at level ell, in nats, at the fully anti-correlated boundary,
+    rho_s = -1/(ell-1) (lambda_s1(ell) = 0).
+
+    It coincides with the per-encoder normalized rate-distortion function of
+    the centralized remote source coding problem.  The input is not checked.
+    """
+    ell = model.ell
+    lx2, lz2, ls2 = model.x.lambda2, model.z.lambda2, model.s.lambda2
+    arg = ell * ls2 * d_ell - (ell - 1) * lx2 * lz2
+    return (ell - 1) / (2 * ell) * math.log((ell - 1) * lx2**2 / arg)
 
 
 def sigma_identity(gamma_u: np.ndarray, gamma_s: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -73,7 +105,9 @@ def matching_conditions(model, k: int, lam: float) -> dict:
     eigenvalues, term by term: cond1 in t = mu and cond2 in t = nu as
     A t(t - 1) + C, and cond3 and cond4 once per j.  cond1 applies for
     rho_s >= 0 and cond2..cond4 for rho_s <= 0; a condition that does not
-    apply is None, as is a ratio whose denominator eigenvalue is 0.
+    apply is None, as is a ratio whose denominator eigenvalue is 0.  At
+    k = 1, cond2 and cond4 sign a multiplier with the factor k - 1, so they
+    are True whatever their polynomials.
     """
     lx1, lx2 = model.x.lambda1(k), model.x.lambda2
     ls1, ls2 = model.s.lambda1(k), model.s.lambda2
@@ -100,9 +134,9 @@ def matching_conditions(model, k: int, lam: float) -> dict:
         out["cond1"] = (k - 1) * lx2**2 * ls1**2 * mu * (mu - 1.0) + k * lx1**2 * ls2**2 >= 0
     if model.s.rho <= 0:
         nu = out["nu"]
-        out["cond2"] = lx1**2 * ls2**2 * nu * (nu - 1.0) + k * lx2**2 * ls1**2 >= 0
+        out["cond2"] = k == 1 or lx1**2 * ls2**2 * nu * (nu - 1.0) + k * lx2**2 * ls1**2 >= 0
         out["cond3"] = tuple(cond3(nu, v) >= 0 for v in out["nu_kj"])
-        out["cond4"] = tuple(cond4(nu, v) >= 0 for v in out["nu_kj"])
+        out["cond4"] = tuple(k == 1 or cond4(nu, v) >= 0 for v in out["nu_kj"])
     else:
         out["cond3"] = out["cond4"] = tuple(None for _ in js)
     return out

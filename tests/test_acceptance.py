@@ -2,12 +2,15 @@
 
 Each test draws its own fixed-seed instances, checks the stated tolerance,
 prints "[criterion N] PASS|FAIL ..." on the real stdout (bypassing capture),
-and asserts both the numerical bound and the runtime budget.
+and asserts both the numerical bound and the runtime budget.  Beside
+criterion 5, an unnumbered property runs its draws at seeds 100-129 and
+checks every (k, j).
 """
 import math
 import time
 
 import numpy as np
+import pytest
 
 from ceord import (
     candidate_minimizer,
@@ -15,8 +18,6 @@ from ceord import (
     check_symmetric_rate,
     d_min,
     decomposition_check,
-    degenerate_rate_s1zero,
-    degenerate_rate_s2zero,
     distortion_profile,
     dj_lower_bound,
     empirical_distortion,
@@ -30,6 +31,7 @@ from ceord.rdcore import distortion_at_lambda
 from ceord.spectra import level
 
 from helpers import m0, make_model, random_dk, random_model, trace_profile_oracle
+from oracles import degenerate_rate_s1zero, degenerate_rate_s2zero
 
 
 def report(capfd, num, ok, detail, elapsed, budget):
@@ -141,6 +143,62 @@ def test_criterion_5_multiplier_sign_equivalence(capfd):
                 if (mult.b2 >= -1e-12) != rc.cond4[j - k]:
                     disagreements += 1
     report(capfd, 5, disagreements == 0, f"{disagreements} sign disagreements over 500 instances", time.time() - t0, 10)
+
+
+def _sign_disagreements(seed):
+    """Criterion 5's draws at seed, checked at every (k, j), k = 1 included.
+
+    For rho_s > 0, cond1 signs b1 and b2 is nonnegative at every j; for
+    rho_s < 0, cond3(j) signs b1, cond4(j) signs b2 and, at j = k, so does
+    cond2.  Returns the (instance, k, j, name) of each disagreement.
+    """
+    rng = np.random.default_rng(seed)
+    found = []
+    for i in range(500):
+        sign = "+" if i % 2 == 0 else "-"
+        m = random_model(rng, rho_s_sign=sign)
+        k = int(rng.integers(1, m.ell + 1))
+        d = random_dk(rng, m, k)
+        rc = check_conditions(m, k, d)
+        for j in range(k, m.ell + 1):
+            mult = kkt_multipliers(m, k, j, d)
+            b1, b2 = mult.b1 >= -1e-12, mult.b2 >= -1e-12
+            if sign == "+":
+                pairs = [("cond1", rc.cond1, b1), ("b2", True, b2)]
+            else:
+                pairs = [("cond3", rc.cond3[j - k], b1), ("cond4", rc.cond4[j - k], b2)]
+                if j == k:
+                    pairs.append(("cond2", rc.cond2, b2))
+            found += [(i, k, j, name) for name, cond, ok in pairs if cond != ok]
+    return found
+
+
+@pytest.mark.parametrize("seed", range(100, 130))
+def test_conditions_match_multiplier_signs_at_every_pair(seed):
+    assert _sign_disagreements(seed) == []
+
+
+# Each of these seeds draws a k = 1, rho_s < 0 instance whose cond4
+# polynomial is negative while b2 = (k-1)(...) is 0.  They disagreed until
+# cond2 and cond4 held at k = 1; the other 25 seeds of 100-129 never drew one.
+K1_SEEDS = (103, 106, 109, 115, 124)
+
+
+@pytest.mark.parametrize("seed", K1_SEEDS)
+def test_pinned_seeds_reach_a_negative_cond4_polynomial_at_k1(seed):
+    rng = np.random.default_rng(seed)
+    reached = 0
+    for i in range(500):
+        m = random_model(rng, rho_s_sign="+" if i % 2 == 0 else "-")
+        k = int(rng.integers(1, m.ell + 1))
+        d = random_dk(rng, m, k)
+        if k == 1 and i % 2 == 1:
+            lv = level(m, 1)
+            p1, p2 = lv.lx1**2 * lv.ls2**2, lv.lx2**2 * lv.ls1**2
+            rc = check_conditions(m, 1, d)
+            reached += any((v - 1.0) * p1 * rc.nu**2 + rc.nu * p2 < 0 for v in rc.nu_kj)
+            assert rc.cond2 is True and all(rc.cond4)
+    assert reached >= 1
 
 
 def test_criterion_6_lower_bound_closure(capfd):

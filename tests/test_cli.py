@@ -22,6 +22,7 @@ from ceord.cli import main
 from ceord.spectra import DomainError, level
 
 from helpers import make_model
+from oracles import degenerate_rate_s2zero
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -257,7 +258,7 @@ class TestCorrelationBoundaries:
     def test_point_rate_matches_s2zero_closed_form(self, capsys):
         _, doc, _ = run_json(capsys, "point", *self.S2ZERO)
         m = make_model(1, 1, 1, 1, 3)
-        rate, _ = rdcore.degenerate_rate_s2zero(m, 2, 2, 0.75)
+        rate, _ = degenerate_rate_s2zero(m, 2, 2, 0.75)
         assert doc["rate"] == pytest.approx(rate, rel=1e-10)
 
 
@@ -522,6 +523,20 @@ class TestConditionsAndRegion:
         c = doc["conditions"]
         assert c["mu"] == pytest.approx(1.0)
         assert c["cond1"] is True and c["regime"] == "always"
+
+    def test_k1_conditions_hold_as_verify_certifies(self, capsys):
+        # at k = 1 the multiplier b2 is (k-1)(...) = 0: cond2 and cond4 hold
+        # and the regime is "always", as verify's certificate says, although
+        # their polynomials are negative here
+        argv = ["--gamma-x=1", "--rho-x=0.8", "--gamma-z=3", "--rho-z=-1", "--ell=2"]
+        argv += ["--k=1", "--dk=0.875"]
+        _, doc, _ = run_json(capsys, "conditions", *argv)
+        c = doc["conditions"]
+        assert doc["model"]["rho_s"] < 0 and c["cond1"] is None
+        assert c["cond2"] is True and c["cond4"] == [True, True]
+        assert (c["regime"], c["roots"]) == ("always", None)
+        _, doc, _ = run_json(capsys, "verify", *argv)
+        assert doc["status"] == "valid" and doc["multipliers"]["b2"] == 0.0
 
     def test_region_rows(self, capsys):
         code, doc, _ = run_json(capsys, "region", *M0, "--k", "2", "--dk", "0.75")
@@ -1069,6 +1084,24 @@ class TestCsvTables:
                     assert cell == f"{value:.12g}"
                     assert float(cell) == pytest.approx(value, rel=1e-11, abs=0)
         assert int in kinds and float in kinds
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["region", *M0, "--rho-x", "0.5", "--k", "1", "--dk", "0.75"],
+            ["bt-check", *M0, "--k", "2", "--dk", "0.75", "--bits"],
+            ["simulate", *M0, "--k", "1", "--dk", "0.75", "--n", "2000", "--seed", "1"],
+            ["sweep", *M0, "--rho-x=-0.3", "--k=2", "--dk-min=0.7", "--dk-max=0.9", "--steps=3"],
+        ],
+        ids=["region", "bt-check", "simulate", "sweep"],
+    )
+    def test_bytes_are_the_csv_modules(self, capsys, argv):
+        # no cell needs quoting, so the joined lines are what csv.writer
+        # writes with QUOTE_MINIMAL, empty cells included
+        _, out, _ = run(capsys, *argv, "--format", "csv")
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerows(csv.reader(io.StringIO(out)))
+        assert out == buf.getvalue()
 
 
 # Documents for the JSON writer: keys that look like its own separators, and

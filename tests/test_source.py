@@ -163,14 +163,15 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
 
 def test_cli_loads_argparse_and_csv_only_on_use(capsys, monkeypatch):
     # a well-formed argv is read from the compiled option table and written
-    # as JSON, so neither module loads; help and a bad argv still go to
-    # argparse, with its output and exit codes
+    # as JSON or joined CSV lines, so neither module loads; help and a bad
+    # argv still go to argparse, with its output and exit codes
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
     point = ["point", *M0, "--k", "2", "--dk", "0.75"]
+    table = ["region", *M0, "--k", "2", "--dk", "0.75", "--format", "csv"]
     others = [["-h"], ["point", "--bogus"]]
     script = (
         "import contextlib, io, sys; startup = set(sys.modules); from ceord.cli import main\n"
-        f"with contextlib.redirect_stdout(io.StringIO()): rc = main({point!r})\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): rc = main({point!r}) + main({table!r})\n"
         "print(rc, sorted({'argparse', 'csv'} & (set(sys.modules) - startup)), file=sys.stderr)\n"
         f"for argv in {others!r}:\n"
         "    try: main(argv)\n"
@@ -475,6 +476,17 @@ def test_forms_on_a_level_read_no_model():
     import ceord
 
     assert not hasattr(ceord, "_program") and not hasattr(ceord, "select_case")
+
+
+def test_boundary_closed_forms_are_test_oracles():
+    # the frontier at rho_s = 1 and rho_s = -1/(ell-1) comes from the one
+    # general solve; the paper's closed forms live in tests/oracles.py
+    import ceord
+    from ceord import rdcore
+
+    names = {n for mod in (ceord, rdcore) for n in vars(mod) if n.startswith("degenerate_")}
+    assert not names
+    assert not {"PSD_SLACK", "check_pair"} & set(vars(rdcore))
 
 
 def test_spectrum_is_read_only_through_level():
