@@ -1,10 +1,10 @@
 """Monte Carlo validation of the closed forms.
 
-The draw for a given (seed, n) is an n x 3*m array of standard normals in
+The draw for a given (seed, n) is an n x cols array of standard normals in
 chunks of CHUNK rows, one counter-based Philox stream per (seed, chunk
-index), with m = ell for the distortion profile and m = j for the
-decomposition check, which reads level j alone; its column thirds drive X,
-Z (or U, W) and the test-channel noise Q.
+index).  The distortion profile reads Z and the test-channel noise Q only
+as Z + Q, so its 2*ell column halves drive X and Z + Q; the decomposition
+check reads level j alone and its 3*j column thirds drive U, W and Q.
 Each command makes this draw exactly once, whatever the number of rows it
 reports.  Each chunk's stream is drawn in consecutive blocks of at most
 BLOCK_FLOATS normals (one row when a row is longer); consecutive draws from
@@ -13,10 +13,10 @@ the sample.  Each block is reduced to the sums (sum p, sum p^2) of every
 reported statistic p as soon as it is drawn, and the sums are added in draw
 order.  The output depends only on (seed, n), and memory does not grow with
 n: one block is held at a time, beside the estimators' coefficient rows.
-Those are 3 * ell floats per row of every reported sub-dimension j, so the
-profile j = k..ell holds 3 * ell * (k + ... + ell) of them: O(ell^3) at
-k = 1, or 12 MB at ell = 100, 325 MB at ell = 300 and 12 GB at ell = 1000.
-They are cut from a 3m x 3m identity, which is refused with DomainError
+Those are cols floats per row of every reported sub-dimension j, so the
+profile j = k..ell holds 2 * ell * (k + ... + ell) of them: O(ell^3) at
+k = 1, or 8 MB at ell = 100, 217 MB at ell = 300 and 8 GB at ell = 1000.
+They are cut from a cols x cols identity, which is refused with DomainError
 where its bytes exceed the platform's address space.
 
 Every covariance, estimator and error covariance here has one eigenvalue on
@@ -155,8 +155,9 @@ def _empirical(
     """Measured MMSE distortion at each sub-dimension in js, from one pass.
 
     Reconstruction uses the exact conditional mean given the j noisy channel
-    outputs V = S + Q; the estimate averages the per-sample squared error
-    across the j components, with its standard error.
+    outputs V = X + (Z + Q), Z + Q drawn whole with covariance Gamma_Z +
+    lambda_q I; the estimate averages the per-sample squared error across
+    the j components, with its standard error.
     """
     import numpy as np
 
@@ -164,11 +165,10 @@ def _empirical(
     ell = model.ell
     top = level(model, ell)
     # X, V and the errors are linear in one row of the draw, so they are
-    # built once as coefficient rows over its 3*ell columns
-    unit = _unit(3 * ell)
+    # built once as coefficient rows over its 2*ell columns
+    unit = _unit(2 * ell)
     x = _factor(top.lx1, top.lx2, ell) @ unit[:ell]
-    z = _factor(top.lz1, top.lz2, ell) @ unit[ell : 2 * ell]
-    v = x + z + np.sqrt(lambda_q) * unit[2 * ell :]
+    v = x + _factor(top.lz1 + lambda_q, top.lz2 + lambda_q, ell) @ unit[ell:]
     a2 = top.lx2 / (top.ls2 + lambda_q)
     errors = []
     for j in js:
@@ -181,7 +181,7 @@ def _empirical(
         p = np.stack([((e @ g.T) ** 2).sum(axis=0) / j for j, e in zip(js, errors)])
         return p.sum(axis=1), (p * p).sum(axis=1)
 
-    mean, se = _stream(n, seed, 3 * ell, sums)
+    mean, se = _stream(n, seed, 2 * ell, sums)
     return [EmpiricalRD(distortion=float(d), stderr=float(e)) for d, e in zip(mean, se)]
 
 

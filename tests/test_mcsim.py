@@ -187,13 +187,28 @@ class TestDecomposition:
 N_STREAM = 2 * CHUNK + 17
 
 
+def _spectral_factor(spec, ell, shift=0.0):
+    """basis(ell) * sqrt(eigenvalues) of the ell x ell covariance of spec + shift*I."""
+    lams = np.full(ell, spec.lambda2 + shift)
+    lams[0] = spec.lambda1(ell) + shift
+    return basis(ell) * np.sqrt(np.maximum(lams, 0.0))
+
+
+def _profile_draw(model, lam, n, seed):
+    """X and the total noise W = Z + Q off the whole n x 2ell draw of the profile."""
+    ell = model.ell
+    g = _draw(n, seed, 2 * ell)
+    x = g[:, :ell] @ _spectral_factor(model.x, ell).T
+    w = g[:, ell:] @ _spectral_factor(model.z, ell, lam).T
+    return x, w
+
+
 def _one_shot_distortion(model, lam, j, n, seed):
     """The whole-array estimate: draw everything, then reduce once."""
-    batch = sample(model, n, seed)
-    q = _draw(n, seed, 3 * model.ell)[:, 2 * model.ell : 2 * model.ell + j]
-    v = batch.s[:, :j] + np.sqrt(lam) * q
+    x, w = _profile_draw(model, lam, n, seed)
+    v = x[:, :j] + w[:, :j]
     gs = dense(model.s, j) + lam * np.eye(j)
-    err = batch.x[:, :j] - v @ np.linalg.solve(gs, dense(model.x, j))
+    err = x[:, :j] - v @ np.linalg.solve(gs, dense(model.x, j))
     per_sample = np.mean(err**2, axis=1)
     return per_sample.mean(), per_sample.std(ddof=1) / np.sqrt(n)
 
@@ -202,11 +217,8 @@ def _one_shot_residuals(model, j, lw, lq, n, seed):
     """eu and es of decomposition_check computed on the whole n x 3j draw at once."""
     gs = dense(model.s, j)
     gu = gs - lw * np.eye(j)
-    lams = np.full(j, model.s.lambda2 - lw)
-    lams[0] = model.s.lambda1(j) - lw
-    fu = basis(j) * np.sqrt(lams)
     g = _draw(n, seed, 3 * j)
-    u = g[:, :j] @ fu.T
+    u = g[:, :j] @ _spectral_factor(model.s, j, -lw).T
     s = u + np.sqrt(lw) * g[:, j : 2 * j]
     v = s + np.sqrt(lq) * g[:, 2 * j :]
     shat = v @ np.linalg.solve(gs + lq * np.eye(j), gs)
@@ -235,6 +247,20 @@ class TestStreaming:
             np.testing.assert_allclose(
                 [single.distortion, single.stderr], got, rtol=1e-12, atol=0
             )
+
+    @pytest.mark.parametrize(
+        "params",
+        [(1, 0.4, 2, -0.1, 4), (1, 1.0, 2, -0.1, 4), (1, -0.2, 0.2, -0.15, 5)],
+        ids=["rho_s-positive", "rho_x-one", "rho_s-negative"],
+    )
+    def test_total_noise_has_the_law_of_z_plus_q(self, params):
+        # W drawn whole has covariance Gamma_Z + lambda_q I, the law of Z + Q
+        m = make_model(*params)
+        lam = solve_lambda_q(level(m, 2), 0.7)
+        x, w = _profile_draw(m, lam, N_STREAM, 21)
+        for e, want in ((x, dense(m.x, m.ell)), (w, dense(m.z, m.ell) + lam * np.eye(m.ell))):
+            cov, se = cov_with_se(e)
+            assert np.all(np.abs(cov - want) <= 5 * se)
 
     @pytest.mark.parametrize(
         "params, j",
@@ -322,7 +348,7 @@ class TestStreaming:
         draw = mcsim._chunk_normals
 
         def counting(seed, idx, m, cols):
-            calls.append(idx)
+            calls.append((idx, cols))
             return draw(seed, idx, m, cols)
 
         monkeypatch.setattr(mcsim, "_chunk_normals", counting)
@@ -331,12 +357,13 @@ class TestStreaming:
         code = main(["simulate", *argv, "--k", "2", "--dk", "0.7"])
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert code in (0, 4) and len(rows) == 3
-        assert calls == [0, 1, 2]  # ceil(n / CHUNK) chunks for all three j-rows
+        # ceil(n / CHUNK) chunks of X and Z + Q for all three j-rows
+        assert calls == [(0, 8), (1, 8), (2, 8)]
         calls.clear()
         code = main(["decomp-check", *argv, "--lambda-q", "1.0"])
         capsys.readouterr()
         assert code in (0, 4)
-        assert calls == [0, 1, 2]
+        assert calls == [(0, 12), (1, 12), (2, 12)]  # U, W and Q at j = ell = 4
 
 
 class TestMemory:
@@ -345,16 +372,20 @@ class TestMemory:
     N = 2 * CHUNK + 1
 
     @pytest.mark.parametrize(
-        "run",
+        "run, cols",
         [
-            lambda m, n: empirical_profile(m, 1, solve_lambda_q(level(m, 1), 0.6), n, 3),
-            lambda m, n: decomposition_check(
-                m, 5, 0.5 * min(m.s.lambda1(5), m.s.lambda2), 1.3, n, 3
+            (lambda m, n: empirical_profile(m, 1, solve_lambda_q(level(m, 1), 0.6), n, 3), 10),
+            (
+                lambda m, n: decomposition_check(
+                    m, 5, 0.5 * min(m.s.lambda1(5), m.s.lambda2), 1.3, n, 3
+                ),
+                15,
             ),
         ],
         ids=["profile-k=1", "decomposition-j=5"],
     )
-    def test_peak_is_one_block(self, monkeypatch, run):
+    def test_peak_is_one_block(self, monkeypatch, run, cols):
+        # cols: 2ell for X and Z + Q; 3j for U, W and Q
         m = make_model(1, -0.2, 0.2, -0.15, 5)
         sizes = []
         stream = mcsim._stream
@@ -373,9 +404,9 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3e6  # a whole chunk of the draw alone is 7.9 MB
-        assert sum(sizes) == self.N * 3 * m.ell
-        assert max(sizes) <= max(BLOCK_FLOATS, 3 * m.ell)
+        assert peak < 3e6  # a whole chunk of the draw alone is 5.2 or 7.9 MB
+        assert sum(sizes) == self.N * cols
+        assert max(sizes) <= max(BLOCK_FLOATS, cols)
 
 
 class TestDegenerateInputs:
