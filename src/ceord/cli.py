@@ -291,7 +291,9 @@ def cmd_decomp_check(args, model: spectra.SourceModel) -> Result:
     j = args.j if args.j is not None else model.ell
     rep = mcsim.decomposition_check(model, j, args.lambda_w, args.lambda_q, args.n, args.seed)
     ok = rep.sigma_ok and rep.delta_diag_ok
-    return {"j": j, **rep._asdict(), "all_pass": ok}, None, 0 if ok else EXIT_STATISTICAL
+    head = {"j": j, "lambda_w": rep.lambda_w, "lambda_q": args.lambda_q, "n": args.n}
+    payload = {**head, **rep._asdict(), "all_pass": ok}
+    return payload, None, 0 if ok else EXIT_STATISTICAL
 
 
 # flag: add_argument keywords.  Every command takes the model flags first.

@@ -242,10 +242,8 @@ def solve_numeric(lv: Level, j: int, d_k: float) -> tuple[FeasiblePoint, float]:
     inv1, inv2 = 1.0 / lw - 1.0 / ls1, 1.0 / lw - 1.0 / ls2
 
     def reduced(d1: float, point: bool = False):
-        """The objective with no slack in d2 or delta at d1, inf outside the
-        box; with point, that (d1, d2, delta) instead, None outside the box."""
-        if d1 <= 0 or d1 > ls1 or a1_coef * d1 > budget:
-            return None if point else math.inf
+        """The objective with no slack in d2 or delta at d1 in (0, hi], inf
+        where d2 has no room; with point, that (d1, d2, delta), None there."""
         if a2_coef > 0:
             d2 = min(ls2, (budget - a1_coef * d1) / a2_coef)
         else:
@@ -255,8 +253,6 @@ def solve_numeric(lv: Level, j: int, d_k: float) -> tuple[FeasiblePoint, float]:
         delta = min(_delta_cap(d1, inv1), _delta_cap(d2, inv2))
         if point:
             return FeasiblePoint(d1, d2, delta)
-        if delta <= 0:
-            return math.inf
         return _eta_at(k, lw, ls1, ls2, d1, d2, delta)
 
     hi = ls1 if a1_coef == 0 else min(ls1, budget / a1_coef)

@@ -26,7 +26,7 @@ in closed form, a2*v + (a1 - a2)*mean(v): no dense covariance, no solve.
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
 from .spectra import DomainError, Level, SourceModel, basis, check_lambda_q, check_pair, level
 
@@ -54,8 +54,6 @@ class EmpiricalRD(NamedTuple):
 
 class DecompositionReport(NamedTuple):
     lambda_w: float
-    lambda_q: float
-    n: int
     # worst |empirical - predicted| / stderr over entries, per check
     sigma_max_sigmas: float
     delta_offdiag_max_sigmas: float
@@ -143,16 +141,16 @@ def sample(model: SourceModel, n: int, seed: int) -> SampleBatch:
     """Draw n i.i.d. realizations of (X, Z, S = X + Z)."""
     ell = model.ell
     lv = level(model, ell)
-    g = _draw(n, seed, 3 * ell)
+    g = _draw(n, seed, 2 * ell)
     x = g[:, :ell] @ _factor(lv.lx1, lv.lx2, ell).T
-    z = g[:, ell : 2 * ell] @ _factor(lv.lz1, lv.lz2, ell).T
+    z = g[:, ell:] @ _factor(lv.lz1, lv.lz2, ell).T
     return SampleBatch(x=x, z=z, s=x + z)
 
 
-def _empirical(
-    model: SourceModel, lambda_q: float, js: Sequence[int], n: int, seed: int
+def empirical_profile(
+    model: SourceModel, k: int, lambda_q: float, n: int, seed: int
 ) -> list[EmpiricalRD]:
-    """Measured MMSE distortion at each sub-dimension in js, from one pass.
+    """Measured MMSE distortion for every j = k..ell from one shared draw.
 
     Reconstruction uses the exact conditional mean given the j noisy channel
     outputs V = X + (Z + Q), Z + Q drawn whole with covariance Gamma_Z +
@@ -161,8 +159,10 @@ def _empirical(
     """
     import numpy as np
 
+    level(model, k)  # the level rule on k
     check_lambda_q(lambda_q)
     ell = model.ell
+    js = range(k, ell + 1)
     top = level(model, ell)
     # X, V and the errors are linear in one row of the draw, so they are
     # built once as coefficient rows over its 2*ell columns
@@ -185,20 +185,12 @@ def _empirical(
     return [EmpiricalRD(distortion=float(d), stderr=float(e)) for d, e in zip(mean, se)]
 
 
-def empirical_profile(
-    model: SourceModel, k: int, lambda_q: float, n: int, seed: int
-) -> list[EmpiricalRD]:
-    """Measured MMSE distortion for every j = k..ell from one shared draw."""
-    level(model, k)  # the level rule on k
-    return _empirical(model, lambda_q, range(k, model.ell + 1), n, seed)
-
-
 def empirical_distortion(
     model: SourceModel, k: int, lambda_q: float, j: int, n: int, seed: int
 ) -> EmpiricalRD:
     """Measured MMSE distortion at sub-dimension j; the j row of empirical_profile."""
     check_pair(k, j, model.ell)
-    return _empirical(model, lambda_q, [j], n, seed)[0]
+    return empirical_profile(model, k, lambda_q, n, seed)[j - k]
 
 
 def _decomposition_moments(
@@ -215,7 +207,7 @@ def _decomposition_moments(
 
     check_lambda_q(lambda_q)
     j, ls1, ls2 = lv.k, lv.ls1, lv.ls2
-    # coefficient rows as in _empirical, with Gamma_U = Gamma_S - lambda_w I
+    # coefficient rows as in empirical_profile, with Gamma_U = Gamma_S - lambda_w I
     unit = _unit(3 * j)
     u = _factor(ls1 - lambda_w, ls2 - lambda_w, j) @ unit[:j]
     s = u + np.sqrt(lambda_w) * unit[j : 2 * j]
@@ -289,8 +281,6 @@ def decomposition_check(
 
     return DecompositionReport(
         lambda_w=lambda_w,
-        lambda_q=lambda_q,
-        n=n,
         sigma_max_sigmas=sigma_max,
         delta_offdiag_max_sigmas=delta_max,
         sigma_ok=sigma_max <= 5.0,

@@ -13,21 +13,17 @@ import numpy as np
 import pytest
 
 from ceord import (
-    candidate_minimizer,
     check_conditions,
     check_symmetric_rate,
     d_min,
     decomposition_check,
-    distortion_profile,
     dj_lower_bound,
     empirical_profile,
-    kkt_multipliers,
-    rate_bar,
     solve_lambda_q,
     solve_numeric,
     verify_kkt,
 )
-from ceord.rdcore import distortion_at_lambda
+from ceord.rdcore import distortion_at_lambda, profile_at_lambda, rate_at_lambda
 from ceord.spectra import level
 
 from helpers import m0, make_model, random_dk, random_model, trace_profile_oracle
@@ -66,7 +62,7 @@ def test_criterion_2_trace_oracle_equivalence(capfd):
         k = int(rng.integers(1, m.ell + 1))
         d = random_dk(rng, m, k)
         lam = solve_lambda_q(level(m, k), d)
-        got = distortion_profile(m, k, d)
+        got = profile_at_lambda(level(m, k), lam)
         want = trace_profile_oracle(m, k, lam)
         worst = max(worst, max(abs(a - b) for a, b in zip(got, want)))
     report(capfd, 2, worst <= 1e-10, f"profile vs dense trace max dev {worst:.2e} <= 1e-10 on 1000 draws", time.time() - t0, 5)
@@ -76,10 +72,10 @@ def test_criterion_3_worked_fixture(capfd):
     t0 = time.time()
     m = m0()
     lam = solve_lambda_q(level(m, 2), 0.75)
-    rate = rate_bar(m, 2, 0.75)
-    prof = distortion_profile(m, 2, 0.75)
-    mult = kkt_multipliers(m, 2, 2, 0.75)
+    rate = rate_at_lambda(level(m, 2), lam)
+    prof = profile_at_lambda(level(m, 2), lam)
     cert = verify_kkt(m, 2, 2, 0.75)
+    mult = cert.multipliers
     errs = [
         abs(lam - 2.0),
         abs(rate - 0.25 * math.log(4)),
@@ -109,12 +105,14 @@ def test_criterion_4_kkt_oracle_agreement(capfd):
         k = int(rng.integers(1, m.ell + 1))
         d = random_dk(rng, m, k, lo_frac=0.1, hi_frac=0.9)
         j = int(rng.integers(k, m.ell + 1))
-        mult = kkt_multipliers(m, k, j, d)
+        cert = verify_kkt(m, k, j, d)
+        mult = cert.multipliers
         if min(mult.b1, mult.b2) < 1e-8:
             continue
         pt, f = solve_numeric(level(m, k), j, d)
-        cand = candidate_minimizer(m, k, j, d)
-        worst_obj = max(worst_obj, abs(f - rate_bar(m, k, d)))
+        cand = cert.point
+        rate = rate_at_lambda(level(m, k), solve_lambda_q(level(m, k), d))
+        worst_obj = max(worst_obj, abs(f - rate))
         worst_delta = max(worst_delta, abs(pt.delta - cand.delta))
         checked += 1
     ok = worst_obj <= 1e-6 and worst_delta <= 1e-5
@@ -132,12 +130,12 @@ def test_criterion_5_multiplier_sign_equivalence(capfd):
         d = random_dk(rng, m, k)
         rc = check_conditions(m, k, d)
         if sign == "+":
-            mult = kkt_multipliers(m, k, k, d)
+            mult = verify_kkt(m, k, k, d).multipliers
             if (mult.b1 >= -1e-12) != rc.cond1:
                 disagreements += 1
         else:
             for j in range(k, m.ell + 1):
-                mult = kkt_multipliers(m, k, j, d)
+                mult = verify_kkt(m, k, j, d).multipliers
                 if (mult.b1 >= -1e-12) != rc.cond3[j - k]:
                     disagreements += 1
                 if (mult.b2 >= -1e-12) != rc.cond4[j - k]:
@@ -161,7 +159,7 @@ def _sign_disagreements(seed):
         d = random_dk(rng, m, k)
         rc = check_conditions(m, k, d)
         for j in range(k, m.ell + 1):
-            mult = kkt_multipliers(m, k, j, d)
+            mult = verify_kkt(m, k, j, d).multipliers
             b1, b2 = mult.b1 >= -1e-12, mult.b2 >= -1e-12
             if sign == "+":
                 pairs = [("cond1", rc.cond1, b1), ("b2", True, b2)]
@@ -210,9 +208,9 @@ def test_criterion_6_lower_bound_closure(capfd):
         m = random_model(rng, rho_s_sign=sign)
         k = int(rng.integers(1, m.ell + 1))
         d = random_dk(rng, m, k)
-        prof = distortion_profile(m, k, d)
+        prof = profile_at_lambda(level(m, k), solve_lambda_q(level(m, k), d))
         for j in range(k, m.ell + 1):
-            p = candidate_minimizer(m, k, j, d)
+            p = verify_kkt(m, k, j, d).point
             got = dj_lower_bound(m, k, j, p.delta)
             worst = max(worst, abs(got - prof[j - k]))
     report(capfd, 6, worst <= 1e-10, f"closure max dev {worst:.2e} <= 1e-10, both orderings, 200 instances", time.time() - t0, 10)
@@ -228,14 +226,18 @@ def test_criterion_7_degenerate_continuity(capfd):
     lo = d_min(exact, 2)
     for d in np.linspace(lo + 0.02, 1 - 0.02, 20):
         rate, d3 = degenerate_rate_s2zero(exact, 2, 3, d)
-        worst = max(worst, abs(rate - rate_bar(near, 2, d)))
-        worst = max(worst, abs(d3 - distortion_profile(near, 2, d)[1]))
+        lv = level(near, 2)
+        lam = solve_lambda_q(lv, d)
+        worst = max(worst, abs(rate - rate_at_lambda(lv, lam)))
+        worst = max(worst, abs(d3 - profile_at_lambda(lv, lam)[1]))
     # leading eigenvalue at zero (rho_s = -1/(ell-1))
     exact = make_model(1, -0.5, 1, -0.5, 3)
     near = make_model(1, -0.5 + eps, 1, -0.5 + eps, 3)
     lo = d_min(exact, 3)
     for d in np.linspace(lo + 0.02, 1 - 0.02, 20):
-        worst = max(worst, abs(degenerate_rate_s1zero(exact, d) - rate_bar(near, 3, d)))
+        lv = level(near, 3)
+        rate = rate_at_lambda(lv, solve_lambda_q(lv, d))
+        worst = max(worst, abs(degenerate_rate_s1zero(exact, d) - rate))
     report(capfd, 7, worst <= 1e-5, f"degenerate vs general at offset 1e-8: max dev {worst:.2e} <= 1e-5", time.time() - t0, 5)
 
 
@@ -276,7 +278,7 @@ def test_criterion_9_monte_carlo(capfd):
     for idx, (m, k) in enumerate(suite):
         d = 0.5 * (d_min(m, k) + m.x.gamma)
         lam = solve_lambda_q(level(m, k), d)
-        prof = distortion_profile(m, k, d)
+        prof = profile_at_lambda(level(m, k), lam)
         emps = empirical_profile(m, k, lam, n, seed=900 + idx)
         for emp, analytic in zip(emps, prof, strict=True):
             worst_sigmas = max(worst_sigmas, abs(emp.distortion - analytic) / emp.stderr)

@@ -817,6 +817,27 @@ class TestDecompCheck:
         assert doc["lambda_w"] == pytest.approx(1.0)
         assert doc["all_pass"] is True
 
+    def test_keys_in_order_with_the_arguments(self, capsys):
+        # lambda_q and n are the command's arguments, written between lambda_w
+        # and the statistics of the report
+        argv = ["decomp-check", *M0, "--j=2", "--lambda-q=2.5", "--n=1000", "--seed=3"]
+        code, doc, err = run_json(capsys, *argv)
+        assert code in (0, 4) and err == ""
+        assert list(doc) == [
+            "schema_version",
+            "model",
+            "j",
+            "lambda_w",
+            "lambda_q",
+            "n",
+            "sigma_max_sigmas",
+            "delta_offdiag_max_sigmas",
+            "sigma_ok",
+            "delta_diag_ok",
+            "all_pass",
+        ]
+        assert doc["lambda_q"] == 2.5 and doc["n"] == 1000 and type(doc["n"]) is int
+
     def test_default_lambda_w_is_the_explicit_value(self, capsys):
         argv = ["decomp-check", *M0, "--rho-x=0.4", "--rho-z=0.1", "--j=2", "--lambda-q=2"]
         argv += ["--n=20000", "--seed=1"]

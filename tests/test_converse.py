@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -545,6 +546,29 @@ class TestGoldenSectionOracle:
             lam = solve_lambda_q(level(m, k), d)
             assert abs(f - rate_at_lambda(level(m, k), lam)) <= 1e-6
             assert abs(pt.delta - cert.point.delta) <= 1e-5
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(instance=oracle_instances())
+    def test_every_probe_is_inside_the_box(self, instance):
+        # reduced has no box guard and no delta <= 0 branch: every d1 it is
+        # given lies in (0, hi], with hi <= lambda_s1(k) and a1 * hi <= budget,
+        # and both delta caps d / (1 + d * inv) have d > 0 and inv >= 0
+        m, k, j, d = instance
+        lv = level(m, k)
+        lw, ls1, ls2, lx1, lx2, f1, f2, _ = _program(lv, j)
+        a1_coef, budget = lx1**2 / ls1**2, k * d - (f1 + (k - 1) * f2)
+        probes = []
+
+        def recording(k_, lw_, ls1_, ls2_, d1, d2, delta):
+            probes.append((d1, delta))
+            return _eta_at(k_, lw_, ls1_, ls2_, d1, d2, delta)
+
+        with mock.patch.object(converse, "_eta_at", recording):
+            pt, _ = solve_numeric(lv, j, d)
+        assert probes and (pt.d1, pt.delta) in probes
+        for d1, delta in probes:
+            assert 0 < d1 <= ls1 and a1_coef * d1 <= budget and delta > 0
 
 
 class TestDjLowerBound:

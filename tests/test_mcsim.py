@@ -243,10 +243,8 @@ class TestStreaming:
             got = [row.distortion, row.stderr]
             want = _one_shot_distortion(m, lam, j, N_STREAM, 21)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-            single = empirical_distortion(m, k, lam, j, N_STREAM, 21)
-            np.testing.assert_allclose(
-                [single.distortion, single.stderr], got, rtol=1e-12, atol=0
-            )
+            # the j row of the profile, the same arithmetic on the same draw
+            assert empirical_distortion(m, k, lam, j, N_STREAM, 21) == row
 
     @pytest.mark.parametrize(
         "params",
@@ -261,6 +259,19 @@ class TestStreaming:
         for e, want in ((x, dense(m.x, m.ell)), (w, dense(m.z, m.ell) + lam * np.eye(m.ell))):
             cov, se = cov_with_se(e)
             assert np.all(np.abs(cov - want) <= 5 * se)
+
+    @pytest.mark.parametrize(
+        "params",
+        [(1, 0.4, 2, -0.1, 4), (1, 1.0, 2, -0.1, 4), (1, -0.2, 0.2, -0.15, 5)],
+        ids=["rho_s-positive", "rho_x-one", "rho_s-negative"],
+    )
+    def test_sample_is_the_2ell_draw(self, params):
+        # X off the first ell columns of one n x 2ell draw, Z off the last ell
+        m, n, seed = make_model(*params), 1000, 11
+        g = _draw(n, seed, 2 * m.ell)
+        b = sample(m, n, seed)
+        assert np.array_equal(b.x, g[:, : m.ell] @ _spectral_factor(m.x, m.ell).T)
+        assert np.array_equal(b.z, g[:, m.ell :] @ _spectral_factor(m.z, m.ell).T)
 
     @pytest.mark.parametrize(
         "params, j",
