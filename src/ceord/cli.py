@@ -214,7 +214,7 @@ def cmd_verify(args, model: spectra.SourceModel) -> Result:
     j = args.j if args.j is not None else args.k
     lv = spectra.level(model, args.k)
     lam = rdcore.solve_lambda_q(lv, args.dk)
-    cert = converse.verify_at_lambda(lv, j, lam, args.dk, tol=args.tol)
+    cert = converse.verify_at_lambda(lv, j, lam, args.dk)
     point, opt = converse.solve_numeric(lv, j, args.dk)
     rbar = rdcore.rate_at_lambda(lv, lam)
     gap = opt - rbar
@@ -309,7 +309,6 @@ _K = {"--k": dict(type=int, required=True)}
 _DK = {"--dk": dict(type=float, required=True)}
 _J = {"--j": dict(type=int, default=None)}
 _N = {"--n": dict(type=int, default=1000000)}
-_TOL = {"--tol": dict(type=float, default=1e-9)}
 _SEED = {"--seed": dict(type=int, default=0)}
 _FORMAT = {"--format": dict(choices=["json", "csv"], default="json")}
 _BITS = {"--bits": dict(action="store_true", default=False, help="report rates in bits")}
@@ -331,7 +330,7 @@ _COMMANDS = {
     ),
     "region": (cmd_region, {**_MODEL, **_K, **_DK, **_FORMAT, **_BITS}),
     "conditions": (cmd_conditions, {**_MODEL, **_K, **_DK, **_BITS}),
-    "verify": (cmd_verify, {**_MODEL, **_K, **_DK, **_J, **_TOL, **_BITS}),
+    "verify": (cmd_verify, {**_MODEL, **_K, **_DK, **_J, **_BITS}),
     "bt-check": (cmd_bt_check, {**_MODEL, **_K, **_DK, **_FORMAT, **_BITS}),
     "simulate": (cmd_simulate, {**_MODEL, **_K, **_DK, **_N, **_SEED, **_FORMAT}),
     "decomp-check": (

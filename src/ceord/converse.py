@@ -22,6 +22,7 @@ from .spectra import d_min  # only bench/spans.py and tests/test_source.py need 
 
 CASE_P = "P"
 CASE_PHAT = "P-hat"
+KKT_TOL = 1e-9  # every KKT residual's bound, relative to the largest term it sums
 
 
 class FeasiblePoint(NamedTuple):
@@ -140,26 +141,20 @@ def _delta_cap(d: float, inv: float) -> float:
     return d / den
 
 
-def verify_kkt(
-    model: SourceModel, k: int, j: int, d_k: float, tol: float = 1e-9
-) -> KKTCertificate:
+def verify_kkt(model: SourceModel, k: int, j: int, d_k: float) -> KKTCertificate:
     """verify_at_lambda at the lambda_q that meets d_k on level k."""
     lv = level(model, k)
-    return verify_at_lambda(lv, j, rdcore.solve_lambda_q(lv, d_k), d_k, tol)
+    return verify_at_lambda(lv, j, rdcore.solve_lambda_q(lv, d_k), d_k)
 
 
-def verify_at_lambda(
-    lv: Level, j: int, lam: float, d_k: float, tol: float = 1e-9
-) -> KKTCertificate:
+def verify_at_lambda(lv: Level, j: int, lam: float, d_k: float) -> KKTCertificate:
     """Assemble and check the full KKT system at the candidate built from lam.
 
     Evaluates the three stationarity equations, the five complementary-
     slackness products, and primal feasibility against the budget k d_k;
-    the certificate is valid iff every residual is within tol and all
+    the certificate is valid iff every residual is within KKT_TOL and all
     multipliers are nonnegative.
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise DomainError(f"tol must be positive and finite, got {tol}")
     lw, ls1, ls2, lx1, lx2, f1, f2, case = _program(lv, j)
     check_lambda_q(lam)
     check_dk(lv, d_k)
@@ -204,7 +199,7 @@ def verify_at_lambda(
     residuals = {name: r for name, (r, _) in checks.items()}
     # judged relative to the terms, which scale like 1/d or like d
     violations = [
-        name for name, (r, size) in checks.items() if abs(r) > tol * max(1.0, size)
+        name for name, (r, size) in checks.items() if abs(r) > KKT_TOL * max(1.0, size)
     ]
     if not m.nonnegative:
         violations.append("negative_multiplier")

@@ -57,7 +57,10 @@ def solve_lambda_q(lv: Level, d_k: float) -> float:
     b = c * (ls1 + ls2) - p - q
     c0 = -k * ls1 * ls2 * (d_k - lo)
     root = math.sqrt(b * b - 4.0 * c * c0)
-    lam = (root - b) / (2.0 * c) if b < 0 else -2.0 * c0 / (b + root)
+    if b < 0:
+        lam = (root - b) / (2.0 * c)
+    else:  # b + root is 0 only where b = 0 and c0 = 0: no positive root
+        lam = -2.0 * c0 / (b + root) if root > 0 else 0.0
     if not lam > 0:
         raise DomainError(f"d_k={d_k:.17g} is within rounding of d_min^({k})")
     # Newton on f(lam) - c, summed where it is small: near gamma_x both f and

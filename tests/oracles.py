@@ -6,7 +6,8 @@ tests can check the closed forms against plain linear algebra.  The
 matching conditions are written out one polynomial at a time, as a check on
 the library's single pass over them.  The paper's closed forms for the
 frontier at the two boundary correlations check the library's one general
-solve there.
+solve there, and the quadratic Gaussian CEO sum-rate, from outside the
+paper, checks it at rho_x = 1, rho_z = 0.
 """
 from __future__ import annotations
 
@@ -49,6 +50,18 @@ def degenerate_rate_s1zero(model, d_ell: float) -> float:
     lx2, lz2, ls2 = model.x.lambda2, model.z.lambda2, model.s.lambda2
     arg = ell * ls2 * d_ell - (ell - 1) * lx2 * lz2
     return (ell - 1) / (2 * ell) * math.log((ell - 1) * lx2**2 / arg)
+
+
+def ceo_sum_rate(gamma_x: float, gamma_n: float, k: int, d: float) -> float:
+    """Sum-rate in nats of the quadratic Gaussian CEO problem: k encoders see
+    one scalar source of variance gamma_x through independent noises of
+    variance gamma_n, and the decoder estimates it at distortion d (Oohama,
+    IEEE Trans. IT, 1998).
+
+    The input is not checked: d must lie in (1/(1/gamma_x + k/gamma_n), gamma_x].
+    """
+    share = gamma_n * (1.0 / d - 1.0 / gamma_x) / k
+    return 0.5 * math.log(gamma_x / d) - k / 2 * math.log(1.0 - share)
 
 
 def sigma_identity(gamma_u: np.ndarray, gamma_s: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -128,7 +128,6 @@ class TestOptionTable:
     @pytest.mark.parametrize(
         "flag, commands",
         [
-            ("--tol", {"verify"}),
             ("--seed", {"simulate", "decomp-check"}),
             ("--format", {"sweep", "region", "bt-check", "simulate"}),
             ("--bits", {"point", "sweep", "region", "conditions", "verify", "bt-check"}),
@@ -145,7 +144,8 @@ class TestOptionTable:
             ("conditions", ["--format", "csv"]),
             ("point", ["--seed", "1"]),
             ("verify", ["--seed", "1"]),
-            ("point", ["--tol", "1e-6"]),
+            ("point", ["--j", "2"]),
+            ("verify", ["--tol", "1e-6"]),
             ("simulate", ["--bits"]),
             ("decomp-check", ["--bits"]),
             ("decomp-check", ["--format", "csv"]),
@@ -163,15 +163,8 @@ class TestOptionTable:
 
 
 class TestInvalidOptions:
-    VERIFY = ["verify", *M0, "--k", "2", "--dk", "0.75"]
     SIMULATE = ["simulate", *M0, "--k", "2", "--dk", "0.75", "--n", "100"]
     DECOMP = ["decomp-check", *M0, "--lambda-q", "2", "--n", "100"]
-
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
-    def test_bad_tol_exit2(self, capsys, tol):
-        code, out, err = run(capsys, *self.VERIFY, "--tol", tol)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and "tol" in err
 
     @pytest.mark.parametrize("k", ["0", "4"])
     @pytest.mark.parametrize("cmd", ["point", "sweep", "region", "conditions", "verify", "bt-check"])
@@ -185,19 +178,29 @@ class TestInvalidOptions:
         code, out, err = run(capsys, cmd, *M0, f"--k={k}", *tail)
         assert (code, out, err) == (2, "", f"error: k={k} out of range [1, 3]\n")
 
+    @pytest.mark.parametrize("cmd", ["point", "sweep", "region", "conditions", "verify", "bt-check"])
+    def test_dk_at_the_rounding_of_d_min_exit2(self, capsys, cmd):
+        # at rho_s = 1 this d_k leaves lambda_q's quadratic no positive root:
+        # its denominator rounds to 0, which once raised ZeroDivisionError
+        dk = "1.0000000000000002e-12"
+        tail = [f"--dk-min={dk}", f"--dk-max={dk}", "--steps=1"] if cmd == "sweep" else [f"--dk={dk}"]
+        model = ["--gamma-x=0.001", "--rho-x=1.0", "--gamma-z=1e-12", "--rho-z=1.0", "--ell=2"]
+        code, out, err = run(capsys, cmd, *model, "--k=2", *tail)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "within rounding of d_min^(2)" in err
+
     @pytest.mark.parametrize(
         "bad, message",
         [
-            (["--k=0", "--dk=nan", "--tol=nan", "--j=9"], "k=0 out of range"),
-            (["--k=2", "--dk=nan", "--tol=nan", "--j=9"], "d_k must be finite"),
-            (["--k=2", "--dk=0.75", "--tol=nan", "--j=9"], "tol must be positive"),
-            (["--k=2", "--dk=0.75", "--tol=1e-9", "--j=9"], "need 1 <= k <= j <= ell"),
+            (["--k=0", "--dk=nan", "--j=9"], "k=0 out of range"),
+            (["--k=2", "--dk=nan", "--j=9"], "d_k must be finite"),
+            (["--k=2", "--dk=0.75", "--j=9"], "need 1 <= k <= j <= ell"),
         ],
-        ids=["level", "d_k", "tol", "pair"],
+        ids=["level", "d_k", "pair"],
     )
     def test_verify_rule_order(self, capsys, bad, message):
         # verify reads the level, solves lambda_q at d_k, then builds the
-        # certificate: the level, d_k, tol and (k, j) rules report in that order
+        # certificate: the level, d_k and (k, j) rules report in that order
         code, out, err = run(capsys, "verify", *M0, *bad)
         assert (code, out) == (2, "") and err.startswith(f"error: {message}")
 
@@ -953,7 +956,7 @@ class TestPerCommandParser:
             assert read is not None and _same_namespace(vars(read), want), argv
 
     @pytest.mark.parametrize(
-        "extra", [["--bogus"], ["--tol", "1e-6", "x"], ["--", "--k", "3"]]
+        "extra", [["--bogus"], ["--seed", "1", "x"], ["--", "--k", "3"]]
     )
     def test_unrecognized_arguments_match_reference(self, capsys, used, extra):
         argv = [*self.POINT, *extra]
@@ -1028,7 +1031,6 @@ BAD_VALUES = {
     "--dk-max": _NON_FINITE | _NOT_A_NUMBER,
     "--steps": _NOT_A_NUMBER | _ints(max_value=0),
     "--j": _NOT_A_NUMBER | _ints(max_value=0) | _ints(min_value=4) | st.just(HUGE),
-    "--tol": _NON_FINITE | _NOT_A_NUMBER | _floats(max_value=0.0),
     "--n": _NOT_A_NUMBER | _ints(max_value=1),
     "--seed": _NOT_A_NUMBER | _ints(max_value=-1),
     "--format": st.text(string.ascii_letters, min_size=1).filter(lambda f: f not in ("json", "csv")),
@@ -1042,7 +1044,7 @@ VALID_BASES = {
     "point": _POINT,
     "region": {**_POINT, "--format": "json"},
     "conditions": _POINT,
-    "verify": {**_POINT, "--j": "2", "--tol": "1e-9"},
+    "verify": {**_POINT, "--j": "2"},
     "bt-check": {**_POINT, "--format": "json"},
     "sweep": {**_MODEL, "--k": "2", "--dk-min": "0.6", "--dk-max": "0.9", "--steps": "3"},
     "simulate": {**_POINT, "--n": "100", "--seed": "1", "--format": "json"},
@@ -1396,7 +1398,7 @@ class TestReader:
             ["point", *M0, "--k", "2", "--dk", "0.75", "--bits"],
             ["point", "--gamma-x=1", "--gamma-z=1", "--ell=3", "--k=2", "--dk=-1", "--out="],
             ["sweep", *M0, "--k=2", "--dk-min=0.6", "--dk-max=0.9", "--steps=3", "--format", "csv"],
-            ["verify", *M0, "--k=2", "--dk=nan", "--tol= 1e-6 ", "--j=\u0662"],
+            ["verify", *M0, "--rho-x= 0.5 ", "--k=2", "--dk=nan", "--j=\u0662"],
         ],
         ids=["separate", "attached", "choices", "converted"],
     )
