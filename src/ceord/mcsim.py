@@ -1,10 +1,12 @@
 """Monte Carlo validation of the closed forms.
 
 The draw for a given (seed, n) is an n x cols array of standard normals in
-chunks of CHUNK rows, one counter-based Philox stream per (seed, chunk
-index).  The distortion profile reads Z and the test-channel noise Q only
-as Z + Q, so its 2*ell column halves drive X and Z + Q; the decomposition
-check reads level j alone and its 3*j column thirds drive U, W and Q.
+chunks of CHUNK rows, one SFC64 stream per chunk, keyed by
+SeedSequence([seed, chunk index]) and read from its start: no counter or
+jump is used.  The distortion profile reads Z and the test-channel noise Q
+only as Z + Q, so its 2*ell column halves drive X and Z + Q; the
+decomposition check reads level j alone and its 3*j column thirds drive U,
+W and Q.
 Each command makes this draw exactly once, whatever the number of rows it
 reports.  Each chunk's stream is drawn in consecutive blocks of at most
 BLOCK_FLOATS normals (one row when a row is longer); consecutive draws from
@@ -37,7 +39,7 @@ if TYPE_CHECKING:
 
     Sums = tuple[np.ndarray, np.ndarray]  # (sum p, sum p^2), entrywise
 
-CHUNK = 1 << 16  # rows per Philox stream
+CHUNK = 1 << 16  # rows per SFC64 stream
 BLOCK_FLOATS = 1 << 16  # normals per block drawn from a stream
 
 
@@ -70,7 +72,7 @@ def _chunk_normals(seed: int, idx: int, m: int, cols: int) -> Iterator[np.ndarra
     import numpy as np
 
     rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=[int(seed), int(idx)]))
+        np.random.SFC64(np.random.SeedSequence(entropy=[int(seed), int(idx)]))
     )
     rows = max(1, BLOCK_FLOATS // cols)
     for start in range(0, m, rows):

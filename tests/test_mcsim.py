@@ -56,12 +56,12 @@ class TestDeterminism:
         ids=["rows-not-dividing-chunk", "one-row-blocks"],
     )
     def test_block_draw_is_per_chunk_draw(self, n, cols):
-        # blocks are consecutive draws from the one Philox stream of each chunk
+        # blocks are consecutive draws from the one SFC64 stream of each chunk
         seed = 9
         want = np.concatenate(
             [
                 np.random.Generator(
-                    np.random.Philox(np.random.SeedSequence([seed, idx]))
+                    np.random.SFC64(np.random.SeedSequence([seed, idx]))
                 ).standard_normal((min(CHUNK, n - start), cols))
                 for idx, start in enumerate(range(0, n, CHUNK))
             ]
@@ -89,6 +89,20 @@ class TestEmpiricalMoments:
             emp, se = cov_with_se(arr)
             dev = np.abs(emp - dense(spec, 4)) / se
             assert dev.max() <= 5.0
+
+    def test_draw_has_standard_normal_moments(self):
+        # _stream's standard errors read the fourth moment of the draw
+        g = _draw(2 * CHUNK, 5, 2)
+        for p, want in ((g, 0.0), (g**2, 1.0), (g**4, 3.0)):
+            se = p.std(axis=0, ddof=1) / np.sqrt(len(p))
+            assert (np.abs(p.mean(axis=0) - want) / se).max() <= 5.0
+
+    def test_chunks_are_uncorrelated(self):
+        # chunk 0 and chunk 1 come from two streams; under independence the
+        # sample correlation of two columns has standard error 1/sqrt(rows)
+        g = _draw(2 * CHUNK, 5, 2)
+        r = np.corrcoef(g[:CHUNK], g[CHUNK:], rowvar=False)[:2, 2:]
+        assert (np.abs(r) * np.sqrt(CHUNK)).max() <= 5.0
 
     def test_cov_with_se_exact_small(self):
         e = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
