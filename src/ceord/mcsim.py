@@ -178,10 +178,21 @@ def empirical_profile(
         lv = level(model, j, "j")
         a1 = lv.lx1 / (lv.ls1 + lambda_q)
         errors.append(x[:j] - a2 * v[:j] - (a1 - a2) * v[:j].mean(axis=0))
+    scale = np.array(js, dtype=float)[:, None]
 
     def sums(g: np.ndarray) -> Sums:
-        p = np.stack([((e @ g.T) ** 2).sum(axis=0) / j for j, e in zip(js, errors)])
-        return p.sum(axis=1), (p * p).sum(axis=1)
+        # row j - k of p is the squared error summed over the j components,
+        # then scaled to p_j; every square is taken in place, so a block
+        # allocates p and one t per j
+        p = np.empty((len(errors), len(g)))
+        for row, e in zip(p, errors):
+            t = e @ g.T
+            np.square(t, out=t)
+            t.sum(axis=0, out=row)
+        p /= scale
+        s1 = p.sum(axis=1)
+        np.square(p, out=p)
+        return s1, p.sum(axis=1)
 
     mean, se = _stream(n, seed, 2 * ell, sums)
     return [EmpiricalRD(distortion=float(d), stderr=float(e)) for d, e in zip(mean, se)]
@@ -222,16 +233,16 @@ def _decomposition_moments(
     es = s - (u + lambda_w / (lambda_w + lambda_q) * (v - u))
     residuals = np.vstack([eu, es])
 
-    def grams(e: np.ndarray) -> np.ndarray:
-        # the eu and es diagonal blocks of e @ e.T, without the cross block
-        return np.stack([e[:j] @ e[:j].T, e[j:] @ e[j:].T])
-
     def sums(g: np.ndarray) -> Sums:
+        # one whole 2j x 2j Gram per moment (numpy runs e @ e.T as one syrk);
+        # only its eu and es diagonal blocks are read
         e = residuals @ g.T
-        return grams(e), grams(e * e)
+        gram = e @ e.T
+        np.square(e, out=e)
+        return gram, e @ e.T
 
     mean, se = _stream(n, seed, 3 * j, sums)
-    return mean[0], se[0], mean[1], se[1]
+    return mean[:j, :j], se[:j, :j], mean[j:, j:], se[j:, j:]
 
 
 def decomposition_check(
@@ -249,6 +260,9 @@ def decomposition_check(
     matches its closed-form image of the S-estimation error covariance,
     entrywise within 5 standard errors, and (b) that the residual covariance of
     S given (U, decoder output) is diagonal, off-diagonals within 5 SE of 0.
+    That residual is es_i = (1 - c) W_i - c Q_i, c = lambda_w/(lambda_w +
+    lambda_q): it reads only coordinate i of the independent W and Q, so its
+    covariance is diagonal by construction and (b) can fail only by chance.
     """
     import numpy as np
 

@@ -247,9 +247,11 @@ class TestStreaming:
         [(1, 0.4, 2, -0.1, 4), (1, 1.0, 2, -0.1, 4), (1, -0.2, 0.2, -0.15, 5)],
         ids=["rho_s-positive", "rho_x-one", "rho_s-negative"],
     )
-    def test_profile_matches_one_shot_oracle(self, params):
+    # rows j = 1..ell, j = 2..ell, and the one row j = ell
+    @pytest.mark.parametrize("k", [1, 2, None], ids=["k=1", "k=2", "k=ell"])
+    def test_profile_matches_one_shot_oracle(self, params, k):
         m = make_model(*params)
-        k = 2
+        k = m.ell if k is None else k
         lam = solve_lambda_q(level(m, k), 0.7)
         rows = empirical_profile(m, k, lam, N_STREAM, 21)
         assert len(rows) == m.ell - k + 1
